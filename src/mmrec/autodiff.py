@@ -447,30 +447,45 @@ def forward_backward(program, inputs):
     return out, grads
 
 
-def finite_difference(program, inputs, index, step=1e-5):
-    """Central-difference gradient of program w.r.t. inputs[index]."""
-    base = [t.data.copy() for t in inputs]
-    g = np.zeros_like(base[index])
-    flat = base[index].reshape(-1)
-    gflat = g.reshape(-1)
+def central_difference(fn, flat, step=1e-5):
+    """Central-difference derivatives of the scalar `fn()` with respect to
+    each element of `flat`, a flat view of data `fn` reads. Each element is
+    perturbed in place and restored; `fn` runs twice per element."""
+    g = np.zeros(flat.size)
     with no_grad():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = program(*[Tensor(b) for b in base]).item()
+            hi = fn().item()
             flat[i] = orig - step
-            lo = program(*[Tensor(b) for b in base]).item()
+            lo = fn().item()
             flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * step)
+            g[i] = (hi - lo) / (2.0 * step)
     return g
+
+
+def relative_error(analytic, numeric):
+    """Max of |a - n| / max(|a|, |n|, 1e-3), 0.0 for empty arrays; the floor
+    compares near-zero gradients on an absolute scale."""
+    if analytic.size == 0:
+        return 0.0
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def finite_difference(program, inputs, index, step=1e-5):
+    """Central-difference gradient of program w.r.t. inputs[index]."""
+    base = [t.data.copy() for t in inputs]
+    g = central_difference(lambda: program(*[Tensor(b) for b in base]),
+                           base[index].reshape(-1), step)
+    return g.reshape(base[index].shape)
 
 
 def gradient_check(program, point, step=1e-5, tol=1e-4):
     """Compare analytic gradients against central differences.
 
-    Returns a report dict with per-input max relative error and pass flags.
-    Relative error uses a floor of 1e-3 on the denominator so near-zero
-    gradients compare on an absolute scale.
+    Returns a report dict with per-input max relative error (see
+    `relative_error`) and pass flags.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -480,9 +495,7 @@ def gradient_check(program, point, step=1e-5, tol=1e-4):
     _, grads = forward_backward(program, tensors)
     report = {"inputs": [], "passed": True, "max_rel_error": 0.0}
     for i, analytic in enumerate(grads):
-        numeric = finite_difference(program, tensors, i, step=step)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
-        rel = float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+        rel = relative_error(analytic, finite_difference(program, tensors, i, step=step))
         ok = rel <= tol
         report["inputs"].append({"index": i, "max_rel_error": rel, "passed": ok})
         report["max_rel_error"] = max(report["max_rel_error"], rel)

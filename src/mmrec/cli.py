@@ -6,9 +6,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import autodiff as ad
 from . import data as data_mod
 from . import evaluation
 from . import objectives
@@ -46,7 +43,6 @@ SCHEMA = {
     "vision_blocks": (int, 2),
     "user_blocks": (int, 2),
     "l_max": (int, 20),
-    "dropout": (float, 0.0),
     # training
     "learning_rate": (float, 1e-3),
     "weight_decay": (float, 0.01),
@@ -74,7 +70,6 @@ SCHEMA = {
     "transition_noise": (float, 0.0),
     # misc
     "seed": (int, 0),
-    "threads": (int, 1),
     "min_interactions": (int, 5),
     "cold_threshold": (int, 10),
 }
@@ -131,7 +126,7 @@ def model_config(cfg, modality="both"):
         vocab_size=cfg["vocab_size"], p_max=cfg["p_max"], q=cfg["q"],
         patch_dim=cfg["patch_dim"], text_blocks=cfg["text_blocks"],
         vision_blocks=cfg["vision_blocks"], user_blocks=cfg["user_blocks"],
-        L_max=cfg["l_max"], modality=modality, dropout=cfg["dropout"],
+        L_max=cfg["l_max"], modality=modality,
     )
 
 

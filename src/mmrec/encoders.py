@@ -32,7 +32,6 @@ class ModelConfig:
     user_blocks: int = 2
     L_max: int = 20
     modality: str = "both"  # both | text | vision
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.d % self.n_heads != 0:
@@ -113,7 +112,7 @@ def attention_bias(key_mask, causal=False):
     return bias
 
 
-def transformer_block(params, prefix, x, bias, n_heads, dropout=0.0, rng=None):
+def transformer_block(params, prefix, x, bias, n_heads):
     """Post-LN transformer layer: x = LN(x + MHA(x)); x = LN(x + FFN(x))."""
     b, s, d = x.shape
     dh = d // n_heads
@@ -131,28 +130,19 @@ def transformer_block(params, prefix, x, bias, n_heads, dropout=0.0, rng=None):
     attn = ad.softmax(ad.add(scores, bias), axis=-1)
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
     ctx = ad.add(ad.matmul(ctx, params[f"{prefix}wo"]), params[f"{prefix}bo"])
-    ctx = _dropout(ctx, dropout, rng)
     x = ad.layer_norm(ad.add(x, ctx), params[f"{prefix}ln1_g"], params[f"{prefix}ln1_b"])
     ff = ad.gelu(ad.add(ad.matmul(x, params[f"{prefix}w1"]), params[f"{prefix}b1"]))
     ff = ad.add(ad.matmul(ff, params[f"{prefix}w2"]), params[f"{prefix}b2"])
-    ff = _dropout(ff, dropout, rng)
     return ad.layer_norm(ad.add(x, ff), params[f"{prefix}ln2_g"], params[f"{prefix}ln2_b"])
 
 
-def _dropout(x, rate, rng):
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return ad.mul(x, keep)
-
-
-def run_blocks(params, n_blocks, x, bias, n_heads, dropout=0.0, rng=None):
+def run_blocks(params, n_blocks, x, bias, n_heads):
     for i in range(n_blocks):
-        x = transformer_block(params, f"b{i}.", x, bias, n_heads, dropout, rng)
+        x = transformer_block(params, f"b{i}.", x, bias, n_heads)
     return x
 
 
-def encode_text(params, cfg, token_ids, pad_mask, dropout=0.0, rng=None):
+def encode_text(params, cfg, token_ids, pad_mask):
     """Encode token id batch (B, p) with 0/1 pad mask into (cls, hiddens).
 
     Returns cls of shape (B, d) and per-token hiddens of shape (B, p, d).
@@ -175,12 +165,11 @@ def encode_text(params, cfg, token_ids, pad_mask, dropout=0.0, rng=None):
     cls = ad.add(cls, np.zeros((b, 1, cfg.d)))
     x = ad.concat([cls, emb], axis=1)
     key_mask = np.concatenate([np.ones((b, 1)), pad_mask], axis=1)
-    x = run_blocks(params, cfg.text_blocks, x, attention_bias(key_mask),
-                   cfg.n_heads, dropout, rng)
+    x = run_blocks(params, cfg.text_blocks, x, attention_bias(key_mask), cfg.n_heads)
     return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
 
-def encode_vision(params, cfg, patches, dropout=0.0, rng=None):
+def encode_vision(params, cfg, patches):
     """Encode patch batch (B, q, patch_dim) into (cls, hiddens)."""
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 3 or patches.shape[1:] != (cfg.q, cfg.patch_dim):
@@ -194,12 +183,11 @@ def encode_vision(params, cfg, patches, dropout=0.0, rng=None):
     cls = ad.add(cls, np.zeros((b, 1, cfg.d)))
     x = ad.concat([cls, emb], axis=1)
     key_mask = np.ones((b, cfg.q + 1))
-    x = run_blocks(params, cfg.vision_blocks, x, attention_bias(key_mask),
-                   cfg.n_heads, dropout, rng)
+    x = run_blocks(params, cfg.vision_blocks, x, attention_bias(key_mask), cfg.n_heads)
     return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
 
-def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask, dropout=0.0, rng=None):
+def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
     """Merge-attention fusion; returns the mm_cls output (B, d)."""
     if text_hiddens.shape[-1] != cfg.d or vision_hiddens.shape[-1] != cfg.d:
         raise ValueError("fusion inputs must have hidden dimension d")
@@ -211,6 +199,5 @@ def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask, dropout=0.0, rng=
     key_mask = np.concatenate(
         [np.ones((b, 1)), np.asarray(text_mask, dtype=np.float64), np.ones((b, q))],
         axis=1)
-    x = run_blocks(params, cfg.fusion_blocks, x, attention_bias(key_mask),
-                   cfg.n_heads, dropout, rng)
+    x = run_blocks(params, cfg.fusion_blocks, x, attention_bias(key_mask), cfg.n_heads)
     return ad.getitem(x, (slice(None), 0))

@@ -35,54 +35,30 @@ def random_batch(cfg, rng, B=2, L=4, n_items=6):
 
 
 def _loss_fn(model, batch, name):
-    ocfg = ObjectiveConfig()
-
-    def fn():
-        ctx = objectives.BatchContext(model, batch)
-        if name == "total":
-            total, _ = objectives.total_loss(model, batch, ocfg)
-            return total
-        if name in objectives.CONTRASTIVE_VARIANTS:
-            return objectives.contrastive_loss(ctx, name, ocfg)
-        reps = ad.embedding(ctx.emb["e_cls"], ctx.pos_to_row)
-        hiddens = model.encode_sequence(reps, batch.mask)
-        if name == "dap":
-            return objectives.dap_loss(ctx, hiddens, ocfg)
-        corr_rows, labels = objectives.corrupt_batch(ctx, ocfg)
-        corr_reps = ad.embedding(ctx.emb["e_cls"], corr_rows)
-        corr_hiddens = model.encode_sequence(corr_reps, batch.mask)
-        if name == "nid":
-            return objectives.nid_loss(corr_hiddens, labels, model.groups["nid_head"])
-        if name == "rcl":
-            return objectives.rcl_loss(hiddens, corr_hiddens, batch.mask, ocfg)
+    """Zero-argument closure evaluating loss `name` on the batch: the
+    composed `total_loss`, or one objective's term on its own."""
+    if name == "total":
+        ocfg = ObjectiveConfig()
+        return lambda: objectives.total_loss(model, batch, ocfg)[0]
+    if name not in CHECK_LOSSES:
         raise ValueError(f"unknown loss {name!r}")
-
-    return fn
+    only = ObjectiveConfig(
+        dap=name == "dap", nid=name == "nid", rcl=name == "rcl",
+        contrastive=name if name in objectives.CONTRASTIVE_VARIANTS else None)
+    return lambda: objectives.objective_terms(model, batch, only)[name]
 
 
 def check_parameters(model, loss_fn, step=1e-5):
-    """Max relative error between analytic and central-difference gradients
-    over every trainable parameter element. Denominators are floored at
-    1e-3 so near-zero gradients compare on an absolute scale."""
+    """Max relative error (`autodiff.relative_error`) between analytic and
+    central-difference gradients over every trainable parameter element.
+    Calls `loss_fn` once, then twice per trainable element."""
     model.zero_grad()
-    loss = loss_fn()
-    loss.backward()
+    loss_fn().backward()
     worst = 0.0
-    for name, p in model.trainable_parameters():
+    for _, p in model.trainable_parameters():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        with ad.no_grad():
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                hi = loss_fn().item()
-                flat[i] = orig - step
-                lo = loss_fn().item()
-                flat[i] = orig
-                numeric = (hi - lo) / (2.0 * step)
-                denom = max(abs(aflat[i]), abs(numeric), 1e-3)
-                worst = max(worst, abs(aflat[i] - numeric) / denom)
+        numeric = ad.central_difference(loss_fn, p.data.reshape(-1), step)
+        worst = max(worst, ad.relative_error(analytic.reshape(-1), numeric))
     return worst
 
 

@@ -101,23 +101,21 @@ class RecModel:
 
     # -- forwards -----------------------------------------------------------
 
-    def encode_text(self, token_ids, pad_mask, rng=None):
-        return enc.encode_text(self.groups["text_encoder"], self.cfg,
-                               token_ids, pad_mask, self.cfg.dropout, rng)
+    def encode_text(self, token_ids, pad_mask):
+        return enc.encode_text(self.groups["text_encoder"], self.cfg, token_ids, pad_mask)
 
-    def encode_vision(self, patches, rng=None):
-        return enc.encode_vision(self.groups["vision_encoder"], self.cfg,
-                                 patches, self.cfg.dropout, rng)
+    def encode_vision(self, patches):
+        return enc.encode_vision(self.groups["vision_encoder"], self.cfg, patches)
 
-    def fuse(self, text_hiddens, vision_hiddens, text_mask, rng=None):
+    def fuse(self, text_hiddens, vision_hiddens, text_mask):
         return enc.fuse(self.groups["fusion"], self.cfg, text_hiddens,
-                        vision_hiddens, text_mask, self.cfg.dropout, rng)
+                        vision_hiddens, text_mask)
 
-    def encode_sequence(self, item_reps, seq_mask, rng=None):
+    def encode_sequence(self, item_reps, seq_mask):
         return ue.encode_sequence(self.groups["user_encoder"], self.cfg,
-                                  item_reps, seq_mask, self.cfg.dropout, rng)
+                                  item_reps, seq_mask)
 
-    def item_embeddings(self, token_ids, pad_mask, patches, rng=None):
+    def item_embeddings(self, token_ids, pad_mask, patches):
         """Encode a batch of items into their modality embeddings.
 
         Returns a dict with whichever of t_cls, v_cls, e_cls the modality
@@ -126,13 +124,13 @@ class RecModel:
         """
         out = {}
         if self.cfg.modality in ("both", "text"):
-            t_cls, t_hid = self.encode_text(token_ids, pad_mask, rng)
+            t_cls, t_hid = self.encode_text(token_ids, pad_mask)
             out["t_cls"] = t_cls
         if self.cfg.modality in ("both", "vision"):
-            v_cls, v_hid = self.encode_vision(patches, rng)
+            v_cls, v_hid = self.encode_vision(patches)
             out["v_cls"] = v_cls
         if self.cfg.modality == "both":
-            out["e_cls"] = self.fuse(t_hid, v_hid, pad_mask, rng)
+            out["e_cls"] = self.fuse(t_hid, v_hid, pad_mask)
         elif self.cfg.modality == "text":
             out["e_cls"] = out["t_cls"]
         else:

@@ -3,13 +3,11 @@ the cross-modal contrastive family, sequence corruption with noised-item
 detection, and the corrupted-vs-original sequence contrast."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .data import PAD_ITEM
 
 LABEL_UNCHANGED = 0
 LABEL_SHUFFLED = 1
@@ -29,16 +27,12 @@ class ObjectiveConfig:
     replace_rate: float = 0.05
     temperature: float = 1.0
     rcl_pooling: str = "mean"  # mean | last
-    weights: dict = field(default_factory=dict)  # per-objective, default 1.0
 
     def __post_init__(self):
         if self.contrastive is not None and self.contrastive not in CONTRASTIVE_VARIANTS:
             raise ValueError(f"unknown contrastive variant {self.contrastive!r}")
         if self.rcl_pooling not in ("mean", "last"):
             raise ValueError(f"unknown pooling {self.rcl_pooling!r}")
-
-    def weight(self, name):
-        return float(self.weights.get(name, 1.0))
 
 
 def dap_only():
@@ -69,7 +63,7 @@ class BatchContext:
     """Everything the losses share for one batch: unique-item embeddings,
     occurrence bookkeeping, and per-anchor negative masks."""
 
-    def __init__(self, model, batch, rng=None):
+    def __init__(self, model, batch):
         self.batch = batch
         idx, mask = batch.idx, batch.mask
         self.B, self.L = idx.shape
@@ -80,7 +74,7 @@ class BatchContext:
         self.pos_to_row = np.zeros_like(idx)
         self.pos_to_row[real] = [self.row_of[int(i)] for i in idx[real]]
         ids, tmask, patches = pack_item_features(batch.items, self.unique)
-        self.emb = model.item_embeddings(ids, tmask, patches, rng)
+        self.emb = model.item_embeddings(ids, tmask, patches)
         # occurrences: every real (u, l) slot, in row-major order
         self.occ_u, self.occ_l = np.nonzero(real)
         self.occ_row = self.pos_to_row[self.occ_u, self.occ_l]
@@ -275,7 +269,7 @@ def corrupt_batch(ctx, cfg):
     return corr_rows, labels
 
 
-def nid_loss(corrupted_hiddens, labels, head, cfg=None):
+def nid_loss(corrupted_hiddens, labels, head):
     """3-way corruption classification; scores are ReLU(hW + b) passed
     through softmax, averaged over real positions."""
     b, length, d = corrupted_hiddens.shape
@@ -317,33 +311,43 @@ def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, cfg):
 # total
 # ---------------------------------------------------------------------------
 
+def objective_terms(model, batch, cfg):
+    """Run the pipeline on a batch; returns {objective name: loss Tensor}
+    for the enabled objectives, in the order dap, contrastive, nid, rcl.
+
+    Items are encoded once per call. The clean sequence is encoded only
+    when dap or rcl needs it, the corrupted one only for nid or rcl.
+    """
+    ctx = BatchContext(model, batch)
+    e = ctx.emb["e_cls"]
+    if cfg.dap or cfg.rcl:
+        hiddens = model.encode_sequence(ad.embedding(e, ctx.pos_to_row), batch.mask)
+    terms = {}
+    if cfg.dap:
+        terms["dap"] = dap_loss(ctx, hiddens, cfg)
+    if cfg.contrastive is not None:
+        terms[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive, cfg)
+    if cfg.nid or cfg.rcl:
+        corr_rows, labels = corrupt_batch(ctx, cfg)
+        corr_hiddens = model.encode_sequence(ad.embedding(e, corr_rows), batch.mask)
+        if cfg.nid:
+            terms["nid"] = nid_loss(corr_hiddens, labels, model.groups["nid_head"])
+        if cfg.rcl:
+            terms["rcl"] = rcl_loss(hiddens, corr_hiddens, batch.mask, cfg)
+    if not terms:
+        raise ValueError("no objectives enabled")
+    return terms
+
+
 def total_loss(model, batch, cfg, rng=None):
-    """Run the full pipeline on a batch and sum the enabled objectives.
+    """Sum of the enabled objectives, added left to right in the order of
+    `objective_terms`. `rng` is ignored.
 
     Returns (total Tensor, {objective name: float value}).
     """
-    ctx = BatchContext(model, batch, rng)
-    reps = ad.embedding(ctx.emb["e_cls"], ctx.pos_to_row)
-    hiddens = model.encode_sequence(reps, batch.mask, rng)
-    parts = {}
-    terms = []
-    if cfg.dap:
-        parts["dap"] = dap_loss(ctx, hiddens, cfg)
-    if cfg.contrastive is not None:
-        parts[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive, cfg)
-    if cfg.nid or cfg.rcl:
-        corr_rows, labels = corrupt_batch(ctx, cfg)
-        corr_reps = ad.embedding(ctx.emb["e_cls"], corr_rows)
-        corr_hiddens = model.encode_sequence(corr_reps, batch.mask, rng)
-        if cfg.nid:
-            parts["nid"] = nid_loss(corr_hiddens, labels, model.groups["nid_head"], cfg)
-        if cfg.rcl:
-            parts["rcl"] = rcl_loss(hiddens, corr_hiddens, batch.mask, cfg)
-    if not parts:
-        raise ValueError("no objectives enabled")
-    for name, tensor in parts.items():
-        terms.append(ad.mul(tensor, cfg.weight(name)))
-    total = terms[0]
-    for t in terms[1:]:
+    terms = objective_terms(model, batch, cfg)
+    values = list(terms.values())
+    total = values[0]
+    for t in values[1:]:
         total = ad.add(total, t)
-    return total, {name: t.item() for name, t in parts.items()}
+    return total, {name: t.item() for name, t in terms.items()}

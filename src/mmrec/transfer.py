@@ -9,6 +9,7 @@ models produce byte-identical files.
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -80,11 +81,26 @@ def load_bundle(path):
     payload = raw[16 + mlen : -32]
     if hashlib.sha256(mbytes + payload).digest() != digest:
         raise BundleError(f"{path}: checksum mismatch, file is corrupted")
-    manifest = json.loads(mbytes)
+    try:
+        manifest = json.loads(mbytes)
+    except ValueError:  # JSONDecodeError or UnicodeDecodeError
+        manifest = None
+    if not (isinstance(manifest, dict)
+            and {"format_version", "config", "groups"} <= set(manifest)
+            and isinstance(manifest["config"], dict)
+            and isinstance(manifest["groups"], dict)
+            and all(isinstance(g, dict) for g in manifest["groups"].values())):
+        raise BundleError(f"{path}: manifest is not an object with "
+                          "format_version, config and groups")
     if manifest["format_version"] != FORMAT_VERSION:
         raise BundleError(
             f"{path}: unsupported format version {manifest['format_version']}"
         )
+    config = manifest["config"]
+    config.pop("dropout", None)  # written by format 1, never applied
+    unknown = set(config) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise BundleError(f"{path}: unknown config keys {sorted(unknown)}")
     groups = {}
     offset = 0
     for g in sorted(manifest["groups"]):
@@ -98,7 +114,7 @@ def load_bundle(path):
             groups[g][p] = arr
     if offset != len(payload):
         raise BundleError(f"{path}: payload length does not match manifest")
-    return manifest["config"], groups
+    return config, groups
 
 
 def describe(path):
@@ -179,7 +195,6 @@ class ItemIndex:
         self.reps = reps  # (n_items, d)
         self.row_of = {c: r for r, c in enumerate(order)}
         self.model_version = model_version
-        self.n_encoded = len(order)
 
     def fresh_for(self, model):
         return self.model_version == model.version
@@ -210,7 +225,11 @@ def encode_prefixes(model, prefixes, items, index, L_max, chunk=128):
             rows = np.zeros((len(part), width), dtype=np.int64)
             mask = np.zeros((len(part), width))
             for r, p in enumerate(part):
-                rows[r, : len(p)] = [index.row_of[i] for i in p]
+                try:
+                    rows[r, : len(p)] = [index.row_of[i] for i in p]
+                except KeyError as e:
+                    raise ValueError(
+                        f"prefix item {e.args[0]!r} is not in the catalog") from None
                 mask[r, : len(p)] = 1.0
             reps = ad.Tensor(index.reps[rows])
             h = model.encode_sequence(reps, mask)

@@ -13,7 +13,7 @@ def init_user_encoder(rng, cfg):
     return p
 
 
-def encode_sequence(params, cfg, item_reps, seq_mask, dropout=0.0, rng=None):
+def encode_sequence(params, cfg, item_reps, seq_mask):
     """Run causally masked self-attention over (B, L, d) item representations.
 
     Position l attends only to positions <= l; padded positions are masked
@@ -30,4 +30,4 @@ def encode_sequence(params, cfg, item_reps, seq_mask, dropout=0.0, rng=None):
         raise ValueError(f"sequence length {length} exceeds L_max={cfg.L_max}")
     x = ad.add(item_reps, ad.getitem(params["pos"], slice(0, length)))
     bias = attention_bias(np.asarray(seq_mask, dtype=np.float64), causal=True)
-    return run_blocks(params, cfg.user_blocks, x, bias, cfg.n_heads, dropout, rng)
+    return run_blocks(params, cfg.user_blocks, x, bias, cfg.n_heads)

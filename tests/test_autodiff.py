@@ -174,3 +174,60 @@ def test_primitive_gradients_match_finite_differences():
         x = rand(rng, 4, 5)
         report = ad.gradient_check(lambda t, f=fn: ad.tsum(f(t)), [x])
         assert report["passed"], report
+
+
+def _reference_finite_difference(program, inputs, index, step=1e-5):
+    """Central differences with copies of every input, as a loop written
+    independently of `ad.central_difference`."""
+    base = [t.data.copy() for t in inputs]
+    g = np.zeros_like(base[index])
+    flat, gflat = base[index].reshape(-1), g.reshape(-1)
+    with ad.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = program(*[Tensor(b) for b in base]).item()
+            flat[i] = orig - step
+            lo = program(*[Tensor(b) for b in base]).item()
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * step)
+    return g
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 4)])
+def test_finite_difference_matches_reference_loop_bitwise(shape):
+    rng = np.random.default_rng(5)
+
+    def program(x, w):
+        return ad.tsum(ad.mul(ad.gelu(ad.mul(x, w)), ad.softmax(ad.mul(x, x), axis=-1)))
+
+    inputs = [Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape))]
+    before = [t.data.copy() for t in inputs]
+    for index in range(2):
+        got = ad.finite_difference(program, inputs, index)
+        want = _reference_finite_difference(program, inputs, index)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+    for t, b in zip(inputs, before):
+        assert t.data.tobytes() == b.tobytes()
+
+
+def test_central_difference_restores_and_counts_calls():
+    x = np.array([1.0, -2.0, 0.5])
+    calls = []
+
+    def fn():
+        calls.append(1)
+        return Tensor((x ** 3).sum())
+
+    g = ad.central_difference(fn, x, step=1e-4)
+    assert len(calls) == 2 * x.size
+    np.testing.assert_array_equal(x, [1.0, -2.0, 0.5])
+    np.testing.assert_allclose(g, 3 * x ** 2, rtol=1e-7)
+
+
+def test_relative_error_floors_denominator():
+    assert ad.relative_error(np.zeros(0), np.zeros(0)) == 0.0
+    # near zero the floor makes the comparison absolute: 1e-6 / 1e-3
+    assert ad.relative_error(np.array([1e-6]), np.array([0.0])) == pytest.approx(1e-3)
+    assert ad.relative_error(np.array([2.0, 1.0]), np.array([1.0, 1.0])) == 0.5

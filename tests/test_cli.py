@@ -180,6 +180,26 @@ def test_finetune_missing_group_exits_1(workdir, tmp_path, capsys):
     assert "vision_encoder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", ["dropout=0.1", "threads=2"])
+def test_removed_keys_exit_1(pair, capsys):
+    assert main(["-o", pair, "stats", "--data", "."]) == 1
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_evaluate_bundle_with_unknown_config_key_exits_1(workdir, tmp_path, capsys):
+    from pathlib import Path
+
+    from .test_transfer import resign_with_config
+
+    _, data, pre = workdir
+    bogus = tmp_path / "bogus.bundle"
+    resign_with_config(Path(pre) / "pretrained.bundle", bogus, bogus=1)
+    code = main(tiny_args(["evaluate", "--data", data, "--dataset", "source",
+                           "--bundle", str(bogus)]))
+    assert code == 1
+    assert "unknown config keys" in capsys.readouterr().err
+
+
 def test_config_error_exits_1(capsys):
     assert main(["-o", "nope=1", "stats", "--data", "."]) == 1
     assert "unknown key" in capsys.readouterr().err

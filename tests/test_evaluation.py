@@ -176,12 +176,12 @@ class OracleModel:
 
         self.cfg = cfg
 
-    def item_embeddings(self, ids, mask, patches, rng=None):
+    def item_embeddings(self, ids, mask, patches):
         reps = np.zeros((ids.shape[0], self.n))
         reps[np.arange(ids.shape[0]), ids[:, 0] - 1] = 1.0
         return {"e_cls": ad.Tensor(reps)}
 
-    def encode_sequence(self, reps, mask, rng=None):
+    def encode_sequence(self, reps, mask):
         return ad.Tensor(np.roll(reps.data, 1, axis=-1))
 
 
@@ -209,7 +209,7 @@ def test_anti_oracle_model_never_hits():
     split = oracle_split()
 
     class AntiOracle(OracleModel):
-        def encode_sequence(self, reps, mask, rng=None):
+        def encode_sequence(self, reps, mask):
             return ad.Tensor(np.roll(reps.data, 3, axis=-1))  # wrong successor
 
     report = evaluate(AntiOracle(6), split, phase="test", ks=(1,), L_max=10)

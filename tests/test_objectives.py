@@ -19,12 +19,12 @@ class ConstModel:
         modality = "both"
         d = 4
 
-    def item_embeddings(self, ids, mask, patches, rng=None):
+    def item_embeddings(self, ids, mask, patches):
         n = ids.shape[0]
         e = ad.Tensor(np.ones((n, 4)))
         return {"t_cls": e, "v_cls": e, "e_cls": e}
 
-    def encode_sequence(self, reps, mask, rng=None):
+    def encode_sequence(self, reps, mask):
         return reps
 
 
@@ -376,6 +376,56 @@ def test_total_is_sum_of_components():
     total, parts = obj.total_loss(model, batch, OCFG)
     assert total.item() == pytest.approx(sum(parts.values()), abs=1e-12)
     assert set(parts) == {"dap", "nicl", "nid", "rcl"}
+
+
+SINGLE_OBJECTIVES = ("dap", "vcl", "icl", "nicl", "nid", "rcl")
+
+
+def only(name):
+    return ObjectiveConfig(
+        dap=name == "dap", nid=name == "nid", rcl=name == "rcl",
+        contrastive=name if name in obj.CONTRASTIVE_VARIANTS else None)
+
+
+@pytest.mark.parametrize("name", SINGLE_OBJECTIVES)
+def test_objective_terms_single_objective_returns_its_key(name):
+    cfg = small_config()
+    model = RecModel.init(cfg, 11)
+    batch = random_batch(cfg, np.random.default_rng(11), B=2, L=4)
+    assert list(obj.objective_terms(model, batch, only(name))) == [name]
+
+
+def test_total_is_left_fold_of_terms_bitwise():
+    cfg = small_config()
+    model = RecModel.init(cfg, 12)
+    batch = random_batch(cfg, np.random.default_rng(12), B=3, L=4, n_items=12)
+    terms = obj.objective_terms(model, batch, OCFG)
+    assert list(terms) == ["dap", "nicl", "nid", "rcl"]
+    v = [t.item() for t in terms.values()]
+    total, parts = obj.total_loss(model, batch, OCFG)
+    assert total.item() == ((v[0] + v[1]) + v[2]) + v[3]
+    assert parts == dict(zip(terms, v))
+
+
+def test_objective_terms_rejects_empty_config():
+    cfg = small_config()
+    model = RecModel.init(cfg, 13)
+    batch = random_batch(cfg, np.random.default_rng(13), B=2, L=4)
+    none = ObjectiveConfig(dap=False, contrastive=None, nid=False, rcl=False)
+    with pytest.raises(ValueError, match="no objectives"):
+        obj.objective_terms(model, batch, none)
+
+
+@pytest.mark.parametrize("name, sequences", [
+    ("vcl", 0), ("icl", 0), ("nicl", 0), ("dap", 1), ("nid", 1), ("rcl", 2)])
+def test_objective_terms_encodes_only_the_sequences_it_needs(name, sequences):
+    cfg = small_config()
+    model = RecModel.init(cfg, 14)
+    batch = random_batch(cfg, np.random.default_rng(14), B=2, L=4)
+    encode, calls = model.encode_sequence, []
+    model.encode_sequence = lambda *args: calls.append(1) or encode(*args)
+    obj.objective_terms(model, batch, only(name))
+    assert len(calls) == sequences
 
 
 def test_total_dap_only_equals_dap():

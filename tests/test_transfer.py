@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,52 @@ def test_rejects_truncated_file(model, tmp_path):
     path.write_bytes(path.read_bytes()[:-40])
     with pytest.raises(BundleError):
         load_bundle(path)
+
+
+def write_signed(path, manifest, payload=b""):
+    """A bundle with the given manifest (dict or raw bytes) and a valid sha256."""
+    mbytes = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    path.write_bytes(tr.MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload
+                     + hashlib.sha256(mbytes + payload).digest())
+
+
+def resign_with_config(src, dst, **extra):
+    """Copy the bundle at `src` to `dst` with `extra` keys added to its config."""
+    raw = src.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16 : 16 + n])
+    manifest["config"].update(extra)
+    write_signed(dst, manifest, raw[16 + n : -32])
+
+
+def test_legacy_dropout_key_loads(model, tmp_path):
+    save_bundle(model, tmp_path / "m.bundle")
+    resign_with_config(tmp_path / "m.bundle", tmp_path / "legacy.bundle", dropout=0.0)
+    cfg, _ = load_bundle(tmp_path / "legacy.bundle")
+    assert "dropout" not in cfg
+    back, want = model_from_bundle(tmp_path / "legacy.bundle").snapshot(), model.snapshot()
+    assert back.keys() == want.keys()
+    assert all(np.array_equal(back[k], want[k]) for k in want)
+
+
+def test_unknown_config_key_rejected(model, tmp_path):
+    save_bundle(model, tmp_path / "m.bundle")
+    resign_with_config(tmp_path / "m.bundle", tmp_path / "bogus.bundle", bogus=1)
+    with pytest.raises(BundleError, match="bogus"):
+        load_bundle(tmp_path / "bogus.bundle")
+
+
+@pytest.mark.parametrize("manifest", [
+    b"{not json", b"\xff\xfe", b"[1, 2]",
+    {"config": {}, "groups": {}},
+    {"format_version": 1, "groups": {}},
+    {"format_version": 1, "config": [], "groups": {}},
+    {"format_version": 1, "config": {}, "groups": {"fusion": 3}},
+])
+def test_malformed_manifest_rejected(manifest, tmp_path):
+    write_signed(tmp_path / "m.bundle", manifest)
+    with pytest.raises(BundleError, match="manifest"):
+        load_bundle(tmp_path / "m.bundle")
 
 
 def test_describe_lists_groups(model, tmp_path):
@@ -257,3 +306,11 @@ def test_encode_prefixes_truncates_to_l_max(model, items):
     a = tr.encode_prefixes(model, [long], items, index, L_max=4)
     b = tr.encode_prefixes(model, [long[-4:]], items, index, L_max=4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_out_of_catalog_prefix_item_named(model, items):
+    with pytest.raises(ValueError, match="999"):
+        predict_scores(model, [999], items)
+    with pytest.raises(ValueError, match="not in the catalog"):
+        tr.encode_prefixes(model, [[0, 1], [2, 999]], items,
+                           build_item_index(model, items), L_max=4)

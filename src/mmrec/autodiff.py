@@ -40,9 +40,12 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g):
+        # the first write copies: backward closures may hand the same array
+        # to several parents, or a view of their own incoming gradient
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape))
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -225,15 +228,16 @@ def gelu(x):
     """GELU, tanh approximation."""
     x = as_tensor(x)
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
+    v2 = v * v  # float `v**3` has no fast path in numpy and is ~100x slower
+    inner = _GELU_C * (v + 0.044715 * (v2 * v))
     t = np.tanh(inner)
     data = 0.5 * v * (1.0 + t)
     if not _tracked(x):
         return Tensor(data)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * dinner
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * v2)
+        dx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
         x._accum(g * dx)
 
     return _make(data, (x,), bw)
@@ -284,7 +288,7 @@ def tsum(x, axis=None, keepdims=False):
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accum(np.broadcast_to(g, x.shape).copy())
+        x._accum(np.broadcast_to(g, x.shape))
 
     return _make(data, (x,), bw)
 
@@ -316,13 +320,99 @@ def softmax(x, axis=-1):
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One node. The backward is the derivative of the computed forward:
+    dxc = inv * (dxhat - xhat * mean(dxhat * xhat)), dx = dxc - mean(dxc).
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(xc, inv), gain), bias)
+    inv_n = 1.0 / x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
+    inv = (var + eps) ** -0.5
+    xhat = xc * inv
+    data = xhat * gain.data + bias.data
+    if not _tracked(x, gain, bias):
+        return Tensor(data)
+
+    def bw(g):
+        if x.requires_grad:
+            dxhat = g * gain.data
+            dxc = inv * (dxhat - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True)
+                                         * inv_n))
+            x._accum(dxc - dxc.sum(axis=-1, keepdims=True) * inv_n)
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape))
+
+    return _make(data, (x, gain, bias), bw)
+
+
+def linear(x, w, b):
+    """`x @ w + b` over the last axis of x, as one node. w is (d_in, d_out)
+    and b is (d_out,); the weight gradient is a single GEMM over all leading
+    axes of x."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    data = x.data @ w.data
+    data += b.data
+    if not _tracked(x, w, b):
+        return Tensor(data)
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.reshape(-1, x.shape[-1]).T @ g2)
+        if b.requires_grad:
+            b._accum(g2.sum(axis=0))
+
+    return _make(data, (x, w, b), bw)
+
+
+def attention(q, k, v, bias, n_heads):
+    """Multi-head scaled dot-product attention of (B, S, d) projections.
+
+    `bias` is a constant additive mask broadcastable to (B, n_heads, S, S).
+    Head split, scaling, softmax, `@ v` and head merge are one node; the
+    backward uses the softmax-Jacobian identity
+    dS = P * (dP - rowsum(dP * P)).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    b, s, d = q.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(t):  # (B, S, d) -> (B, h, S, dh)
+        return t.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):  # (B, h, S, dh) -> (B, S, d)
+        return t.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    z = (qh @ kh.transpose(0, 1, 3, 2)) * scale + bias
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    data = merge(p @ vh)
+    if not _tracked(q, k, v):
+        return Tensor(data)
+
+    def bw(g):
+        gh = heads(g)
+        if v.requires_grad:
+            v._accum(merge(p.transpose(0, 1, 3, 2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            dp = gh @ vh.transpose(0, 1, 3, 2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= scale
+            if q.requires_grad:
+                q._accum(merge(ds @ kh))
+            if k.requires_grad:
+                k._accum(merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)))
+
+    return _make(data, (q, k, v), bw)
 
 
 def embedding(table, ids):
@@ -410,16 +500,23 @@ def masked_logsumexp(x, mask, axis=-1):
     """log(sum(mask * exp(x))) along `axis`, numerically stable.
 
     `mask` is a constant 0/1 array; every row must have at least one
-    included entry. The max-shift constant is detached, which leaves the
-    gradient exact.
+    included entry. One node; the backward is g * mask * exp(z) / s with
+    z = x - shift, where the max-shift constant cancels exactly.
     """
     x = as_tensor(x)
     mask = np.asarray(mask, dtype=np.float64)
     shift = np.where(mask > 0, x.data, -np.inf).max(axis=axis, keepdims=True)
     # masking inside exp keeps excluded (possibly huge) entries from overflowing
-    z = mul(sub(x, shift), mask)
-    s = tsum(mul(exp(z), mask), axis=axis, keepdims=False)
-    return add(log(s), np.squeeze(shift, axis=axis))
+    e = np.exp((x.data - shift) * mask) * mask
+    s = e.sum(axis=axis)
+    data = np.log(s) + np.squeeze(shift, axis=axis)
+    if not _tracked(x):
+        return Tensor(data)
+
+    def bw(g):
+        x._accum(np.expand_dims(g / s, axis) * e)
+
+    return _make(data, (x,), bw)
 
 
 def logsumexp(x, axis=-1):

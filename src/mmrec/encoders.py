@@ -6,8 +6,7 @@ embeddings; the fusion block runs one transformer layer over
 off the mm_cls position.
 """
 
-import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -34,6 +33,12 @@ class ModelConfig:
     modality: str = "both"  # both | text | vision
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if self.d < 1 or self.n_heads < 1:
+            raise ValueError(f"d={self.d} and n_heads={self.n_heads} must be positive")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.modality not in ("both", "text", "vision"):
@@ -114,26 +119,14 @@ def attention_bias(key_mask, causal=False):
 
 def transformer_block(params, prefix, x, bias, n_heads):
     """Post-LN transformer layer: x = LN(x + MHA(x)); x = LN(x + FFN(x))."""
-    b, s, d = x.shape
-    dh = d // n_heads
+    def p(name):
+        return params[prefix + name]
 
-    def proj(w, bb):
-        return ad.add(ad.matmul(x, params[f"{prefix}{w}"]), params[f"{prefix}{bb}"])
-
-    def heads(t):
-        return ad.transpose(ad.reshape(t, (b, s, n_heads, dh)), (0, 2, 1, 3))
-
-    q = heads(proj("wq", "bq"))
-    k = heads(proj("wk", "bk"))
-    v = heads(proj("wv", "bv"))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    attn = ad.softmax(ad.add(scores, bias), axis=-1)
-    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
-    ctx = ad.add(ad.matmul(ctx, params[f"{prefix}wo"]), params[f"{prefix}bo"])
-    x = ad.layer_norm(ad.add(x, ctx), params[f"{prefix}ln1_g"], params[f"{prefix}ln1_b"])
-    ff = ad.gelu(ad.add(ad.matmul(x, params[f"{prefix}w1"]), params[f"{prefix}b1"]))
-    ff = ad.add(ad.matmul(ff, params[f"{prefix}w2"]), params[f"{prefix}b2"])
-    return ad.layer_norm(ad.add(x, ff), params[f"{prefix}ln2_g"], params[f"{prefix}ln2_b"])
+    q, k, v = (ad.linear(x, p(f"w{c}"), p(f"b{c}")) for c in "qkv")
+    ctx = ad.linear(ad.attention(q, k, v, bias, n_heads), p("wo"), p("bo"))
+    x = ad.layer_norm(ad.add(x, ctx), p("ln1_g"), p("ln1_b"))
+    ff = ad.linear(ad.gelu(ad.linear(x, p("w1"), p("b1"))), p("w2"), p("b2"))
+    return ad.layer_norm(ad.add(x, ff), p("ln2_g"), p("ln2_b"))
 
 
 def run_blocks(params, n_blocks, x, bias, n_heads):
@@ -177,7 +170,7 @@ def encode_vision(params, cfg, patches):
             f"patches must be (B, {cfg.q}, {cfg.patch_dim}), got {patches.shape}"
         )
     b = patches.shape[0]
-    emb = ad.add(ad.add(ad.matmul(Tensor(patches), params["proj_w"]), params["proj_b"]),
+    emb = ad.add(ad.linear(patches, params["proj_w"], params["proj_b"]),
                  ad.getitem(params["pos"], slice(1, cfg.q + 1)))
     cls = ad.reshape(ad.add(params["cls"], ad.getitem(params["pos"], 0)), (1, 1, cfg.d))
     cls = ad.add(cls, np.zeros((b, 1, cfg.d)))

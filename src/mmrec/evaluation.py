@@ -37,15 +37,27 @@ class MetricsReport:
         }, sort_keys=True)
 
 
+def ranks_of_targets(scores, target_rows, chunk=512):
+    """1-based full-catalog rank of `target_rows[i]` in each row `scores[i]`:
+    the number of scores >= the target's, so ties rank the target below its
+    equals. Rows are compared `chunk` at a time to bound the boolean
+    temporary."""
+    scores = np.asarray(scores)
+    target_rows = np.asarray(target_rows, dtype=np.int64)
+    ranks = np.empty(len(target_rows), dtype=np.int64)
+    for start in range(0, len(target_rows), chunk):
+        part = scores[start : start + chunk]
+        target = part[np.arange(len(part)), target_rows[start : start + chunk]]
+        ranks[start : start + chunk] = (part >= target[:, None]).sum(axis=1)
+    return ranks
+
+
 def rank_of_target(scores, target_row):
     """1-based full-catalog rank; ties rank the target below its equals."""
     scores = np.asarray(scores)
     if not 0 <= target_row < len(scores):
         raise ValueError(f"target row {target_row} outside catalog of {len(scores)}")
-    t = scores[target_row]
-    greater = int((scores > t).sum())
-    equal = int((scores == t).sum()) - 1  # excluding the target itself
-    return 1 + greater + equal
+    return int(ranks_of_targets(scores[None, :], [target_row])[0])
 
 
 def ranking_metrics(ranks, k):
@@ -80,8 +92,7 @@ def _rank_pairs(model, pairs, items, L_max, ks, dataset, phase):
     prefixes = [p for p, _ in pairs]
     states = transfer.encode_prefixes(model, prefixes, items, index, L_max)
     scores = states @ index.reps.T  # (n_pairs, n_items)
-    ranks = [rank_of_target(scores[i], index.row_of[t])
-             for i, (_, t) in enumerate(pairs)]
+    ranks = ranks_of_targets(scores, [index.row_of[t] for _, t in pairs])
     return _aggregate(ranks, ks, dataset, phase)
 
 

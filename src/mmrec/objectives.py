@@ -25,7 +25,6 @@ class ObjectiveConfig:
     rcl: bool = True
     shuffle_rate: float = 0.15
     replace_rate: float = 0.05
-    temperature: float = 1.0
     rcl_pooling: str = "mean"  # mean | last
 
     def __post_init__(self):
@@ -95,10 +94,6 @@ class BatchContext:
         return self.pos_to_row[users, positions]
 
 
-def _scaled(scores, temperature):
-    return scores if temperature == 1.0 else ad.mul(scores, 1.0 / temperature)
-
-
 # ---------------------------------------------------------------------------
 # DAP
 # ---------------------------------------------------------------------------
@@ -112,8 +107,8 @@ def dap_loss(ctx, hiddens, cfg):
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))  # (T, d)
     pos = ad.embedding(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
     e_occ = ad.embedding(e, ctx.occ_row)  # (N, d)
-    pos_score = _scaled(ad.tsum(ad.mul(h, pos), axis=-1), cfg.temperature)
-    neg_scores = _scaled(ad.matmul(h, ad.transpose(e_occ, (1, 0))), cfg.temperature)
+    pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
+    neg_scores = ad.matmul(h, ad.transpose(e_occ, (1, 0)))
     z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
     m = np.concatenate(
         [np.ones((len(ctx.tr_u), 1)), ctx.allowed[ctx.tr_u]], axis=1)
@@ -155,12 +150,12 @@ def contrastive_loss(ctx, variant, cfg):
     def one_side(anchor_tab, other_tab, same_occ, other_occ):
         a = ad.embedding(anchor_tab, rows)  # (A, d)
         pos = ad.tsum(ad.mul(a, ad.embedding(other_tab, rows)), axis=-1)
-        pos = _scaled(ad.reshape(pos, (-1, 1)), cfg.temperature)
-        inter = _scaled(ad.matmul(a, ad.transpose(other_occ, (1, 0))), cfg.temperature)
+        pos = ad.reshape(pos, (-1, 1))
+        inter = ad.matmul(a, ad.transpose(other_occ, (1, 0)))
         cols = [pos, inter]
         masks = [np.ones((n_anchor, 1)), allowed]
         if variant in ("icl", "nicl"):
-            intra = _scaled(ad.matmul(a, ad.transpose(same_occ, (1, 0))), cfg.temperature)
+            intra = ad.matmul(a, ad.transpose(same_occ, (1, 0)))
             cols.append(intra)
             masks.append(allowed)
         den = ad.masked_logsumexp(ad.concat(cols, axis=1),
@@ -171,8 +166,8 @@ def contrastive_loss(ctx, variant, cfg):
             nxt_same = ad.tsum(ad.mul(a, ad.embedding(anchor_tab, nrows)), axis=-1)
             numz = ad.concat(
                 [pos,
-                 _scaled(ad.reshape(nxt_other, (-1, 1)), cfg.temperature),
-                 _scaled(ad.reshape(nxt_same, (-1, 1)), cfg.temperature)],
+                 ad.reshape(nxt_other, (-1, 1)),
+                 ad.reshape(nxt_same, (-1, 1))],
                 axis=1)
             num = ad.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
         else:
@@ -274,7 +269,7 @@ def nid_loss(corrupted_hiddens, labels, head):
     through softmax, averaged over real positions."""
     b, length, d = corrupted_hiddens.shape
     real = labels != LABEL_PAD
-    logits = ad.relu(ad.add(ad.matmul(corrupted_hiddens, head["W"]), head["b"]))
+    logits = ad.relu(ad.linear(corrupted_hiddens, head["W"], head["b"]))
     flat = ad.reshape(logits, (b * length, -1))
     lse = ad.logsumexp(flat, axis=1)
     safe = np.where(real, labels, 0).reshape(-1)
@@ -301,7 +296,7 @@ def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, cfg):
         raise ValueError("rcl needs at least one sequence")
     hu = _pool(original_hiddens, seq_mask, cfg.rcl_pooling)
     hc = _pool(corrupted_hiddens, seq_mask, cfg.rcl_pooling)
-    scores = _scaled(ad.matmul(hu, ad.transpose(hc, (1, 0))), cfg.temperature)
+    scores = ad.matmul(hu, ad.transpose(hc, (1, 0)))
     diag = ad.getitem(scores, (np.arange(b), np.arange(b)))
     lse = ad.logsumexp(scores, axis=1)
     return ad.tmean(ad.sub(lse, diag))

@@ -9,6 +9,7 @@ models produce byte-identical files.
 
 import hashlib
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -101,12 +102,22 @@ def load_bundle(path):
     unknown = set(config) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise BundleError(f"{path}: unknown config keys {sorted(unknown)}")
+    try:
+        ModelConfig(**config)
+    except ValueError as e:
+        raise BundleError(f"{path}: bad config: {e}") from None
     groups = {}
     offset = 0
     for g in sorted(manifest["groups"]):
         groups[g] = {}
         for p, shape in sorted(manifest["groups"][g].items()):
-            n = int(np.prod(shape)) if shape else 1
+            if not (isinstance(shape, list)
+                    and all(type(s) is int and s >= 0 for s in shape)):
+                raise BundleError(f"{path}: shape of {g}.{p} is not a list of "
+                                  f"non-negative integers: {shape!r}")
+            n = math.prod(shape)
+            if offset + n * 8 > len(payload):
+                raise BundleError(f"{path}: payload shorter than the manifest says")
             arr = np.frombuffer(
                 payload, dtype=np.float64, count=n, offset=offset
             ).reshape(shape).copy()
@@ -146,18 +157,8 @@ def load_components(path, mode, fresh_init_seed):
     for gname in LOADED_GROUPS[mode]:
         if gname not in groups:
             raise BundleError(f"bundle lacks required group {gname!r} for mode {mode!r}")
-        if gname not in model.groups:
-            continue
-        for pname, tensor in model.groups[gname].items():
-            if pname not in groups[gname]:
-                raise BundleError(f"bundle group {gname!r} lacks parameter {pname!r}")
-            arr = groups[gname][pname]
-            if arr.shape != tensor.data.shape:
-                raise BundleError(
-                    f"shape mismatch in {gname}.{pname}: bundle {arr.shape} "
-                    f"vs model {tensor.data.shape}"
-                )
-            tensor.data = arr.copy()
+        if gname in model.groups:
+            _load_group(model.groups[gname], gname, groups[gname])
     return model
 
 
@@ -172,15 +173,22 @@ def model_from_bundle(path):
             f"{cfg.modality!r} expecting {sorted(model.groups)}"
         )
     for gname, group in model.groups.items():
-        for pname, tensor in group.items():
-            arr = groups[gname][pname]
-            if arr.shape != tensor.data.shape:
-                raise BundleError(
-                    f"shape mismatch in {gname}.{pname}: bundle {arr.shape} "
-                    f"vs model {tensor.data.shape}"
-                )
-            tensor.data = arr.copy()
+        _load_group(group, gname, groups[gname])
     return model
+
+
+def _load_group(group, gname, arrays):
+    """Copy a bundle group's arrays into the model group's parameters."""
+    for pname, tensor in group.items():
+        if pname not in arrays:
+            raise BundleError(f"bundle group {gname!r} lacks parameter {pname!r}")
+        arr = arrays[pname]
+        if arr.shape != tensor.data.shape:
+            raise BundleError(
+                f"shape mismatch in {gname}.{pname}: bundle {arr.shape} "
+                f"vs model {tensor.data.shape}"
+            )
+        tensor.data = arr.copy()
 
 
 # ---------------------------------------------------------------------------

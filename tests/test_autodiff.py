@@ -231,3 +231,157 @@ def test_relative_error_floors_denominator():
     # near zero the floor makes the comparison absolute: 1e-6 / 1e-3
     assert ad.relative_error(np.array([1e-6]), np.array([0.0])) == pytest.approx(1e-3)
     assert ad.relative_error(np.array([2.0, 1.0]), np.array([1.0, 1.0])) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# fused primitives
+# ---------------------------------------------------------------------------
+
+def _composite_layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm as nine primitives: the reference the fused node must
+    reproduce bitwise in the forward."""
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    xc = ad.sub(x, mu)
+    var = ad.tmean(ad.mul(xc, xc), axis=-1, keepdims=True)
+    inv = ad.power(ad.add(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
+
+
+def _composite_masked_logsumexp(x, mask, axis=-1):
+    """Masked logsumexp as six primitives (the reference for the fused node)."""
+    shift = np.where(mask > 0, x.data, -np.inf).max(axis=axis, keepdims=True)
+    z = ad.mul(ad.sub(x, shift), mask)
+    s = ad.tsum(ad.mul(ad.exp(z), mask), axis=axis)
+    return ad.add(ad.log(s), np.squeeze(shift, axis=axis))
+
+
+def _readout(fn, shape, seed=0):
+    """Scalar program sum(fn(*inputs) * R) with a fixed random R, so every
+    output element carries a distinct weight into the gradient."""
+    weights = np.random.default_rng(seed).normal(size=shape)
+    return lambda *ts: ad.tsum(ad.mul(fn(*ts), weights))
+
+
+def _assert_parity(fused, composite, arrays, out_shape):
+    """Fused and composite forwards are bitwise equal; their gradients agree
+    to 1e-12 of each gradient's largest entry."""
+    got_v, got_g = ad.forward_backward(_readout(fused, out_shape),
+                                       [Tensor(a.copy()) for a in arrays])
+    want_v, want_g = ad.forward_backward(_readout(composite, out_shape),
+                                         [Tensor(a.copy()) for a in arrays])
+    assert fused(*[Tensor(a) for a in arrays]).data.tobytes() == \
+        composite(*[Tensor(a) for a in arrays]).data.tobytes()
+    assert got_v.item() == want_v.item()
+    for g, w in zip(got_g, want_g):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+def test_gradient_check_linear(x_shape):
+    rng = np.random.default_rng(13)
+    point = [rand(rng, *x_shape), rand(rng, 4, 3), rand(rng, 3)]
+    report = ad.gradient_check(_readout(ad.linear, x_shape[:-1] + (3,)), point)
+    assert report["passed"], report
+
+
+def test_linear_matches_matmul_plus_bias():
+    rng = np.random.default_rng(14)
+    arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)]
+    _assert_parity(ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b),
+                   arrays, (2, 3, 3))
+
+
+def test_gradient_check_layer_norm():
+    rng = np.random.default_rng(15)
+    point = [rand(rng, 2, 3, 6), rand(rng, 6), rand(rng, 6)]
+    report = ad.gradient_check(_readout(ad.layer_norm, (2, 3, 6)), point)
+    assert report["passed"], report
+
+
+def test_layer_norm_matches_composite():
+    rng = np.random.default_rng(16)
+    arrays = [rng.normal(size=(3, 5, 8)) * 3 + 1, rng.normal(size=8), rng.normal(size=8)]
+    _assert_parity(ad.layer_norm, _composite_layer_norm, arrays, (3, 5, 8))
+
+
+def _key_mask():
+    return np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_gradient_check_attention(causal):
+    from mmrec.encoders import attention_bias
+
+    rng = np.random.default_rng(17)
+    bias = attention_bias(_key_mask(), causal=causal)
+    point = [rand(rng, 2, 4, 6) for _ in range(3)]
+    program = _readout(lambda q, k, v: ad.attention(q, k, v, bias, 2), (2, 4, 6))
+    report = ad.gradient_check(program, point)
+    assert report["passed"], report
+
+
+def test_attention_ignores_masked_keys():
+    from mmrec.encoders import attention_bias
+
+    rng = np.random.default_rng(18)
+    q, k, v = (rand(rng, 2, 4, 6) for _ in range(3))
+    out = ad.attention(q, k, v, attention_bias(_key_mask()), 3)
+    ad.tsum(ad.mul(out, rng.normal(size=(2, 4, 6)))).backward()
+    # padded keys (user 0 slot 3, user 1 slots 2-3) get no gradient
+    for grad in (k.grad, v.grad):
+        assert not grad[0, 3].any() and not grad[1, 2:].any()
+
+
+def test_gradient_check_masked_logsumexp():
+    rng = np.random.default_rng(19)
+    mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0],
+                     [1.0, 1.0, 1.0, 1.0, 1.0],
+                     [0.0, 1.0, 0.0, 1.0, 1.0]])
+    report = ad.gradient_check(
+        _readout(lambda x: ad.masked_logsumexp(x, mask, axis=1), (4,)),
+        [rand(rng, 4, 5)])
+    assert report["passed"], report
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_masked_logsumexp_matches_composite(axis):
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(5, 6)) * 4
+    mask = (rng.random(size=(5, 6)) < 0.6).astype(np.float64)
+    mask[0, :] = mask[:, 0] = 1.0  # every row and column keeps an entry
+    out_shape = np.delete(np.array(x.shape), axis)
+    _assert_parity(lambda t: ad.masked_logsumexp(t, mask, axis=axis),
+                   lambda t: _composite_masked_logsumexp(t, mask, axis=axis),
+                   [x], tuple(out_shape))
+
+
+@pytest.mark.parametrize("sum_z_first", [True, False])
+def test_shared_gradient_array_is_not_aliased(sum_z_first):
+    # add hands the same incoming gradient to both parents; a first write
+    # that kept that array would let a's later accumulation leak into b
+    a = Tensor(np.zeros(3), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    terms = [ad.tsum(ad.add(a, b)), ad.tsum(ad.mul(a, 3.0))]
+    if not sum_z_first:
+        terms.reverse()
+    ad.add(*terms).backward()
+    np.testing.assert_array_equal(a.grad, 4.0)
+    np.testing.assert_array_equal(b.grad, 1.0)
+
+
+def test_gelu_matches_cube_closed_form():
+    c = np.sqrt(2.0 / np.pi)
+    v = np.random.default_rng(21).normal(size=2000) * 3
+    x = Tensor(v.copy(), requires_grad=True)
+    y = ad.gelu(x)
+    ad.tsum(y).backward()
+    t = np.tanh(c * (v + 0.044715 * v**3))
+    value = 0.5 * v * (1.0 + t)
+    slope = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * v**2)
+    # relative to max(|f|, |v|): for negative v, 1 + t cancels, and an ulp
+    # of the argument is a large share of the tiny result
+    np.testing.assert_array_less(np.abs(y.data - value),
+                                 1e-15 * np.maximum(np.abs(value), np.abs(v)) + 1e-300)
+    np.testing.assert_array_less(np.abs(x.grad - slope),
+                                 1e-15 * np.maximum(np.abs(slope), 1.0))

@@ -209,3 +209,12 @@ def test_missing_data_exits_1(tmp_path, capsys):
     code = main(tiny_args(["pretrain", "--data", str(tmp_path / "void"),
                            "--out", str(tmp_path / "o")]))
     assert code != 0
+
+
+@pytest.mark.parametrize("pair", ["n_heads=0", "d=0"])
+def test_non_positive_model_size_exits_1(workdir, tmp_path, capsys, pair):
+    _, data, _ = workdir
+    code = main(tiny_args(["-o", pair, "pretrain", "--data", data,
+                           "--out", str(tmp_path / "o")]))
+    assert code == 1
+    assert "must be positive" in capsys.readouterr().err

@@ -168,3 +168,74 @@ def test_trainable_top_blocks_bounds(model):
 def test_config_rejects_bad_head_split():
     with pytest.raises(ValueError, match="divisible"):
         ModelConfig(d=10, n_heads=4)
+
+
+@pytest.mark.parametrize("kwargs", [dict(d="8"), dict(d=8.0), dict(n_heads=True),
+                                    dict(d=0), dict(n_heads=0), dict(d=-4, n_heads=-2),
+                                    dict(vocab_size="20")])
+def test_config_rejects_non_integer_or_non_positive(kwargs):
+    with pytest.raises(ValueError):
+        ModelConfig(**{"d": 8, "n_heads": 2, **kwargs})
+
+
+def _composite_block(params, prefix, x, bias, n_heads):
+    """The transformer layer written with one primitive per op (per-head
+    reshape/transpose, softmax, composite layer norm): the reference the
+    fused block must reproduce."""
+    from .test_autodiff import _composite_layer_norm as layer_norm
+
+    b, s, d = x.shape
+    dh = d // n_heads
+
+    def proj(t, w, bb):
+        return ad.add(ad.matmul(t, params[prefix + w]), params[prefix + bb])
+
+    def heads(t):
+        return ad.transpose(ad.reshape(t, (b, s, n_heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = (heads(proj(x, f"w{c}", f"b{c}")) for c in "qkv")
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = ad.softmax(ad.add(scores, bias), axis=-1)
+    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
+    x = layer_norm(ad.add(x, proj(ctx, "wo", "bo")),
+                   params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+    ff = proj(ad.gelu(proj(x, "w1", "b1")), "w2", "b2")
+    return layer_norm(ad.add(x, ff), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_transformer_block_matches_composite(causal):
+    rng = np.random.default_rng(6)
+    params = enc.init_block(rng, 8, 2, "b0.")
+    for t in params.values():  # move gains and biases off their 1/0 init
+        t.data = t.data + rng.normal(size=t.shape) * 0.1
+    x0 = rng.normal(size=(3, 5, 8))
+    bias = enc.attention_bias(np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
+                                        [1, 0, 1, 1, 0]]), causal=causal)
+    weights = rng.normal(size=(3, 5, 8))
+    runs = []
+    for block in (enc.transformer_block, _composite_block):
+        x = ad.Tensor(x0.copy(), requires_grad=True)
+        for t in params.values():
+            t.zero_grad()
+        out = block(params, "b0.", x, bias, 2)
+        ad.tsum(ad.mul(out, weights)).backward()
+        runs.append((out.data, {"x": x.grad, **{n: t.grad for n, t in params.items()}}))
+    (got, got_g), (want, want_g) = runs
+    assert got.tobytes() == want.tobytes()
+    scale = max(np.abs(g).max() for g in want_g.values())
+    for name, w in want_g.items():
+        # the key bias shifts every score of a query equally, so its exact
+        # gradient is zero and both sides hold only rounding noise
+        tol = 1e-12 * (np.abs(w).max() if not name.endswith("bk") else scale)
+        np.testing.assert_allclose(got_g[name], w, rtol=0, atol=tol, err_msg=name)
+
+
+def test_block_is_twelve_nodes(model):
+    from mmrec.autodiff import _toposort
+
+    x = ad.Tensor(np.zeros((2, 3, 8)), requires_grad=True)
+    params = model.groups["user_encoder"]
+    out = enc.transformer_block(params, "b0.", x, enc.attention_bias(np.ones((2, 3))), 2)
+    inner = [n for n in _toposort(out) if n._backward is not None]
+    assert len(inner) == 12

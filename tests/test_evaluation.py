@@ -9,7 +9,8 @@ from mmrec import transfer
 from mmrec.data import (ItemRecord, SplitDataset, SyntheticConfig,
                         filter_and_split, generate_synthetic)
 from mmrec.evaluation import (MetricsReport, evaluate, evaluate_cold_start,
-                              evaluate_train, rank_of_target, ranking_metrics)
+                              evaluate_train, rank_of_target, ranking_metrics,
+                              ranks_of_targets)
 from mmrec.gradcheck import small_config
 from mmrec.model import RecModel
 
@@ -36,6 +37,17 @@ def test_rank_pessimistic_on_ties():
 def test_rank_rejects_bad_row():
     with pytest.raises(ValueError, match="target row"):
         rank_of_target(np.array([1.0, 2.0]), 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 512])
+def test_ranks_of_targets_matches_counting_loop(chunk):
+    rng = np.random.default_rng(8)
+    # scores from few distinct values, so most targets have ties
+    scores = rng.integers(0, 5, size=(10, 7)).astype(np.float64)
+    rows = rng.integers(0, 7, size=10)
+    want = [1 + int((s > s[r]).sum()) + int((s == s[r]).sum()) - 1
+            for s, r in zip(scores, rows)]
+    assert ranks_of_targets(scores, rows, chunk=chunk).tolist() == want
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=29),

@@ -130,6 +130,48 @@ def test_malformed_manifest_rejected(manifest, tmp_path):
         load_bundle(tmp_path / "m.bundle")
 
 
+@pytest.mark.parametrize("shape", ["abc", [1.5, 2], [2, -1], [True, 2], 7])
+def test_non_integer_shape_rejected(model, tmp_path, shape):
+    save_bundle(model, tmp_path / "m.bundle")
+    raw = (tmp_path / "m.bundle").read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16 : 16 + n])
+    manifest["groups"]["nid_head"]["b"] = shape
+    write_signed(tmp_path / "bad.bundle", manifest, raw[16 + n : -32])
+    with pytest.raises(BundleError, match="nid_head.b"):
+        load_bundle(tmp_path / "bad.bundle")
+
+
+def test_payload_shorter_than_manifest_rejected(model, tmp_path):
+    save_bundle(model, tmp_path / "m.bundle")
+    raw = (tmp_path / "m.bundle").read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    write_signed(tmp_path / "short.bundle", json.loads(raw[16 : 16 + n]),
+                 raw[16 + n : -40])
+    with pytest.raises(BundleError, match="payload"):
+        load_bundle(tmp_path / "short.bundle")
+
+
+@pytest.mark.parametrize("bad", [dict(d="8"), dict(n_heads=0), dict(d=8.5),
+                                 dict(vocab_size=None)])
+def test_mistyped_config_value_rejected(model, tmp_path, bad):
+    save_bundle(model, tmp_path / "m.bundle")
+    resign_with_config(tmp_path / "m.bundle", tmp_path / "bad.bundle", **bad)
+    with pytest.raises(BundleError, match="config"):
+        load_bundle(tmp_path / "bad.bundle")
+
+
+def test_exact_reload_names_missing_parameter(model, tmp_path):
+    save_bundle(model, tmp_path / "m.bundle")
+    raw = (tmp_path / "m.bundle").read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16 : 16 + n])
+    del manifest["groups"]["nid_head"]["b"]  # 3 floats; trim the payload to match
+    write_signed(tmp_path / "bad.bundle", manifest, raw[16 + n : -32 - 3 * 8])
+    with pytest.raises(BundleError, match="lacks parameter 'b'"):
+        model_from_bundle(tmp_path / "bad.bundle")
+
+
 def test_describe_lists_groups(model, tmp_path):
     path = tmp_path / "m.bundle"
     save_bundle(model, path)

@@ -11,6 +11,7 @@ from . import data as data_mod
 from . import transfer
 
 DEFAULT_KS = (10, 20, 50)
+_RANK_CHUNK = 512  # score rows per comparison in ranks_of_targets
 
 
 @dataclass
@@ -37,18 +38,19 @@ class MetricsReport:
         }, sort_keys=True)
 
 
-def ranks_of_targets(scores, target_rows, chunk=512):
+def ranks_of_targets(scores, target_rows):
     """1-based full-catalog rank of `target_rows[i]` in each row `scores[i]`:
     the number of scores >= the target's, so ties rank the target below its
-    equals. Rows are compared `chunk` at a time to bound the boolean
+    equals. Rows are compared `_RANK_CHUNK` at a time to bound the boolean
     temporary."""
     scores = np.asarray(scores)
     target_rows = np.asarray(target_rows, dtype=np.int64)
     ranks = np.empty(len(target_rows), dtype=np.int64)
-    for start in range(0, len(target_rows), chunk):
-        part = scores[start : start + chunk]
-        target = part[np.arange(len(part)), target_rows[start : start + chunk]]
-        ranks[start : start + chunk] = (part >= target[:, None]).sum(axis=1)
+    for start in range(0, len(target_rows), _RANK_CHUNK):
+        stop = start + _RANK_CHUNK
+        part = scores[start:stop]
+        target = part[np.arange(len(part)), target_rows[start:stop]]
+        ranks[start:stop] = (part >= target[:, None]).sum(axis=1)
     return ranks
 
 

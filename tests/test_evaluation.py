@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmrec import autodiff as ad
-from mmrec import transfer
+from mmrec import evaluation, transfer
 from mmrec.data import (ItemRecord, SplitDataset, SyntheticConfig,
                         filter_and_split, generate_synthetic)
 from mmrec.evaluation import (MetricsReport, evaluate, evaluate_cold_start,
@@ -40,14 +40,16 @@ def test_rank_rejects_bad_row():
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 512])
-def test_ranks_of_targets_matches_counting_loop(chunk):
+def test_ranks_of_targets_matches_counting_loop(chunk, monkeypatch):
+    monkeypatch.setattr(evaluation, "_RANK_CHUNK", chunk)
     rng = np.random.default_rng(8)
-    # scores from few distinct values, so most targets have ties
-    scores = rng.integers(0, 5, size=(10, 7)).astype(np.float64)
-    rows = rng.integers(0, 7, size=10)
+    # scores from few distinct values, so most targets have ties; 1100 rows
+    # end in a partial chunk for every chunk size
+    scores = rng.integers(0, 5, size=(1100, 7)).astype(np.float64)
+    rows = rng.integers(0, 7, size=1100)
     want = [1 + int((s > s[r]).sum()) + int((s == s[r]).sum()) - 1
             for s, r in zip(scores, rows)]
-    assert ranks_of_targets(scores, rows, chunk=chunk).tolist() == want
+    assert ranks_of_targets(scores, rows).tolist() == want
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=29),

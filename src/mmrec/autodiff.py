@@ -499,15 +499,16 @@ def l2_normalize(x, eps=1e-12):
 def masked_logsumexp(x, mask, axis=-1):
     """log(sum(mask * exp(x))) along `axis`, numerically stable.
 
-    `mask` is a constant 0/1 array; every row must have at least one
-    included entry. One node; the backward is g * mask * exp(z) / s with
+    `mask` is a constant array of non-negative weights (0 excludes an
+    entry, c counts it c times); every row must have at least one positive
+    weight. One node; the backward is g * mask * exp(z) / s with
     z = x - shift, where the max-shift constant cancels exactly.
     """
     x = as_tensor(x)
     mask = np.asarray(mask, dtype=np.float64)
     shift = np.where(mask > 0, x.data, -np.inf).max(axis=axis, keepdims=True)
     # masking inside exp keeps excluded (possibly huge) entries from overflowing
-    e = np.exp((x.data - shift) * mask) * mask
+    e = np.exp((x.data - shift) * (mask > 0)) * mask
     s = e.sum(axis=axis)
     data = np.log(s) + np.squeeze(shift, axis=axis)
     if not _tracked(x):

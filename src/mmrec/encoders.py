@@ -37,8 +37,13 @@ class ModelConfig:
             value = getattr(self, f.name)
             if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if self.d < 1 or self.n_heads < 1:
-            raise ValueError(f"d={self.d} and n_heads={self.n_heads} must be positive")
+        for name in ("d", "n_heads", "ffn_mult", "vocab_size", "p_max", "q",
+                     "patch_dim", "L_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be positive")
+        for name in ("text_blocks", "vision_blocks", "fusion_blocks", "user_blocks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be non-negative")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.modality not in ("both", "text", "vision"):

@@ -60,32 +60,28 @@ def pack_item_features(items, catalog_indices):
 
 class BatchContext:
     """Everything the losses share for one batch: unique-item embeddings,
-    occurrence bookkeeping, and per-anchor negative masks."""
+    occurrence bookkeeping, and per-user negative weights."""
 
     def __init__(self, model, batch):
         self.batch = batch
         idx, mask = batch.idx, batch.mask
         self.B, self.L = idx.shape
         real = mask > 0
-        self.unique = sorted({int(i) for i in idx[real]})
-        self.row_of = {c: r for r, c in enumerate(self.unique)}
-        # (B, L) map into the unique-item table; padded slots point at row 0
-        self.pos_to_row = np.zeros_like(idx)
-        self.pos_to_row[real] = [self.row_of[int(i)] for i in idx[real]]
-        ids, tmask, patches = pack_item_features(batch.items, self.unique)
-        self.emb = model.item_embeddings(ids, tmask, patches)
         # occurrences: every real (u, l) slot, in row-major order
         self.occ_u, self.occ_l = np.nonzero(real)
-        self.occ_row = self.pos_to_row[self.occ_u, self.occ_l]
-        occ_item = idx[self.occ_u, self.occ_l]
-        user_items = [set(int(i) for i in idx[u][real[u]]) for u in range(self.B)]
-        # allowed[u, n]: occurrence n is a legal negative for anchors of user u
-        self.allowed = np.zeros((self.B, len(self.occ_u)))
-        for u in range(self.B):
-            ok = (self.occ_u != u) & np.array(
-                [int(it) not in user_items[u] for it in occ_item]
-            )
-            self.allowed[u, ok] = 1.0
+        self.unique, occ_row = np.unique(idx[real], return_inverse=True)
+        # (B, L) map into the unique-item table; padded slots point at row 0
+        self.pos_to_row = np.zeros_like(idx)
+        self.pos_to_row[real] = occ_row
+        ids, tmask, patches = pack_item_features(batch.items, self.unique.tolist())
+        self.emb = model.item_embeddings(ids, tmask, patches)
+        # neg_weight[u, i]: legal negative occurrences of unique item i for
+        # anchors of user u: its batch count if u's sequence lacks i (then
+        # every occurrence is another user's), else 0
+        held = np.zeros((self.B, len(self.unique)), dtype=bool)
+        held[self.occ_u, occ_row] = True
+        counts = np.bincount(occ_row, minlength=len(self.unique))
+        self.neg_weight = np.where(held, 0, counts)
         # transitions: positions (u, l) whose successor (u, l+1) is real
         trans = real[:, :-1] & real[:, 1:]
         self.tr_u, self.tr_l = np.nonzero(trans)
@@ -98,21 +94,21 @@ class BatchContext:
 # DAP
 # ---------------------------------------------------------------------------
 
-def dap_loss(ctx, hiddens, cfg):
+def dap_loss(ctx, hiddens):
     """Next-item cross-entropy over in-batch negatives, averaged over all
-    real transitions."""
+    real transitions. Each unique item is scored once and weighted by its
+    count of legal negative occurrences (`BatchContext.neg_weight`)."""
     if len(ctx.tr_u) == 0:
         raise ValueError("batch has no valid transitions")
     e = ctx.emb["e_cls"]
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))  # (T, d)
     pos = ad.embedding(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
-    e_occ = ad.embedding(e, ctx.occ_row)  # (N, d)
     pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
-    neg_scores = ad.matmul(h, ad.transpose(e_occ, (1, 0)))
+    neg_scores = ad.matmul(h, ad.transpose(e, (1, 0)))  # (T, U)
     z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
-    m = np.concatenate(
-        [np.ones((len(ctx.tr_u), 1)), ctx.allowed[ctx.tr_u]], axis=1)
-    lse = ad.masked_logsumexp(z, m, axis=1)
+    w = np.concatenate(
+        [np.ones((len(ctx.tr_u), 1)), ctx.neg_weight[ctx.tr_u]], axis=1)
+    lse = ad.masked_logsumexp(z, w, axis=1)
     return ad.tmean(ad.sub(lse, pos_score))
 
 
@@ -120,13 +116,14 @@ def dap_loss(ctx, hiddens, cfg):
 # contrastive family
 # ---------------------------------------------------------------------------
 
-def contrastive_loss(ctx, variant, cfg):
+def contrastive_loss(ctx, variant):
     """Cross-modal contrast between normalized text/vision embeddings.
 
     "vcl" uses inter-modality negatives only, "icl" adds intra-modality
     negatives, "nicl" further adds the next item's embeddings (both
     modalities) as positives and is averaged over transitions; vcl/icl
-    average over all real positions.
+    average over all real positions. Negatives are the unique items,
+    weighted as in `dap_loss`.
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"unknown contrastive variant {variant!r}")
@@ -136,8 +133,6 @@ def contrastive_loss(ctx, variant, cfg):
         raise ValueError("nicl needs sequences of length >= 2")
     tn = ad.l2_normalize(ctx.emb["t_cls"])
     vn = ad.l2_normalize(ctx.emb["v_cls"])
-    t_occ = ad.embedding(tn, ctx.occ_row)
-    v_occ = ad.embedding(vn, ctx.occ_row)
 
     if variant == "nicl":
         a_u, a_l = ctx.tr_u, ctx.tr_l
@@ -145,19 +140,19 @@ def contrastive_loss(ctx, variant, cfg):
         a_u, a_l = ctx.occ_u, ctx.occ_l
     rows = ctx.rows_at(a_u, a_l)
     n_anchor = len(a_u)
-    allowed = ctx.allowed[a_u]
+    neg_weight = ctx.neg_weight[a_u]
 
-    def one_side(anchor_tab, other_tab, same_occ, other_occ):
+    def one_side(anchor_tab, other_tab):
         a = ad.embedding(anchor_tab, rows)  # (A, d)
         pos = ad.tsum(ad.mul(a, ad.embedding(other_tab, rows)), axis=-1)
         pos = ad.reshape(pos, (-1, 1))
-        inter = ad.matmul(a, ad.transpose(other_occ, (1, 0)))
+        inter = ad.matmul(a, ad.transpose(other_tab, (1, 0)))
         cols = [pos, inter]
-        masks = [np.ones((n_anchor, 1)), allowed]
+        masks = [np.ones((n_anchor, 1)), neg_weight]
         if variant in ("icl", "nicl"):
-            intra = ad.matmul(a, ad.transpose(same_occ, (1, 0)))
+            intra = ad.matmul(a, ad.transpose(anchor_tab, (1, 0)))
             cols.append(intra)
-            masks.append(allowed)
+            masks.append(neg_weight)
         den = ad.masked_logsumexp(ad.concat(cols, axis=1),
                                   np.concatenate(masks, axis=1), axis=1)
         if variant == "nicl":
@@ -174,8 +169,8 @@ def contrastive_loss(ctx, variant, cfg):
             num = ad.reshape(pos, (-1,))
         return ad.sub(den, num)
 
-    tv = one_side(tn, vn, t_occ, v_occ)
-    vt = one_side(vn, tn, v_occ, t_occ)
+    tv = one_side(tn, vn)
+    vt = one_side(vn, tn)
     return ad.tmean(ad.mul(ad.add(tv, vt), 0.5))
 
 
@@ -219,7 +214,7 @@ def corrupt_sequence(seq, shuffle_rate, replace_rate, rng, replacement_pool):
     if length < 2:
         raise ValueError("corruption needs sequences of length >= 2")
     n_sh, n_rep = corruption_counts(length, shuffle_rate, replace_rate)
-    if not replacement_pool:
+    if len(replacement_pool) == 0:
         n_rep = 0
     out = list(seq)
     labels = [LABEL_UNCHANGED] * length
@@ -250,16 +245,14 @@ def corrupt_batch(ctx, cfg):
     for u in range(ctx.B):
         length = int(batch.mask[u].sum())
         seq = [int(i) for i in batch.idx[u, :length]]
-        own = set(seq)
-        # pool sorted and rng keyed by the user's own sequence, so the
-        # corruption is invariant to the ordering of users in the batch
-        pool = sorted(int(it) for n, it in
-                      enumerate(batch.idx[ctx.occ_u, ctx.occ_l])
-                      if ctx.occ_u[n] != u and int(it) not in own)
+        # each other user's item as often as it occurs, sorted; the pool and
+        # the rng are keyed by the user's own sequence, so the corruption is
+        # invariant to the ordering of users in the batch
+        pool = np.repeat(ctx.unique, ctx.neg_weight[u])
         rng = np.random.default_rng(np.random.SeedSequence([batch.rng_seed] + seq))
         corrupted, labs = corrupt_sequence(
             seq, cfg.shuffle_rate, cfg.replace_rate, rng, pool)
-        corr_rows[u, :length] = [ctx.row_of[c] for c in corrupted]
+        corr_rows[u, :length] = np.searchsorted(ctx.unique, corrupted)
         labels[u, :length] = labs
     return corr_rows, labels
 
@@ -319,9 +312,9 @@ def objective_terms(model, batch, cfg):
         hiddens = model.encode_sequence(ad.embedding(e, ctx.pos_to_row), batch.mask)
     terms = {}
     if cfg.dap:
-        terms["dap"] = dap_loss(ctx, hiddens, cfg)
+        terms["dap"] = dap_loss(ctx, hiddens)
     if cfg.contrastive is not None:
-        terms[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive, cfg)
+        terms[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive)
     if cfg.nid or cfg.rcl:
         corr_rows, labels = corrupt_batch(ctx, cfg)
         corr_hiddens = model.encode_sequence(ad.embedding(e, corr_rows), batch.mask)

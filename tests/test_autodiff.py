@@ -356,6 +356,50 @@ def test_masked_logsumexp_matches_composite(axis):
                    [x], tuple(out_shape))
 
 
+def test_gradient_check_masked_logsumexp_weights():
+    rng = np.random.default_rng(24)
+    weights = np.array([[1.0, 0.0, 2.0, 3.5, 0.0],
+                        [0.0, 0.0, 3.5, 0.0, 0.0],
+                        [2.0, 1.0, 3.5, 2.0, 1.0],
+                        [0.0, 3.5, 0.0, 1.0, 2.0]])
+    report = ad.gradient_check(
+        _readout(lambda x: ad.masked_logsumexp(x, weights, axis=1), (4,)),
+        [rand(rng, 4, 5)])
+    assert report["passed"], report
+
+
+def _old_masked_logsumexp_forward(x, mask, axis=-1):
+    """The 0/1-mask forward before weights were admitted: exp of the
+    shifted scores times the mask, times the mask again."""
+    mask = np.asarray(mask, dtype=np.float64)
+    shift = np.where(mask > 0, x, -np.inf).max(axis=axis, keepdims=True)
+    e = np.exp((x - shift) * mask) * mask
+    return np.log(e.sum(axis=axis)) + np.squeeze(shift, axis=axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_masked_logsumexp_01_forward_matches_old_bitwise(axis):
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        x = rng.normal(size=(7, 9)) * 5
+        mask = (rng.random(size=(7, 9)) < 0.5).astype(np.float64)
+        mask[0, :] = mask[:, 0] = 1.0
+        got = ad.masked_logsumexp(Tensor(x), mask, axis=axis).data
+        np.testing.assert_array_equal(got, _old_masked_logsumexp_forward(x, mask, axis))
+
+
+def test_masked_logsumexp_weight_counts_repeated_entries():
+    # weight c on a column is the same sum as c copies of it with weight 1
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(4, 3)) * 3
+    w = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [0.0, 0.0, 2.0], [1.0, 1.0, 1.0]])
+    repeated = np.repeat(x, 3, axis=1)
+    ones = np.concatenate([np.arange(3) < w[:, [c]] for c in range(3)], axis=1)
+    got = ad.masked_logsumexp(Tensor(x), w, axis=1).data
+    want = ad.masked_logsumexp(Tensor(repeated), ones.astype(np.float64), axis=1).data
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("sum_z_first", [True, False])
 def test_shared_gradient_array_is_not_aliased(sum_z_first):
     # add hands the same incoming gradient to both parents; a first write

@@ -211,7 +211,7 @@ def test_missing_data_exits_1(tmp_path, capsys):
     assert code != 0
 
 
-@pytest.mark.parametrize("pair", ["n_heads=0", "d=0"])
+@pytest.mark.parametrize("pair", ["n_heads=0", "d=0", "ffn_mult=0", "vocab_size=-1"])
 def test_non_positive_model_size_exits_1(workdir, tmp_path, capsys, pair):
     _, data, _ = workdir
     code = main(tiny_args(["-o", pair, "pretrain", "--data", data,

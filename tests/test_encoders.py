@@ -172,10 +172,31 @@ def test_config_rejects_bad_head_split():
 
 @pytest.mark.parametrize("kwargs", [dict(d="8"), dict(d=8.0), dict(n_heads=True),
                                     dict(d=0), dict(n_heads=0), dict(d=-4, n_heads=-2),
-                                    dict(vocab_size="20")])
+                                    dict(vocab_size="20"), dict(vocab_size=-1),
+                                    dict(ffn_mult=0), dict(p_max=0), dict(q=0),
+                                    dict(patch_dim=0), dict(L_max=0),
+                                    dict(text_blocks=-1), dict(vision_blocks=-1),
+                                    dict(fusion_blocks=-1), dict(user_blocks=-1)])
 def test_config_rejects_non_integer_or_non_positive(kwargs):
     with pytest.raises(ValueError):
         ModelConfig(**{"d": 8, "n_heads": 2, **kwargs})
+
+
+@pytest.mark.parametrize("field", ["text_blocks", "vision_blocks", "fusion_blocks",
+                                   "user_blocks"])
+def test_config_zero_blocks_runs_forward_and_backward(field):
+    from mmrec import objectives as obj
+    from mmrec.gradcheck import random_batch
+
+    cfg = ModelConfig(d=8, n_heads=2, ffn_mult=1, vocab_size=12, p_max=4, q=4,
+                      patch_dim=4, L_max=4, **{field: 0})
+    model = RecModel.init(cfg, 0)
+    batch = random_batch(cfg, np.random.default_rng(0), B=3, L=4, n_items=12)
+    total, parts = obj.total_loss(model, batch, obj.ObjectiveConfig())
+    total.backward()
+    assert all(np.isfinite(v) for v in parts.values())
+    assert all(np.isfinite(t.grad).all() for _, t in model.named_parameters()
+               if t.grad is not None)
 
 
 def _composite_block(params, prefix, x, bias, n_heads):

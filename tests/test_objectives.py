@@ -48,30 +48,30 @@ OCFG = ObjectiveConfig()
 def test_dap_b1_is_zero():
     ctx = const_ctx(1, 3)
     h = ad.Tensor(np.ones((1, 3, 4)))
-    assert obj.dap_loss(ctx, h, OCFG).item() == pytest.approx(0.0, abs=1e-12)
+    assert obj.dap_loss(ctx, h).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dap_all_equal_is_log_negatives_plus_one():
     ctx = const_ctx(2, 3)
     h = ad.Tensor(np.ones((2, 3, 4)))
     # each anchor sees the 3 items of the other user as negatives
-    assert obj.dap_loss(ctx, h, OCFG).item() == pytest.approx(math.log(4), abs=1e-9)
+    assert obj.dap_loss(ctx, h).item() == pytest.approx(math.log(4), abs=1e-9)
 
 
 def test_dap_rejects_empty_transitions():
     ctx = const_ctx(2, 1)
     with pytest.raises(ValueError, match="transitions"):
-        obj.dap_loss(ctx, ad.Tensor(np.ones((2, 1, 4))), OCFG)
+        obj.dap_loss(ctx, ad.Tensor(np.ones((2, 1, 4))))
 
 
 def test_vcl_b1_is_zero():
     ctx = const_ctx(1, 3)
-    assert obj.contrastive_loss(ctx, "vcl", OCFG).item() == pytest.approx(0.0, abs=1e-12)
+    assert obj.contrastive_loss(ctx, "vcl").item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nicl_b1_all_equal_is_minus_log3():
     ctx = const_ctx(1, 3)
-    loss = obj.contrastive_loss(ctx, "nicl", OCFG).item()
+    loss = obj.contrastive_loss(ctx, "nicl").item()
     assert loss == pytest.approx(-math.log(3), abs=1e-9)
 
 
@@ -83,13 +83,13 @@ def test_nicl_b1_never_positive():
         model = RecModel.init(cfg, seed)
         batch = random_batch(cfg, rng, B=1, L=4)
         ctx = obj.BatchContext(model, batch)
-        assert obj.contrastive_loss(ctx, "nicl", OCFG).item() <= 1e-12
+        assert obj.contrastive_loss(ctx, "nicl").item() <= 1e-12
 
 
 def test_nicl_rejects_short_sequences():
     ctx = const_ctx(2, 1)
     with pytest.raises(ValueError, match="length"):
-        obj.contrastive_loss(ctx, "nicl", OCFG)
+        obj.contrastive_loss(ctx, "nicl")
 
 
 def test_nid_zero_head_is_log3():
@@ -153,7 +153,7 @@ def negatives_for(batch, u):
 
 def test_dap_matches_scalar_enumeration(pipeline):
     model, batch, ctx, hiddens = pipeline
-    e = {c: ctx.emb["e_cls"].data[r] for c, r in ctx.row_of.items()}
+    e = {int(c): ctx.emb["e_cls"].data[r] for r, c in enumerate(ctx.unique)}
     h = hiddens.data
     total, count = 0.0, 0
     for u in range(2):
@@ -165,12 +165,12 @@ def test_dap_matches_scalar_enumeration(pipeline):
             total += -math.log(pos / den)
             count += 1
     expected = total / count
-    assert obj.dap_loss(ctx, hiddens, OCFG).item() == pytest.approx(expected, rel=1e-10)
+    assert obj.dap_loss(ctx, hiddens).item() == pytest.approx(expected, rel=1e-10)
 
 
 def _normalized(ctx, key):
     arr = ctx.emb[key].data
-    return {c: arr[r] / np.linalg.norm(arr[r]) for c, r in ctx.row_of.items()}
+    return {int(c): arr[r] / np.linalg.norm(arr[r]) for r, c in enumerate(ctx.unique)}
 
 
 def test_nicl_matches_scalar_enumeration(pipeline):
@@ -196,7 +196,7 @@ def test_nicl_matches_scalar_enumeration(pipeline):
             total += (-math.log(num_tv / den_tv) - math.log(num_vt / den_vt)) / 2.0
             count += 1
     expected = total / count
-    got = obj.contrastive_loss(ctx, "nicl", OCFG).item()
+    got = obj.contrastive_loss(ctx, "nicl").item()
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -223,7 +223,7 @@ def test_vcl_icl_match_scalar_enumeration(pipeline):
                           - math.log(delta(v[cur], t[cur]) / den_vt)) / 2.0
                 count += 1
         expected = total / count
-        got = obj.contrastive_loss(ctx, variant, OCFG).item()
+        got = obj.contrastive_loss(ctx, variant).item()
         assert got == pytest.approx(expected, rel=1e-10), variant
 
 
@@ -360,13 +360,195 @@ def test_negative_set_exclusion_exhaustive():
         # overlapping items across users to exercise the exclusion rule
         batch = random_batch(cfg, rng, B=3, L=4, n_items=5)
         ctx = obj.BatchContext(model, batch)
+        unique = [int(c) for c in ctx.unique]
+        assert unique == sorted({int(i) for i in batch.idx.reshape(-1)})
         for u in range(3):
             own = {int(i) for i in batch.idx[u]}
+            # neg_weight[u, i] counts the occurrences n of item i that are
+            # legal negatives for u: occ_u[n] != u and the item is not u's
+            expected = np.zeros(len(unique), dtype=np.int64)
             for n in range(len(ctx.occ_u)):
                 it = int(batch.idx[ctx.occ_u[n], ctx.occ_l[n]])
-                allowed = ctx.allowed[u, n] > 0
-                expected = ctx.occ_u[n] != u and it not in own
-                assert allowed == expected
+                if ctx.occ_u[n] != u and it not in own:
+                    expected[unique.index(it)] += 1
+            np.testing.assert_array_equal(ctx.neg_weight[u], expected)
+
+
+# ---------------------------------------------------------------------------
+# occurrence-level oracle: every anchor scored against every in-batch
+# occurrence with a 0/1 mask, as the losses were computed before they
+# scored each unique item once with its occurrence count as weight
+# ---------------------------------------------------------------------------
+
+def occurrence_negatives(ctx):
+    """allowed[u, n] = 1 iff occurrence n is another user's and its item is
+    not in u's sequence; plus each occurrence's row in the unique table."""
+    idx, real = ctx.batch.idx, ctx.batch.mask > 0
+    occ_item = idx[ctx.occ_u, ctx.occ_l]
+    allowed = np.zeros((ctx.B, len(ctx.occ_u)))
+    for u in range(ctx.B):
+        own = set(int(i) for i in idx[u][real[u]])
+        ok = (ctx.occ_u != u) & np.array([int(it) not in own for it in occ_item])
+        allowed[u, ok] = 1.0
+    return allowed, ctx.pos_to_row[ctx.occ_u, ctx.occ_l]
+
+
+def occurrence_dap_loss(ctx, hiddens):
+    allowed, occ_row = occurrence_negatives(ctx)
+    e = ctx.emb["e_cls"]
+    h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))
+    pos = ad.embedding(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
+    e_occ = ad.embedding(e, occ_row)
+    pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
+    neg_scores = ad.matmul(h, ad.transpose(e_occ, (1, 0)))
+    z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
+    m = np.concatenate([np.ones((len(ctx.tr_u), 1)), allowed[ctx.tr_u]], axis=1)
+    lse = ad.masked_logsumexp(z, m, axis=1)
+    return ad.tmean(ad.sub(lse, pos_score))
+
+
+def occurrence_contrastive_loss(ctx, variant):
+    all_allowed, occ_row = occurrence_negatives(ctx)
+    tn = ad.l2_normalize(ctx.emb["t_cls"])
+    vn = ad.l2_normalize(ctx.emb["v_cls"])
+    t_occ = ad.embedding(tn, occ_row)
+    v_occ = ad.embedding(vn, occ_row)
+    if variant == "nicl":
+        a_u, a_l = ctx.tr_u, ctx.tr_l
+    else:
+        a_u, a_l = ctx.occ_u, ctx.occ_l
+    rows = ctx.rows_at(a_u, a_l)
+    n_anchor = len(a_u)
+    allowed = all_allowed[a_u]
+
+    def one_side(anchor_tab, other_tab, same_occ, other_occ):
+        a = ad.embedding(anchor_tab, rows)
+        pos = ad.tsum(ad.mul(a, ad.embedding(other_tab, rows)), axis=-1)
+        pos = ad.reshape(pos, (-1, 1))
+        inter = ad.matmul(a, ad.transpose(other_occ, (1, 0)))
+        cols = [pos, inter]
+        masks = [np.ones((n_anchor, 1)), allowed]
+        if variant in ("icl", "nicl"):
+            intra = ad.matmul(a, ad.transpose(same_occ, (1, 0)))
+            cols.append(intra)
+            masks.append(allowed)
+        den = ad.masked_logsumexp(ad.concat(cols, axis=1),
+                                  np.concatenate(masks, axis=1), axis=1)
+        if variant == "nicl":
+            nrows = ctx.rows_at(a_u, a_l + 1)
+            nxt_other = ad.tsum(ad.mul(a, ad.embedding(other_tab, nrows)), axis=-1)
+            nxt_same = ad.tsum(ad.mul(a, ad.embedding(anchor_tab, nrows)), axis=-1)
+            numz = ad.concat([pos, ad.reshape(nxt_other, (-1, 1)),
+                              ad.reshape(nxt_same, (-1, 1))], axis=1)
+            num = ad.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
+        else:
+            num = ad.reshape(pos, (-1,))
+        return ad.sub(den, num)
+
+    tv = one_side(tn, vn, t_occ, v_occ)
+    vt = one_side(vn, tn, v_occ, t_occ)
+    return ad.tmean(ad.mul(ad.add(tv, vt), 0.5))
+
+
+def occurrence_corrupt_batch(ctx, cfg):
+    """Returns (rows, labels, per-user pools) built from the sorted list of
+    every legal occurrence's item."""
+    batch = ctx.batch
+    corr_rows = ctx.pos_to_row.copy()
+    labels = np.full(batch.idx.shape, obj.LABEL_PAD, dtype=np.int64)
+    row_of = {int(c): r for r, c in enumerate(ctx.unique)}
+    pools = []
+    for u in range(ctx.B):
+        length = int(batch.mask[u].sum())
+        seq = [int(i) for i in batch.idx[u, :length]]
+        own = set(seq)
+        pool = sorted(int(it) for n, it in
+                      enumerate(batch.idx[ctx.occ_u, ctx.occ_l])
+                      if ctx.occ_u[n] != u and int(it) not in own)
+        pools.append(pool)
+        rng = np.random.default_rng(np.random.SeedSequence([batch.rng_seed] + seq))
+        corrupted, labs = obj.corrupt_sequence(
+            seq, cfg.shuffle_rate, cfg.replace_rate, rng, pool)
+        corr_rows[u, :length] = [row_of[c] for c in corrupted]
+        labels[u, :length] = labs
+    return corr_rows, labels, pools
+
+
+def parity_case(kind, seed):
+    cfg = small_config()
+    model = RecModel.init(cfg, seed)
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return model, random_batch(cfg, rng, B=3, L=4, n_items=12)
+    if kind == "duplicates":
+        return model, random_batch(cfg, rng, B=4, L=4, n_items=3)
+    # user 0 holds every unique item (its rows have only the positive
+    # column); user 1 repeats an item; user 2 ends in a padded slot
+    batch = random_batch(cfg, rng, B=3, L=4, n_items=4)
+    batch.idx[:] = [[0, 1, 2, 3], [1, 2, 1, 3], [3, 0, 0, 0]]
+    batch.mask[2, 3] = 0.0
+    return model, batch
+
+
+def loss_and_grads(model, batch, loss_of):
+    model.zero_grad()
+    loss = loss_of(obj.BatchContext(model, batch))
+    loss.backward()
+    return loss.item(), {n: t.grad.copy() for n, t in model.named_parameters()
+                         if t.grad is not None}
+
+
+PARITY_CASES = [(kind, seed) for kind in ("random", "duplicates", "holds_all")
+                for seed in range(3)]
+
+
+@pytest.mark.parametrize("kind, seed", PARITY_CASES)
+@pytest.mark.parametrize("name", ["dap", "vcl", "icl", "nicl"])
+def test_unique_item_losses_match_occurrence_oracle(kind, seed, name):
+    model, batch = parity_case(kind, seed)
+
+    def hiddens(ctx):
+        reps = ad.embedding(ctx.emb["e_cls"], ctx.pos_to_row)
+        return model.encode_sequence(reps, batch.mask)
+
+    if name == "dap":
+        new = lambda ctx: obj.dap_loss(ctx, hiddens(ctx))
+        old = lambda ctx: occurrence_dap_loss(ctx, hiddens(ctx))
+    else:
+        new = lambda ctx: obj.contrastive_loss(ctx, name)
+        old = lambda ctx: occurrence_contrastive_loss(ctx, name)
+    got, got_g = loss_and_grads(model, batch, new)
+    want, want_g = loss_and_grads(model, batch, old)
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
+    assert got_g.keys() == want_g.keys()
+    # 1e-12 of the loss's largest gradient entry: arrays whose gradient
+    # nearly cancels (l2_normalize projects out a mostly radial gradient;
+    # key biases are exactly zero) carry rounding noise at that scale
+    scale = max(np.abs(g).max() for g in want_g.values())
+    for n in want_g:
+        np.testing.assert_allclose(got_g[n], want_g[n], rtol=0, atol=1e-12 * scale,
+                                   err_msg=n)
+
+
+@pytest.mark.parametrize("kind, seed", PARITY_CASES)
+def test_corrupt_batch_matches_occurrence_oracle(kind, seed, monkeypatch):
+    model, batch = parity_case(kind, seed)
+    ctx = obj.BatchContext(model, batch)
+    want_rows, want_labels, want_pools = occurrence_corrupt_batch(ctx, OCFG)
+    pools, corrupt_sequence = [], obj.corrupt_sequence
+
+    def recording(seq, shuffle_rate, replace_rate, rng, pool):
+        pools.append(pool)
+        return corrupt_sequence(seq, shuffle_rate, replace_rate, rng, pool)
+
+    monkeypatch.setattr(obj, "corrupt_sequence", recording)
+    rows, labels = obj.corrupt_batch(ctx, OCFG)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(labels, want_labels)
+    assert len(pools) == len(want_pools)
+    for pool, want in zip(pools, want_pools):
+        assert pool.dtype == np.int64
+        np.testing.assert_array_equal(pool, np.array(want, dtype=np.int64))
 
 
 def test_total_is_sum_of_components():

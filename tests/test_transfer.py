@@ -153,7 +153,8 @@ def test_payload_shorter_than_manifest_rejected(model, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [dict(d="8"), dict(n_heads=0), dict(d=8.5),
-                                 dict(vocab_size=None)])
+                                 dict(vocab_size=None), dict(vocab_size=-1),
+                                 dict(ffn_mult=0), dict(user_blocks=-1)])
 def test_mistyped_config_value_rejected(model, tmp_path, bad):
     save_bundle(model, tmp_path / "m.bundle")
     resign_with_config(tmp_path / "m.bundle", tmp_path / "bad.bundle", **bad)

@@ -373,23 +373,24 @@ def linear(x, w, b):
 
 
 def attention(q, k, v, bias, n_heads):
-    """Multi-head scaled dot-product attention of (B, S, d) projections.
+    """Multi-head scaled dot-product attention of (B, Sq, d) queries over
+    (B, S, d) keys and values; Sq may be smaller than S.
 
-    `bias` is a constant additive mask broadcastable to (B, n_heads, S, S).
+    `bias` is a constant additive mask broadcastable to (B, n_heads, Sq, S).
     Head split, scaling, softmax, `@ v` and head merge are one node; the
     backward uses the softmax-Jacobian identity
     dS = P * (dP - rowsum(dP * P)).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    b, s, d = q.shape
+    b, _, d = q.shape
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
 
     def heads(t):  # (B, S, d) -> (B, h, S, dh)
-        return t.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3)
+        return t.reshape(b, t.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
 
     def merge(t):  # (B, h, S, dh) -> (B, S, d)
-        return t.transpose(0, 2, 1, 3).reshape(b, s, d)
+        return t.transpose(0, 2, 1, 3).reshape(b, t.shape[2], d)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     z = (qh @ kh.transpose(0, 1, 3, 2)) * scale + bias

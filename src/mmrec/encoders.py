@@ -122,14 +122,22 @@ def attention_bias(key_mask, causal=False):
     return bias
 
 
-def transformer_block(params, prefix, x, bias, n_heads):
-    """Post-LN transformer layer: x = LN(x + MHA(x)); x = LN(x + FFN(x))."""
+def transformer_block(params, prefix, x, bias, n_heads, query=None):
+    """Post-LN transformer layer: x = LN(x + MHA(x)); x = LN(x + FFN(x)).
+
+    `query`, a (B, Sq, d) subset of the rows of x, restricts the output to
+    those rows: keys and values still come from all of x, and `bias` must
+    then be broadcastable to (B, n_heads, Sq, S).
+    """
     def p(name):
         return params[prefix + name]
 
-    q, k, v = (ad.linear(x, p(f"w{c}"), p(f"b{c}")) for c in "qkv")
+    if query is None:
+        query = x
+    q = ad.linear(query, p("wq"), p("bq"))
+    k, v = (ad.linear(x, p(f"w{c}"), p(f"b{c}")) for c in "kv")
     ctx = ad.linear(ad.attention(q, k, v, bias, n_heads), p("wo"), p("bo"))
-    x = ad.layer_norm(ad.add(x, ctx), p("ln1_g"), p("ln1_b"))
+    x = ad.layer_norm(ad.add(query, ctx), p("ln1_g"), p("ln1_b"))
     ff = ad.linear(ad.gelu(ad.linear(x, p("w1"), p("b1"))), p("w2"), p("b2"))
     return ad.layer_norm(ad.add(x, ff), p("ln2_g"), p("ln2_b"))
 

@@ -90,7 +90,7 @@ def _aggregate(ranks, ks, dataset, phase):
 def _rank_pairs(model, pairs, items, L_max, ks, dataset, phase):
     if not pairs:
         return _aggregate([], ks, dataset, phase)
-    index = transfer.build_item_index(model, items)
+    index = transfer.item_index(model, items)
     prefixes = [p for p, _ in pairs]
     states = transfer.encode_prefixes(model, prefixes, items, index, L_max)
     scores = states @ index.reps.T  # (n_pairs, n_items)

@@ -24,6 +24,7 @@ class RecModel:
         self.cfg = cfg
         self.groups = groups
         self.version = 0  # bumped on every parameter update; invalidates caches
+        self.index_cache = None  # (catalog, ItemIndex) of transfer.item_index
 
     @classmethod
     def init(cls, cfg: ModelConfig, seed: int):
@@ -111,9 +112,9 @@ class RecModel:
         return enc.fuse(self.groups["fusion"], self.cfg, text_hiddens,
                         vision_hiddens, text_mask)
 
-    def encode_sequence(self, item_reps, seq_mask):
+    def encode_sequence(self, item_reps, seq_mask, last=False):
         return ue.encode_sequence(self.groups["user_encoder"], self.cfg,
-                                  item_reps, seq_mask)
+                                  item_reps, seq_mask, last)
 
     def item_embeddings(self, token_ids, pad_mask, patches):
         """Encode a batch of items into their modality embeddings.

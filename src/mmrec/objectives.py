@@ -237,8 +237,18 @@ def corrupt_batch(ctx, cfg):
     """Corrupt every sequence in the batch with the batch's seeded rng.
 
     Returns (corrupted row map (B, L) into the unique-item table,
-    labels (B, L) with LABEL_PAD at padded slots).
+    labels (B, L) with LABEL_PAD at padded slots), both read-only. The
+    result depends only on the batch and the two rates, so it is computed
+    once per batch and rates and kept on the batch.
     """
+    batch = ctx.batch
+    key = (cfg.shuffle_rate, cfg.replace_rate)
+    if key not in batch.corruptions:
+        batch.corruptions[key] = _corrupt_batch(ctx, cfg)
+    return batch.corruptions[key]
+
+
+def _corrupt_batch(ctx, cfg):
     batch = ctx.batch
     corr_rows = ctx.pos_to_row.copy()
     labels = np.full(batch.idx.shape, LABEL_PAD, dtype=np.int64)
@@ -254,6 +264,8 @@ def corrupt_batch(ctx, cfg):
             seq, cfg.shuffle_rate, cfg.replace_rate, rng, pool)
         corr_rows[u, :length] = np.searchsorted(ctx.unique, corrupted)
         labels[u, :length] = labs
+    corr_rows.flags.writeable = False
+    labels.flags.writeable = False
     return corr_rows, labels
 
 

@@ -209,7 +209,7 @@ class ItemIndex:
 
 
 def build_item_index(model, items, chunk=256):
-    """Encode every catalog item once (no gradients) and cache the result."""
+    """Encode every catalog item once (no gradients) into a new index."""
     if not items:
         raise ValueError("catalog is empty")
     order = sorted(items)
@@ -220,7 +220,22 @@ def build_item_index(model, items, chunk=256):
             ids, mask, patches = objectives.pack_item_features(items, part)
             emb = model.item_embeddings(ids, mask, patches)
             reps[start : start + len(part)] = emb["e_cls"].data
+    reps.flags.writeable = False  # shared by every user of the cached index
     return ItemIndex(order, reps, model.version)
+
+
+def item_index(model, items):
+    """The model's index of the catalog `items`, built on first use and kept
+    on the model (one entry). It is reused while `model.version` is the one
+    it was built at and `items` is the same object, so code that writes
+    parameters must bump `model.version`, and a changed catalog must be a
+    new object."""
+    cached = getattr(model, "index_cache", None)  # duck-typed models may lack it
+    if cached is not None and cached[0] is items and cached[1].fresh_for(model):
+        return cached[1]
+    index = build_item_index(model, items)
+    model.index_cache = (items, index)
+    return index
 
 
 def encode_prefixes(model, prefixes, items, index, L_max, chunk=128):
@@ -239,21 +254,18 @@ def encode_prefixes(model, prefixes, items, index, L_max, chunk=128):
                     raise ValueError(
                         f"prefix item {e.args[0]!r} is not in the catalog") from None
                 mask[r, : len(p)] = 1.0
-            reps = ad.Tensor(index.reps[rows])
-            h = model.encode_sequence(reps, mask)
-            last = mask.sum(axis=1).astype(np.int64) - 1
-            out[start : start + len(part)] = h.data[np.arange(len(part)), last]
+            h = model.encode_sequence(ad.Tensor(index.reps[rows]), mask, last=True)
+            out[start : start + len(part)] = h.data
     return out
 
 
-def predict_scores(model, prefix, items, index=None, L_max=None):
+def predict_scores(model, prefix, items, L_max=None):
     """Softmax distribution over the whole catalog for one prefix sequence."""
     if not prefix:
         raise ValueError("prefix must contain at least one item")
     if not items:
         raise ValueError("catalog is empty")
-    if index is None or not index.fresh_for(model):
-        index = build_item_index(model, items)
+    index = item_index(model, items)
     L_max = L_max or model.cfg.L_max
     h = encode_prefixes(model, [list(prefix)], items, index, L_max)[0]
     logits = index.reps @ h

@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import attention_bias, init_block, run_blocks, _gauss
+from .encoders import attention_bias, init_block, run_blocks, transformer_block, _gauss
 
 
 def init_user_encoder(rng, cfg):
@@ -13,12 +13,17 @@ def init_user_encoder(rng, cfg):
     return p
 
 
-def encode_sequence(params, cfg, item_reps, seq_mask):
+def encode_sequence(params, cfg, item_reps, seq_mask, last=False):
     """Run causally masked self-attention over (B, L, d) item representations.
 
     Position l attends only to positions <= l; padded positions are masked
     as keys. Returns per-position hiddens (B, L, d); values at padded
     positions are meaningless and must stay masked downstream.
+
+    With `last=True` only each row's last real position (mask sum - 1;
+    real positions must come first) is computed through the final block,
+    whose keys and values still span all positions, and the result is
+    (B, d).
     """
     if item_reps.shape[-1] != cfg.d:
         raise ValueError(
@@ -30,4 +35,15 @@ def encode_sequence(params, cfg, item_reps, seq_mask):
         raise ValueError(f"sequence length {length} exceeds L_max={cfg.L_max}")
     x = ad.add(item_reps, ad.getitem(params["pos"], slice(0, length)))
     bias = attention_bias(np.asarray(seq_mask, dtype=np.float64), causal=True)
-    return run_blocks(params, cfg.user_blocks, x, bias, cfg.n_heads)
+    if not last:
+        return run_blocks(params, cfg.user_blocks, x, bias, cfg.n_heads)
+    n = cfg.user_blocks
+    rows = np.arange(b)
+    pos = np.asarray(seq_mask).sum(axis=1).astype(np.int64) - 1
+    if n == 0:
+        return ad.getitem(x, (rows, pos))
+    x = run_blocks(params, n - 1, x, bias, cfg.n_heads)
+    query = ad.getitem(x, (rows[:, None], pos[:, None]))  # (B, 1, d)
+    row_bias = bias[rows, :, pos][:, :, None]  # (B, 1, 1, L)
+    h = transformer_block(params, f"b{n - 1}.", x, row_bias, cfg.n_heads, query=query)
+    return ad.reshape(h, (b, cfg.d))

@@ -320,6 +320,33 @@ def test_gradient_check_attention(causal):
     assert report["passed"], report
 
 
+def test_gradient_check_attention_one_query_row():
+    from mmrec.encoders import attention_bias
+
+    rng = np.random.default_rng(21)
+    key_mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
+    last = np.array([3, 1])  # query positions; the causal row hides later keys
+    bias = attention_bias(key_mask, causal=True)[np.arange(2), :, last][:, :, None]
+    point = [rand(rng, 2, 1, 6), rand(rng, 2, 5, 6), rand(rng, 2, 5, 6)]
+    program = _readout(lambda q, k, v: ad.attention(q, k, v, bias, 2), (2, 1, 6))
+    report = ad.gradient_check(program, point)
+    assert report["passed"], report
+
+
+def test_attention_query_rows_match_full_attention_rows():
+    from mmrec.encoders import attention_bias
+
+    rng = np.random.default_rng(22)
+    q, k, v = (rng.normal(size=(2, 5, 6)) for _ in range(3))
+    key_mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
+    bias = attention_bias(key_mask, causal=True)
+    rows, pos = np.arange(2), np.array([3, 2])
+    full = ad.attention(q, k, v, bias, 2).data[rows, pos]
+    one = ad.attention(q[rows, pos][:, None], k, v, bias[rows, :, pos][:, :, None], 2)
+    assert one.shape == (2, 1, 6)
+    np.testing.assert_allclose(one.data[:, 0], full, rtol=0, atol=1e-14)
+
+
 def test_attention_ignores_masked_keys():
     from mmrec.encoders import attention_bias
 

@@ -200,6 +200,29 @@ def test_evaluate_bundle_with_unknown_config_key_exits_1(workdir, tmp_path, caps
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_evaluate_damaged_bundle_exits_1(workdir):
+    import tempfile
+    from pathlib import Path
+
+    from hypothesis import given, settings
+
+    from .test_transfer import DAMAGE, damaged
+
+    _, data, pre = workdir
+    raw = (Path(pre) / "pretrained.bundle").read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(DAMAGE)
+    def check(damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "damaged.bundle"
+            path.write_bytes(damaged(raw, damage))
+            assert main(tiny_args(["evaluate", "--data", data, "--dataset", "source",
+                                   "--bundle", str(path), "--out", tmp])) == 1
+
+    check()
+
+
 def test_config_error_exits_1(capsys):
     assert main(["-o", "nope=1", "stats", "--data", "."]) == 1
     assert "unknown key" in capsys.readouterr().err

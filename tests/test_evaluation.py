@@ -171,6 +171,107 @@ def test_evaluate_train_counts_all_transitions():
 
 
 # ---------------------------------------------------------------------------
+# item-index cache: one build per (parameters, catalog)
+# ---------------------------------------------------------------------------
+
+def count_builds(monkeypatch):
+    built, build = [], transfer.build_item_index
+    monkeypatch.setattr(transfer, "build_item_index",
+                        lambda *args: built.append(1) or build(*args))
+    return built
+
+
+def report_key(report):
+    return report.count, report.hr, report.ndcg
+
+
+def assert_matches_fresh_model(model, split, tmp_path, **kw):
+    """`evaluate` on `model` equals it on a model loaded from a bundle of the
+    same parameters, and so does the index it scored with."""
+    path = tmp_path / "fresh.bundle"
+    transfer.save_bundle(model, path)
+    fresh = transfer.model_from_bundle(path)
+    assert report_key(evaluate(model, split, **kw)) == \
+        report_key(evaluate(fresh, split, **kw))
+    got = transfer.item_index(model, split.items)
+    want = transfer.item_index(fresh, split.items)
+    assert got.reps.tobytes() == want.reps.tobytes()
+
+
+def test_one_index_build_serves_valid_test_and_cold(monkeypatch):
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    built = count_builds(monkeypatch)
+    evaluate(model, split, phase="valid", L_max=4)
+    evaluate(model, split, phase="test", L_max=4)
+    assert evaluate_cold_start(model, split, threshold=100, L_max=4).count > 0
+    evaluate_train(model, split, L_max=4)
+    assert len(built) == 1
+
+
+def test_index_rebuilt_after_each_training_step(monkeypatch, tmp_path):
+    from mmrec import training
+
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    built = count_builds(monkeypatch)
+    validations, reps, validation_hr = [], set(), training._validation_hr
+
+    def checked(m, s, tcfg):
+        validations.append(len(built))
+        assert_matches_fresh_model(m, s, tmp_path, phase="valid", ks=(10,), L_max=4)
+        reps.add(transfer.item_index(m, s.items).reps.tobytes())
+        return validation_hr(m, s, tcfg)
+
+    monkeypatch.setattr(training, "_validation_hr", checked)
+    cfg = training.TrainConfig(learning_rate=0.05, max_epochs=2, patience=10, B=4,
+                               L_max=4, seed=0)
+    training.finetune(model, split, cfg)
+    assert len(validations) == 3
+    # each validation after epoch 0 follows AdamW steps: it rebuilt the
+    # model's index (one build) and the fresh model's (one more)
+    assert np.diff(validations).tolist() == [2, 2]
+    assert len(reps) == 3  # the steps moved the item representations
+
+
+def test_index_rebuilt_after_load_snapshot(monkeypatch, tmp_path):
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    other = RecModel.init(small_config(), 1).snapshot()
+    evaluate(model, split, L_max=4)
+    built = count_builds(monkeypatch)
+    model.load_snapshot(other)
+    assert_matches_fresh_model(model, split, tmp_path, L_max=4)
+    assert len(built) == 2  # the model's rebuild and the fresh model's build
+
+
+def test_index_rebuilt_for_another_catalog_object(monkeypatch, tmp_path):
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    evaluate(model, split, L_max=4)
+    built = count_builds(monkeypatch)
+    items = dict(split.items)
+    first = min(items)
+    items[first] = ItemRecord(first, [1, 2], items[first].patches + 1.0)
+    changed = SplitDataset(items=items, train=split.train, valid=split.valid,
+                           test=split.test)
+    assert_matches_fresh_model(model, changed, tmp_path, L_max=4)
+    assert len(built) == 2
+
+
+def test_clone_does_not_share_the_index(monkeypatch):
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    index = transfer.item_index(model, split.items)
+    twin = model.clone()
+    assert twin.index_cache is None
+    built = count_builds(monkeypatch)
+    assert transfer.item_index(twin, split.items) is not index
+    assert len(built) == 1
+    assert transfer.item_index(model, split.items) is index
+
+
+# ---------------------------------------------------------------------------
 # oracle model: a scorer that always ranks the true successor first
 # ---------------------------------------------------------------------------
 
@@ -195,8 +296,16 @@ class OracleModel:
         reps[np.arange(ids.shape[0]), ids[:, 0] - 1] = 1.0
         return {"e_cls": ad.Tensor(reps)}
 
-    def encode_sequence(self, reps, mask):
-        return ad.Tensor(np.roll(reps.data, 1, axis=-1))
+    def encode_sequence(self, reps, mask, last=False):
+        return _states(np.roll(reps.data, 1, axis=-1), mask, last)
+
+
+def _states(h, mask, last):
+    """Per-position states (B, L, n), or with `last` each row's state at its
+    last real position (B, n), as `RecModel.encode_sequence` returns."""
+    if last:
+        h = h[np.arange(len(h)), mask.sum(axis=1).astype(np.int64) - 1]
+    return ad.Tensor(h)
 
 
 def oracle_split(n=6, users=5):
@@ -223,8 +332,8 @@ def test_anti_oracle_model_never_hits():
     split = oracle_split()
 
     class AntiOracle(OracleModel):
-        def encode_sequence(self, reps, mask):
-            return ad.Tensor(np.roll(reps.data, 3, axis=-1))  # wrong successor
+        def encode_sequence(self, reps, mask, last=False):
+            return _states(np.roll(reps.data, 3, axis=-1), mask, last)  # wrong successor
 
     report = evaluate(AntiOracle(6), split, phase="test", ks=(1,), L_max=10)
     assert report.hr[1] == 0.0

@@ -55,3 +55,17 @@ def test_unknown_loss_rejected():
     model, batch = model_and_batch()
     with pytest.raises(ValueError, match="unknown loss"):
         gradcheck._loss_fn(model, batch, "bogus")
+
+
+def test_total_check_corrupts_each_sequence_once(monkeypatch):
+    model, batch = model_and_batch(d=2, p=2, q=2)
+    model.set_trainable_top_blocks(1)
+    n = sum(p.data.size for _, p in model.trainable_parameters())
+    corrupt_sequence, corrupted = obj.corrupt_sequence, []
+    monkeypatch.setattr(obj, "corrupt_sequence",
+                        lambda *args: corrupted.append(1) or corrupt_sequence(*args))
+    loss_fn, calls = gradcheck._loss_fn(model, batch, "total"), []
+    gradcheck.check_parameters(model, lambda: calls.append(1) or loss_fn())
+    assert n > 0 and len(calls) == 1 + 2 * n
+    # once per sequence of the batch, not once per sequence and evaluation
+    assert len(corrupted) == batch.size

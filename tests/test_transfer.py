@@ -1,8 +1,11 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmrec import autodiff as ad
 from mmrec import transfer as tr
@@ -98,6 +101,35 @@ def resign_with_config(src, dst, **extra):
     manifest = json.loads(raw[16 : 16 + n])
     manifest["config"].update(extra)
     write_signed(dst, manifest, raw[16 + n : -32])
+
+
+# a damage to a bundle of n bytes: ("cut", f) keeps its first floor(f * n)
+# bytes, ("flip", f) inverts bit floor(f * 8n); f in [0, 1) serves any n
+DAMAGE = st.one_of(
+    st.tuples(st.just("cut"), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    st.tuples(st.just("flip"), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+
+
+def damaged(raw, damage):
+    """`raw` with one `DAMAGE` applied."""
+    how, at = damage
+    if how == "cut":
+        return raw[: int(at * len(raw))]
+    bit = int(at * 8 * len(raw))
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DAMAGE)
+def test_truncated_or_bit_flipped_bundle_raises_bundle_error(damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bundle"
+        save_bundle(RecModel.init(small_config(d=2, p=2, q=2), seed=0), path)
+        path.write_bytes(damaged(path.read_bytes(), damage))
+        with pytest.raises(BundleError):
+            load_bundle(path)
 
 
 def test_legacy_dropout_key_loads(model, tmp_path):
@@ -295,10 +327,11 @@ def test_duplicate_items_score_equally(model, items):
 
 
 def test_softmax_preserves_logit_order(model, items):
-    index = build_item_index(model, items)
+    index = tr.item_index(model, items)
     h = tr.encode_prefixes(model, [[0, 1, 2]], items, index, 4)[0]
     logits = index.reps @ h
-    scores = predict_scores(model, [0, 1, 2], items, index=index, L_max=4)
+    scores = predict_scores(model, [0, 1, 2], items, L_max=4)
+    assert tr.item_index(model, items) is index  # predict_scores scored with it
     assert np.array_equal(np.argsort(logits), np.argsort(scores))
 
 
@@ -311,21 +344,25 @@ def test_index_reused_when_fresh(model, items):
         return orig(*a, **kw)
 
     model.item_embeddings = counting
-    index = build_item_index(model, items)
+    index = tr.item_index(model, items)
     assert calls["n"] == 1  # one chunk
-    predict_scores(model, [0, 1], items, index=index)
-    predict_scores(model, [2, 3], items, index=index)
+    predict_scores(model, [0, 1], items)
+    predict_scores(model, [2, 3], items)
     assert calls["n"] == 1  # cache hit: items never re-encoded
+    assert tr.item_index(model, items) is index
 
 
 def test_index_rebuilt_after_parameter_update(model, items):
-    index = build_item_index(model, items)
+    index = tr.item_index(model, items)
     assert index.fresh_for(model)
-    model.groups["user_encoder"]["pos"].data += 0.1
+    model.groups["fusion"]["mm_cls"].data += 0.1
     model.version += 1
     assert not index.fresh_for(model)
-    scores = predict_scores(model, [0, 1], items, index=index)
-    fresh = predict_scores(model, [0, 1], items)
+    scores = predict_scores(model, [0, 1], items)
+    rebuilt = tr.item_index(model, items)
+    assert rebuilt is not index and rebuilt.fresh_for(model)
+    assert not np.array_equal(rebuilt.reps, index.reps)
+    fresh = predict_scores(model.clone(), [0, 1], items)  # a clone starts uncached
     np.testing.assert_array_equal(scores, fresh)
 
 

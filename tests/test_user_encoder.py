@@ -70,3 +70,46 @@ def test_deterministic(model):
     h1 = model.encode_sequence(ad.Tensor(reps), mask)
     h2 = model.encode_sequence(ad.Tensor(reps), mask)
     np.testing.assert_array_equal(h1.data, h2.data)
+
+
+def _model_with_blocks(n):
+    cfg = ModelConfig(d=8, n_heads=2, ffn_mult=2, vocab_size=20, p_max=4,
+                      q=4, patch_dim=4, text_blocks=1, vision_blocks=1,
+                      user_blocks=n, L_max=6)
+    return RecModel.init(cfg, seed=n + 5)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_last_position_matches_full_path(blocks):
+    model = _model_with_blocks(blocks)
+    rng = np.random.default_rng(blocks)
+    lengths = [6, 1, 3, 5, 2]  # one row fills L_max, the others are padded
+    reps = rng.normal(size=(len(lengths), 6, 8))
+    mask = np.zeros((len(lengths), 6))
+    for r, n in enumerate(lengths):
+        mask[r, :n] = 1.0
+    with ad.no_grad():
+        full = model.encode_sequence(ad.Tensor(reps), mask).data
+        last = model.encode_sequence(ad.Tensor(reps), mask, last=True).data
+    assert last.shape == (len(lengths), 8)
+    want = full[np.arange(len(lengths)), np.array(lengths) - 1]
+    np.testing.assert_allclose(last, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_encode_prefixes_matches_full_path_with_truncation(blocks):
+    from mmrec import transfer
+    from mmrec.transfer import ItemIndex
+
+    model = _model_with_blocks(blocks)
+    rng = np.random.default_rng(10 + blocks)
+    index = ItemIndex(list(range(9)), rng.normal(size=(9, 8)), model.version)
+    # lengths 1..9 against L_max=6: the longer prefixes are truncated
+    prefixes = [rng.integers(0, 9, size=n).tolist() for n in range(1, 10)]
+    got = transfer.encode_prefixes(model, prefixes, None, index, 6)
+    for prefix, state in zip(prefixes, got):
+        kept = prefix[-6:]
+        reps = ad.Tensor(index.reps[kept][None])
+        with ad.no_grad():
+            full = model.encode_sequence(reps, np.ones((1, len(kept)))).data
+        np.testing.assert_allclose(state, full[0, -1], rtol=0, atol=1e-12)

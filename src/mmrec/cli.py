@@ -246,18 +246,29 @@ def _cmd_eval(cfg, args, cold):
     split = _load_split(cfg, args.data, args.dataset)
     model = transfer.model_from_bundle(args.bundle)
     if cold:
-        report = evaluation.evaluate_cold_start(
-            model, split, threshold=cfg["cold_threshold"],
-            L_max=cfg["l_max"], dataset=args.dataset)
+        phases = ["cold"]
+    elif args.phase == "all":
+        # one model and catalog, so the three share one item index
+        phases = ["valid", "test", "cold"]
     else:
-        report = evaluation.evaluate(model, split, phase=args.phase,
-                                     L_max=cfg["l_max"], dataset=args.dataset)
-    print(report.to_text())
+        phases = [args.phase]
+    lines = {}  # output file -> report lines
+    for phase in phases:
+        if phase == "cold":
+            report = evaluation.evaluate_cold_start(
+                model, split, threshold=cfg["cold_threshold"],
+                L_max=cfg["l_max"], dataset=args.dataset)
+        else:
+            report = evaluation.evaluate(model, split, phase=phase,
+                                         L_max=cfg["l_max"], dataset=args.dataset)
+        print(report.to_text())
+        name = "cold_metrics.jsonl" if phase == "cold" else "metrics.jsonl"
+        lines.setdefault(name, []).append(report.to_json() + "\n")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        name = "cold_metrics.jsonl" if cold else "metrics.jsonl"
-        with open(os.path.join(args.out, name), "w") as f:
-            f.write(report.to_json() + "\n")
+        for name, reports in lines.items():
+            with open(os.path.join(args.out, name), "w") as f:
+                f.write("".join(reports))
         write_resolved_config(cfg, args.out)
     return 0
 
@@ -305,7 +316,11 @@ def build_parser():
         p.add_argument("--data", required=True)
         p.add_argument("--bundle", required=True)
         p.add_argument("--dataset", default="target", choices=("source", "target"))
-        p.add_argument("--phase", default="test", choices=("valid", "test"))
+        if name == "evaluate":
+            p.add_argument("--phase", default="test", choices=("valid", "test", "all"),
+                           help="'all' runs valid, test and cold-eval on one loaded model")
+        else:
+            p.add_argument("--phase", default="test", choices=("valid", "test"))
         p.add_argument("--out", default=None)
 
     sub.add_parser("grad-check", help="finite-difference check of all objectives")

@@ -50,9 +50,6 @@ class Batch:
     mask: np.ndarray  # (B, L) float 0/1
     items: dict  # catalog_index -> ItemRecord (shared reference)
     rng_seed: int  # drives corruption for this batch
-    # (shuffle_rate, replace_rate) -> (rows, labels) of objectives.corrupt_batch
-    corruptions: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     @property
     def size(self):

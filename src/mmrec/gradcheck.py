@@ -36,16 +36,26 @@ def random_batch(cfg, rng, B=2, L=4, n_items=6):
 
 def _loss_fn(model, batch, name):
     """Zero-argument closure evaluating loss `name` on the batch: the
-    composed `total_loss`, or one objective's term on its own."""
+    composed `total_loss`, or one objective's term on its own. The batch
+    never changes, so it is corrupted on the first call only."""
+    corruption = []
+
+    def corrupt_once(ctx, cfg):
+        if not corruption:
+            corruption.append(objectives.corrupt_batch(ctx, cfg))
+        return corruption[0]
+
     if name == "total":
         ocfg = ObjectiveConfig()
-        return lambda: objectives.total_loss(model, batch, ocfg)[0]
+        return lambda: objectives.total_loss(model, batch, ocfg,
+                                             corrupt=corrupt_once)[0]
     if name not in CHECK_LOSSES:
         raise ValueError(f"unknown loss {name!r}")
     only = ObjectiveConfig(
         dap=name == "dap", nid=name == "nid", rcl=name == "rcl",
         contrastive=name if name in objectives.CONTRASTIVE_VARIANTS else None)
-    return lambda: objectives.objective_terms(model, batch, only)[name]
+    return lambda: objectives.objective_terms(model, batch, only,
+                                              corrupt_once)[name]
 
 
 def check_parameters(model, loss_fn, step=1e-5):

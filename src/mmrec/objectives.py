@@ -237,18 +237,8 @@ def corrupt_batch(ctx, cfg):
     """Corrupt every sequence in the batch with the batch's seeded rng.
 
     Returns (corrupted row map (B, L) into the unique-item table,
-    labels (B, L) with LABEL_PAD at padded slots), both read-only. The
-    result depends only on the batch and the two rates, so it is computed
-    once per batch and rates and kept on the batch.
+    labels (B, L) with LABEL_PAD at padded slots).
     """
-    batch = ctx.batch
-    key = (cfg.shuffle_rate, cfg.replace_rate)
-    if key not in batch.corruptions:
-        batch.corruptions[key] = _corrupt_batch(ctx, cfg)
-    return batch.corruptions[key]
-
-
-def _corrupt_batch(ctx, cfg):
     batch = ctx.batch
     corr_rows = ctx.pos_to_row.copy()
     labels = np.full(batch.idx.shape, LABEL_PAD, dtype=np.int64)
@@ -264,8 +254,6 @@ def _corrupt_batch(ctx, cfg):
             seq, cfg.shuffle_rate, cfg.replace_rate, rng, pool)
         corr_rows[u, :length] = np.searchsorted(ctx.unique, corrupted)
         labels[u, :length] = labs
-    corr_rows.flags.writeable = False
-    labels.flags.writeable = False
     return corr_rows, labels
 
 
@@ -311,12 +299,14 @@ def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, cfg):
 # total
 # ---------------------------------------------------------------------------
 
-def objective_terms(model, batch, cfg):
+def objective_terms(model, batch, cfg, corrupt=None):
     """Run the pipeline on a batch; returns {objective name: loss Tensor}
     for the enabled objectives, in the order dap, contrastive, nid, rcl.
 
     Items are encoded once per call. The clean sequence is encoded only
     when dap or rcl needs it, the corrupted one only for nid or rcl.
+    `corrupt(ctx, cfg)` stands in for `corrupt_batch`, e.g. to reuse one
+    corruption over repeated evaluations of an unchanged batch.
     """
     ctx = BatchContext(model, batch)
     e = ctx.emb["e_cls"]
@@ -328,7 +318,7 @@ def objective_terms(model, batch, cfg):
     if cfg.contrastive is not None:
         terms[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive)
     if cfg.nid or cfg.rcl:
-        corr_rows, labels = corrupt_batch(ctx, cfg)
+        corr_rows, labels = (corrupt or corrupt_batch)(ctx, cfg)
         corr_hiddens = model.encode_sequence(ad.embedding(e, corr_rows), batch.mask)
         if cfg.nid:
             terms["nid"] = nid_loss(corr_hiddens, labels, model.groups["nid_head"])
@@ -339,13 +329,13 @@ def objective_terms(model, batch, cfg):
     return terms
 
 
-def total_loss(model, batch, cfg, rng=None):
+def total_loss(model, batch, cfg, rng=None, corrupt=None):
     """Sum of the enabled objectives, added left to right in the order of
-    `objective_terms`. `rng` is ignored.
+    `objective_terms`, which receives `corrupt`. `rng` is ignored.
 
     Returns (total Tensor, {objective name: float value}).
     """
-    terms = objective_terms(model, batch, cfg)
+    terms = objective_terms(model, batch, cfg, corrupt)
     values = list(terms.values())
     total = values[0]
     for t in values[1:]:

@@ -230,7 +230,7 @@ def item_index(model, items):
     it was built at and `items` is the same object, so code that writes
     parameters must bump `model.version`, and a changed catalog must be a
     new object."""
-    cached = getattr(model, "index_cache", None)  # duck-typed models may lack it
+    cached = model.index_cache
     if cached is not None and cached[0] is items and cached[1].fresh_for(model):
         return cached[1]
     index = build_item_index(model, items)

@@ -162,6 +162,33 @@ def test_finetune_from_scratch_and_evaluate(workdir, tmp_path, capsys):
     assert cold["phase"] == "cold"
 
 
+def test_evaluate_all_phases_share_one_index(workdir, tmp_path, monkeypatch):
+    from mmrec import transfer
+
+    _, data, pre = workdir
+    built, build = [], transfer.build_item_index
+    monkeypatch.setattr(transfer, "build_item_index",
+                        lambda *args: built.append(1) or build(*args))
+    common = ["--data", data, "--dataset", "source",
+              "--bundle", os.path.join(pre, "pretrained.bundle")]
+    args = tiny_args(["-o", "cold_threshold=100"])
+    separate, together = str(tmp_path / "separate"), str(tmp_path / "together")
+    lines = []
+    for phase in ("valid", "test"):
+        assert main(args + ["evaluate", *common, "--phase", phase,
+                            "--out", separate]) == 0
+        lines.append(open(os.path.join(separate, "metrics.jsonl")).read())
+    assert main(args + ["cold-eval", *common, "--out", separate]) == 0
+    assert len(built) == 3  # one process, and one model, per phase
+    assert main(args + ["evaluate", *common, "--phase", "all",
+                        "--out", together]) == 0
+    assert len(built) == 4  # valid, test and cold on one model: one build
+    assert open(os.path.join(together, "metrics.jsonl")).read() == "".join(lines)
+    cold = open(os.path.join(together, "cold_metrics.jsonl")).read()
+    assert cold == open(os.path.join(separate, "cold_metrics.jsonl")).read()
+    assert json.loads(cold)["count"] > 0
+
+
 def test_finetune_missing_group_exits_1(workdir, tmp_path, capsys):
     from mmrec.encoders import ModelConfig
     from mmrec.model import RecModel

@@ -280,6 +280,7 @@ class OracleModel:
     the last item under the cyclic map i -> i+1 mod n."""
 
     version = 0
+    index_cache = None
 
     def __init__(self, n):
         self.n = n

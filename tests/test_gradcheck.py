@@ -69,3 +69,5 @@ def test_total_check_corrupts_each_sequence_once(monkeypatch):
     assert n > 0 and len(calls) == 1 + 2 * n
     # once per sequence of the batch, not once per sequence and evaluation
     assert len(corrupted) == batch.size
+    fresh = obj.total_loss(model, batch, ObjectiveConfig())[0].item()
+    assert loss_fn().item() == fresh and len(corrupted) == 2 * batch.size

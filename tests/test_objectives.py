@@ -652,20 +652,3 @@ def test_nid_head_gets_no_gradient_from_dap_and_nicl():
     total.backward()
     assert model.groups["nid_head"]["W"].grad is None
     assert model.groups["nid_head"]["b"].grad is None
-
-
-def test_corrupt_batch_computed_once_per_batch_and_rates():
-    model, batch = parity_case("duplicates", 0)
-    rows, labels = obj.corrupt_batch(obj.BatchContext(model, batch), OCFG)
-    again = obj.corrupt_batch(obj.BatchContext(model, batch), OCFG)
-    assert again[0] is rows and again[1] is labels
-    assert not rows.flags.writeable and not labels.flags.writeable
-    copy = Batch(idx=batch.idx.copy(), mask=batch.mask.copy(), items=batch.items,
-                 rng_seed=batch.rng_seed)
-    fresh_rows, fresh_labels = obj.corrupt_batch(obj.BatchContext(model, copy), OCFG)
-    assert fresh_rows.tobytes() == rows.tobytes()
-    assert fresh_labels.tobytes() == labels.tobytes()
-    other = ObjectiveConfig(shuffle_rate=1.0, replace_rate=0.0)
-    other_rows, other_labels = obj.corrupt_batch(obj.BatchContext(model, batch), other)
-    assert len(batch.corruptions) == 2
-    assert not np.array_equal(other_labels, labels)

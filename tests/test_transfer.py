@@ -394,3 +394,32 @@ def test_out_of_catalog_prefix_item_named(model, items):
     with pytest.raises(ValueError, match="not in the catalog"):
         tr.encode_prefixes(model, [[0, 1], [2, 999]], items,
                            build_item_index(model, items), L_max=4)
+
+
+def test_encode_prefixes_matches_full_path_at_transfer_scale():
+    """Last-position prefix states equal the last real rows of the full
+    per-position pass on the acceptance transfer config (d=32, 4 heads,
+    L_max=12), over padded, mixed-length and truncated prefixes that span
+    more than one prefix chunk."""
+    cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8,
+                      q=4, patch_dim=6, text_blocks=1, vision_blocks=1,
+                      fusion_blocks=1, user_blocks=1, L_max=12)
+    model = RecModel.init(cfg, seed=3)
+    rng = np.random.default_rng(3)
+    items = {i: ItemRecord(i, rng.integers(1, 100, size=rng.integers(4, 9)).tolist(),
+                           rng.normal(size=(4, 6))) for i in range(40)}
+    index = build_item_index(model, items)
+    prefixes = [rng.integers(0, 40, size=rng.integers(1, 16)).tolist()
+                for _ in range(300)]
+    got = tr.encode_prefixes(model, prefixes, items, index, cfg.L_max)
+    kept = [p[-cfg.L_max:] for p in prefixes]
+    rows = np.zeros((len(kept), cfg.L_max), dtype=np.int64)
+    mask = np.zeros((len(kept), cfg.L_max))
+    for r, p in enumerate(kept):
+        rows[r, : len(p)] = [index.row_of[i] for i in p]
+        mask[r, : len(p)] = 1.0
+    with ad.no_grad():
+        full = model.encode_sequence(ad.Tensor(index.reps[rows]), mask).data
+    want = full[np.arange(len(kept)), mask.sum(axis=1).astype(np.int64) - 1]
+    assert {len(p) for p in kept} == set(range(1, 13))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

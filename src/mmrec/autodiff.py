@@ -243,42 +243,6 @@ def gelu(x):
     return _make(data, (x,), bw)
 
 
-def exp(x):
-    x = as_tensor(x)
-    data = np.exp(x.data)
-    if not _tracked(x):
-        return Tensor(data)
-
-    def bw(g):
-        x._accum(g * data)
-
-    return _make(data, (x,), bw)
-
-
-def log(x):
-    x = as_tensor(x)
-    data = np.log(x.data)
-    if not _tracked(x):
-        return Tensor(data)
-
-    def bw(g):
-        x._accum(g / x.data)
-
-    return _make(data, (x,), bw)
-
-
-def power(x, p):
-    x = as_tensor(x)
-    data = x.data**p
-    if not _tracked(x):
-        return Tensor(data)
-
-    def bw(g):
-        x._accum(g * p * x.data ** (p - 1))
-
-    return _make(data, (x,), bw)
-
-
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
@@ -289,32 +253,6 @@ def tsum(x, axis=None, keepdims=False):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         x._accum(np.broadcast_to(g, x.shape))
-
-    return _make(data, (x,), bw)
-
-
-def tmean(x, axis=None, keepdims=False):
-    x = as_tensor(x)
-    if axis is None:
-        n = x.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([x.shape[a] for a in axes]))
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def softmax(x, axis=-1):
-    """Numerically stable softmax along `axis`."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-    if not _tracked(x):
-        return Tensor(data)
-
-    def bw(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        x._accum(data * (g - dot))
 
     return _make(data, (x,), bw)
 
@@ -489,40 +427,54 @@ def getitem(x, index):
 
 
 def l2_normalize(x, eps=1e-12):
-    """Scale rows of x (last axis) to unit length; `eps` guards the zero row."""
+    """Scale rows of x (last axis) to unit length; a row whose norm is below
+    `eps` is divided by `eps` instead. One node; the backward is
+    (g - y * rowsum(g * y)) / norm, and g / eps on the guarded rows."""
     x = as_tensor(x)
-    norm = power(tsum(mul(x, x), axis=-1, keepdims=True), 0.5)
-    guard = (norm.data >= eps).astype(np.float64)
-    denom = add(mul(norm, guard), eps * (1.0 - guard))
-    return mul(x, power(denom, -1.0))
-
-
-def masked_logsumexp(x, mask, axis=-1):
-    """log(sum(mask * exp(x))) along `axis`, numerically stable.
-
-    `mask` is a constant array of non-negative weights (0 excludes an
-    entry, c counts it c times); every row must have at least one positive
-    weight. One node; the backward is g * mask * exp(z) / s with
-    z = x - shift, where the max-shift constant cancels exactly.
-    """
-    x = as_tensor(x)
-    mask = np.asarray(mask, dtype=np.float64)
-    shift = np.where(mask > 0, x.data, -np.inf).max(axis=axis, keepdims=True)
-    # masking inside exp keeps excluded (possibly huge) entries from overflowing
-    e = np.exp((x.data - shift) * (mask > 0)) * mask
-    s = e.sum(axis=axis)
-    data = np.log(s) + np.squeeze(shift, axis=axis)
+    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
+    guard = norm >= eps
+    inv = 1.0 / np.where(guard, norm, eps)
+    data = x.data * inv
     if not _tracked(x):
         return Tensor(data)
 
     def bw(g):
-        x._accum(np.expand_dims(g / s, axis) * e)
+        x._accum(inv * (g - data * ((g * data).sum(axis=-1, keepdims=True) * guard)))
 
     return _make(data, (x,), bw)
 
 
-def logsumexp(x, axis=-1):
-    return masked_logsumexp(x, np.ones(as_tensor(x).shape), axis=axis)
+def softmax_xent(z, weights, positives):
+    """Softmax cross-entropy of the rows of the (R, C) scores z, as one node:
+    mean over rows r of log sum_c w[r, c] exp z[r, c] - log sum_j exp z[r, pos[r, j]].
+
+    `weights` is a constant non-negative (R, C) array: weight n counts a
+    column n times and 0 excludes it; every row needs a positive weight.
+    `positives` is an (R, k) integer array of column indices, and a column
+    listed twice counts twice. The backward is g * (softmax_w - softmax_pos) / R.
+    """
+    z = as_tensor(z)
+    w = np.asarray(weights, dtype=np.float64)
+    rows, pos = np.arange(z.shape[0])[:, None], np.asarray(positives)
+    keep = w > 0
+    shift = np.where(keep, z.data, -np.inf).max(axis=1, keepdims=True)
+    # masking inside exp keeps excluded (possibly huge) entries from overflowing
+    e = np.exp((z.data - shift) * keep) * w
+    s = e.sum(axis=1, keepdims=True)
+    zp = z.data[rows, pos]
+    pshift = zp.max(axis=1, keepdims=True)
+    ep = np.exp(zp - pshift)
+    sp = ep.sum(axis=1, keepdims=True)
+    data = ((np.log(s) + shift) - (np.log(sp) + pshift)).mean()
+    if not _tracked(z):
+        return Tensor(data)
+
+    def bw(g):
+        d = e / s
+        np.add.at(d, (rows, pos), -(ep / sp))
+        z._accum(d * (g / len(d)))
+
+    return _make(data, (z,), bw)
 
 
 # ---------------------------------------------------------------------------

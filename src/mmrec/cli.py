@@ -319,8 +319,6 @@ def build_parser():
         if name == "evaluate":
             p.add_argument("--phase", default="test", choices=("valid", "test", "all"),
                            help="'all' runs valid, test and cold-eval on one loaded model")
-        else:
-            p.add_argument("--phase", default="test", choices=("valid", "test"))
         p.add_argument("--out", default=None)
 
     sub.add_parser("grad-check", help="finite-difference check of all objectives")

@@ -97,19 +97,16 @@ class BatchContext:
 def dap_loss(ctx, hiddens):
     """Next-item cross-entropy over in-batch negatives, averaged over all
     real transitions. Each unique item is scored once and weighted by its
-    count of legal negative occurrences (`BatchContext.neg_weight`)."""
+    count of legal negative occurrences (`BatchContext.neg_weight`); the
+    next item's column, which is never a negative, gets weight 1."""
     if len(ctx.tr_u) == 0:
         raise ValueError("batch has no valid transitions")
-    e = ctx.emb["e_cls"]
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))  # (T, d)
-    pos = ad.embedding(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
-    pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
-    neg_scores = ad.matmul(h, ad.transpose(e, (1, 0)))  # (T, U)
-    z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
-    w = np.concatenate(
-        [np.ones((len(ctx.tr_u), 1)), ctx.neg_weight[ctx.tr_u]], axis=1)
-    lse = ad.masked_logsumexp(z, w, axis=1)
-    return ad.tmean(ad.sub(lse, pos_score))
+    z = ad.matmul(h, ad.transpose(ctx.emb["e_cls"], (1, 0)))  # (T, U)
+    nxt = ctx.rows_at(ctx.tr_u, ctx.tr_l + 1)
+    w = ctx.neg_weight[ctx.tr_u]
+    w[np.arange(len(nxt)), nxt] += 1
+    return ad.softmax_xent(z, w, nxt[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,9 @@ def contrastive_loss(ctx, variant):
     negatives, "nicl" further adds the next item's embeddings (both
     modalities) as positives and is averaged over transitions; vcl/icl
     average over all real positions. Negatives are the unique items,
-    weighted as in `dap_loss`.
+    weighted as in `dap_loss`. Both directions (text anchors against
+    vision positives and the reverse) are rows of one product of the
+    anchors with the table of both modalities, and the loss is their mean.
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"unknown contrastive variant {variant!r}")
@@ -131,47 +130,29 @@ def contrastive_loss(ctx, variant):
         raise ValueError("contrastive objectives need both modalities")
     if variant == "nicl" and len(ctx.tr_u) == 0:
         raise ValueError("nicl needs sequences of length >= 2")
-    tn = ad.l2_normalize(ctx.emb["t_cls"])
-    vn = ad.l2_normalize(ctx.emb["v_cls"])
-
     if variant == "nicl":
         a_u, a_l = ctx.tr_u, ctx.tr_l
     else:
         a_u, a_l = ctx.occ_u, ctx.occ_l
-    rows = ctx.rows_at(a_u, a_l)
-    n_anchor = len(a_u)
-    neg_weight = ctx.neg_weight[a_u]
-
-    def one_side(anchor_tab, other_tab):
-        a = ad.embedding(anchor_tab, rows)  # (A, d)
-        pos = ad.tsum(ad.mul(a, ad.embedding(other_tab, rows)), axis=-1)
-        pos = ad.reshape(pos, (-1, 1))
-        inter = ad.matmul(a, ad.transpose(other_tab, (1, 0)))
-        cols = [pos, inter]
-        masks = [np.ones((n_anchor, 1)), neg_weight]
-        if variant in ("icl", "nicl"):
-            intra = ad.matmul(a, ad.transpose(anchor_tab, (1, 0)))
-            cols.append(intra)
-            masks.append(neg_weight)
-        den = ad.masked_logsumexp(ad.concat(cols, axis=1),
-                                  np.concatenate(masks, axis=1), axis=1)
-        if variant == "nicl":
-            nrows = ctx.rows_at(a_u, a_l + 1)
-            nxt_other = ad.tsum(ad.mul(a, ad.embedding(other_tab, nrows)), axis=-1)
-            nxt_same = ad.tsum(ad.mul(a, ad.embedding(anchor_tab, nrows)), axis=-1)
-            numz = ad.concat(
-                [pos,
-                 ad.reshape(nxt_other, (-1, 1)),
-                 ad.reshape(nxt_same, (-1, 1))],
-                axis=1)
-            num = ad.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
-        else:
-            num = ad.reshape(pos, (-1,))
-        return ad.sub(den, num)
-
-    tv = one_side(tn, vn)
-    vt = one_side(vn, tn)
-    return ad.tmean(ad.mul(ad.add(tv, vt), 0.5))
+    n_items = len(ctx.unique)
+    # rows 0..U-1 hold the text embeddings, rows U..2U-1 the vision ones
+    table = ad.l2_normalize(ad.concat([ctx.emb["t_cls"], ctx.emb["v_cls"]]))
+    t_rows = ctx.rows_at(a_u, a_l)
+    anchors = np.concatenate([t_rows, t_rows + n_items])  # text, then vision
+    other = np.concatenate([t_rows + n_items, t_rows])  # same item, other modality
+    z = ad.matmul(ad.embedding(table, anchors), ad.transpose(table, (1, 0)))
+    neg = ctx.neg_weight[a_u]
+    intra = np.zeros_like(neg) if variant == "vcl" else neg
+    w = np.block([[intra, neg], [neg, intra]])
+    w[np.arange(len(anchors)), other] += 1
+    if variant == "nicl":
+        t_next = ctx.rows_at(a_u, a_l + 1)
+        v_next = t_next + n_items
+        pos = np.stack([other, np.concatenate([v_next, t_next]),
+                        np.concatenate([t_next, v_next])], axis=1)
+    else:
+        pos = other[:, None]
+    return ad.softmax_xent(z, w, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +241,10 @@ def corrupt_batch(ctx, cfg):
 def nid_loss(corrupted_hiddens, labels, head):
     """3-way corruption classification; scores are ReLU(hW + b) passed
     through softmax, averaged over real positions."""
-    b, length, d = corrupted_hiddens.shape
-    real = labels != LABEL_PAD
-    logits = ad.relu(ad.linear(corrupted_hiddens, head["W"], head["b"]))
-    flat = ad.reshape(logits, (b * length, -1))
-    lse = ad.logsumexp(flat, axis=1)
-    safe = np.where(real, labels, 0).reshape(-1)
-    picked = ad.getitem(flat, (np.arange(b * length), safe))
-    per_pos = ad.sub(lse, picked)
-    w = real.reshape(-1).astype(np.float64)
-    return ad.mul(ad.tsum(ad.mul(per_pos, w)), 1.0 / w.sum())
+    real = np.nonzero(labels != LABEL_PAD)
+    h = ad.getitem(corrupted_hiddens, real)  # (n_real, d)
+    logits = ad.relu(ad.linear(h, head["W"], head["b"]))
+    return ad.softmax_xent(logits, np.ones(logits.shape), labels[real][:, None])
 
 
 def _pool(hiddens, mask, how):
@@ -290,9 +265,7 @@ def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, cfg):
     hu = _pool(original_hiddens, seq_mask, cfg.rcl_pooling)
     hc = _pool(corrupted_hiddens, seq_mask, cfg.rcl_pooling)
     scores = ad.matmul(hu, ad.transpose(hc, (1, 0)))
-    diag = ad.getitem(scores, (np.arange(b), np.arange(b)))
-    lse = ad.logsumexp(scores, axis=1)
-    return ad.tmean(ad.sub(lse, diag))
+    return ad.softmax_xent(scores, np.ones((b, b)), np.arange(b)[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from mmrec import autodiff as ad
 from mmrec.autodiff import Tensor
 
+from . import composites as C
+
 
 def rand(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
@@ -19,19 +21,17 @@ def test_square_value_and_gradient():
 
 
 def test_uniform_softmax_cross_entropy():
-    logits = Tensor(np.zeros(3), requires_grad=True)
-    p = ad.softmax(logits)
-    loss = ad.mul(ad.log(ad.getitem(p, 0)), -1.0)
+    logits = Tensor(np.zeros((1, 3)), requires_grad=True)
+    loss = ad.softmax_xent(logits, np.ones((1, 3)), [[0]])
     loss.backward()
     assert loss.item() == pytest.approx(np.log(3.0), abs=1e-12)
-    onehot = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(logits.grad, p.data - onehot, atol=1e-12)
+    np.testing.assert_allclose(logits.grad, [[1 / 3 - 1.0, 1 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_softmax_rows_normalized():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 7)) * 10)
-    y = ad.softmax(x, axis=-1)
+    y = C.softmax(x, axis=-1)
     assert np.all(y.data >= 0)
     np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -81,12 +81,12 @@ def test_masked_positions_contribute_nothing():
 
 
 def test_masked_logsumexp_ignores_huge_excluded_entries():
-    x = Tensor(np.array([[0.0, 1.0, 1e8]]), requires_grad=True)
-    mask = np.array([[1.0, 1.0, 0.0]])
-    out = ad.masked_logsumexp(x, mask, axis=1)
-    expected = np.log(np.exp(0.0) + np.exp(1.0))
-    assert out.item() == pytest.approx(expected, abs=1e-12)
-    ad.tsum(out).backward()
+    # softmax_xent masks excluded entries before exp, so a huge excluded
+    # score neither overflows nor receives gradient
+    x = Tensor(np.array([[0.0, 1.0, 1e4]]), requires_grad=True)
+    out = ad.softmax_xent(x, np.array([[1.0, 1.0, 0.0]]), [[0]])
+    assert out.item() == pytest.approx(np.log(np.exp(0.0) + np.exp(1.0)), abs=1e-12)
+    out.backward()
     assert x.grad[0, 2] == 0.0
     assert np.all(np.isfinite(x.grad))
 
@@ -97,8 +97,8 @@ def test_forward_backward_random_graph_matches_finite_differences():
     def program(a, w1, w2, w3):
         h = ad.gelu(ad.matmul(a, w1))
         h = ad.relu(ad.matmul(h, w2))
-        h = ad.softmax(ad.matmul(h, w3), axis=-1)
-        return ad.tsum(ad.mul(h, ad.log(ad.add(ad.mul(h, h), 0.1))))
+        h = C.softmax(ad.matmul(h, w3), axis=-1)
+        return ad.tsum(ad.mul(h, C.log(ad.add(ad.mul(h, h), 0.1))))
 
     point = [rand(rng, 3, 8), rand(rng, 8, 8), rand(rng, 8, 8), rand(rng, 8, 8)]
     report = ad.gradient_check(program, point, step=1e-5, tol=1e-4)
@@ -147,7 +147,7 @@ def test_forward_backward_deterministic():
     a = rng.normal(size=(4, 4))
 
     def program(x):
-        return ad.tsum(ad.softmax(ad.matmul(x, x), axis=-1))
+        return ad.tsum(C.softmax(ad.matmul(x, x), axis=-1))
 
     v1, g1 = ad.forward_backward(program, [Tensor(a.copy(), requires_grad=True)])
     v2, g2 = ad.forward_backward(program, [Tensor(a.copy(), requires_grad=True)])
@@ -160,12 +160,13 @@ def test_primitive_gradients_match_finite_differences():
     cases = [
         lambda x: ad.tsum(ad.relu(x)),
         lambda x: ad.tsum(ad.gelu(x)),
-        lambda x: ad.tsum(ad.exp(x)),
-        lambda x: ad.tsum(ad.log(ad.add(ad.mul(x, x), 1.0))),
-        lambda x: ad.tsum(ad.softmax(x, axis=-1)),
+        lambda x: ad.tsum(C.exp(x)),
+        lambda x: ad.tsum(C.log(ad.add(ad.mul(x, x), 1.0))),
+        lambda x: ad.tsum(C.softmax(x, axis=-1)),
         lambda x: ad.tsum(ad.layer_norm(x, np.ones(5), np.zeros(5))),
         lambda x: ad.tsum(ad.l2_normalize(x)),
-        lambda x: ad.tmean(ad.mul(x, x), axis=0),
+        lambda x: C.tmean(ad.mul(x, x), axis=0),
+        lambda x: ad.softmax_xent(x, np.ones((4, 5)), [[0], [1], [4], [4]]),
         lambda x: ad.tsum(ad.concat([x, ad.mul(x, 2.0)], axis=1)),
         lambda x: ad.tsum(ad.embedding(x, np.array([0, 1, 1, 2]))),
         lambda x: ad.tsum(ad.transpose(ad.reshape(x, (5, 4)), (1, 0))),
@@ -199,7 +200,7 @@ def test_finite_difference_matches_reference_loop_bitwise(shape):
     rng = np.random.default_rng(5)
 
     def program(x, w):
-        return ad.tsum(ad.mul(ad.gelu(ad.mul(x, w)), ad.softmax(ad.mul(x, x), axis=-1)))
+        return ad.tsum(ad.mul(ad.gelu(ad.mul(x, w)), C.softmax(ad.mul(x, x), axis=-1)))
 
     inputs = [Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape))]
     before = [t.data.copy() for t in inputs]
@@ -236,24 +237,6 @@ def test_relative_error_floors_denominator():
 # ---------------------------------------------------------------------------
 # fused primitives
 # ---------------------------------------------------------------------------
-
-def _composite_layer_norm(x, gain, bias, eps=1e-5):
-    """Layer norm as nine primitives: the reference the fused node must
-    reproduce bitwise in the forward."""
-    mu = ad.tmean(x, axis=-1, keepdims=True)
-    xc = ad.sub(x, mu)
-    var = ad.tmean(ad.mul(xc, xc), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(var, eps), -0.5)
-    return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
-
-
-def _composite_masked_logsumexp(x, mask, axis=-1):
-    """Masked logsumexp as six primitives (the reference for the fused node)."""
-    shift = np.where(mask > 0, x.data, -np.inf).max(axis=axis, keepdims=True)
-    z = ad.mul(ad.sub(x, shift), mask)
-    s = ad.tsum(ad.mul(ad.exp(z), mask), axis=axis)
-    return ad.add(ad.log(s), np.squeeze(shift, axis=axis))
-
 
 def _readout(fn, shape, seed=0):
     """Scalar program sum(fn(*inputs) * R) with a fixed random R, so every
@@ -301,7 +284,7 @@ def test_gradient_check_layer_norm():
 def test_layer_norm_matches_composite():
     rng = np.random.default_rng(16)
     arrays = [rng.normal(size=(3, 5, 8)) * 3 + 1, rng.normal(size=8), rng.normal(size=8)]
-    _assert_parity(ad.layer_norm, _composite_layer_norm, arrays, (3, 5, 8))
+    _assert_parity(ad.layer_norm, C.layer_norm, arrays, (3, 5, 8))
 
 
 def _key_mask():
@@ -359,6 +342,16 @@ def test_attention_ignores_masked_keys():
         assert not grad[0, 3].any() and not grad[1, 2:].any()
 
 
+# softmax_xent: positives include columns of weight 0 (as NICL's next items)
+# and repeat a column (as NICL does when the next item is the anchor's own)
+XENT_POSITIVES = np.array([[2, 1, 1], [2, 2, 4], [0, 1, 3], [1, 1, 1]])
+
+
+def _scaled(fn):
+    """fn's scalar times a constant, so the backward sees g != 1."""
+    return lambda *ts: ad.mul(fn(*ts), 1.7)
+
+
 def test_gradient_check_masked_logsumexp():
     rng = np.random.default_rng(19)
     mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0],
@@ -366,21 +359,25 @@ def test_gradient_check_masked_logsumexp():
                      [1.0, 1.0, 1.0, 1.0, 1.0],
                      [0.0, 1.0, 0.0, 1.0, 1.0]])
     report = ad.gradient_check(
-        _readout(lambda x: ad.masked_logsumexp(x, mask, axis=1), (4,)),
-        [rand(rng, 4, 5)])
+        _scaled(lambda x: ad.softmax_xent(x, mask, XENT_POSITIVES)), [rand(rng, 4, 5)])
     assert report["passed"], report
 
 
-@pytest.mark.parametrize("axis", [0, 1, -1])
-def test_masked_logsumexp_matches_composite(axis):
+@pytest.mark.parametrize("scale_exp", [-1, 0, 1])
+def test_masked_logsumexp_matches_composite(scale_exp):
+    # softmax_xent against its two-log-sum-exp composite, for scores of
+    # scale 0.1, 1 and 10: values and gradients agree to 1e-12
     rng = np.random.default_rng(20)
-    x = rng.normal(size=(5, 6)) * 4
-    mask = (rng.random(size=(5, 6)) < 0.6).astype(np.float64)
-    mask[0, :] = mask[:, 0] = 1.0  # every row and column keeps an entry
-    out_shape = np.delete(np.array(x.shape), axis)
-    _assert_parity(lambda t: ad.masked_logsumexp(t, mask, axis=axis),
-                   lambda t: _composite_masked_logsumexp(t, mask, axis=axis),
-                   [x], tuple(out_shape))
+    x = rng.normal(size=(5, 6)) * 4 * 10.0**scale_exp
+    weights = (rng.random(size=(5, 6)) < 0.6) * rng.integers(1, 4, size=(5, 6))
+    weights[:, 0] = 1  # every row keeps an entry
+    positives = rng.integers(0, 6, size=(5, 3))
+    (got_v, (got_g,)), (want_v, (want_g,)) = [
+        ad.forward_backward(_scaled(lambda t, f=f: f(t, weights, positives)),
+                            [Tensor(x.copy())])
+        for f in (ad.softmax_xent, C.softmax_xent)]
+    assert got_v.item() == pytest.approx(want_v.item(), rel=1e-12, abs=0)
+    np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12 * np.abs(want_g).max())
 
 
 def test_gradient_check_masked_logsumexp_weights():
@@ -390,8 +387,7 @@ def test_gradient_check_masked_logsumexp_weights():
                         [2.0, 1.0, 3.5, 2.0, 1.0],
                         [0.0, 3.5, 0.0, 1.0, 2.0]])
     report = ad.gradient_check(
-        _readout(lambda x: ad.masked_logsumexp(x, weights, axis=1), (4,)),
-        [rand(rng, 4, 5)])
+        _scaled(lambda x: ad.softmax_xent(x, weights, XENT_POSITIVES)), [rand(rng, 4, 5)])
     assert report["passed"], report
 
 
@@ -404,27 +400,87 @@ def _old_masked_logsumexp_forward(x, mask, axis=-1):
     return np.log(e.sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_masked_logsumexp_01_forward_matches_old_bitwise(axis):
+@pytest.mark.parametrize("repeats", [0, 1])
+def test_masked_logsumexp_01_forward_matches_old_bitwise(repeats):
+    # with 0/1 weights, softmax_xent is the old masked log-sum-exp of the
+    # scores minus the one of the positives, averaged over rows; `repeats`
+    # extra copies of each row's first positive column
     rng = np.random.default_rng(22)
+    rows = np.arange(7)[:, None]
     for _ in range(20):
         x = rng.normal(size=(7, 9)) * 5
         mask = (rng.random(size=(7, 9)) < 0.5).astype(np.float64)
-        mask[0, :] = mask[:, 0] = 1.0
-        got = ad.masked_logsumexp(Tensor(x), mask, axis=axis).data
-        np.testing.assert_array_equal(got, _old_masked_logsumexp_forward(x, mask, axis))
+        mask[:, 0] = 1.0
+        pos = rng.integers(0, 9, size=(7, 2))
+        pos = np.concatenate([pos] + [pos[:, :1]] * repeats, axis=1)
+        lse_pos = _old_masked_logsumexp_forward(x[rows, pos], np.ones(pos.shape), axis=1)
+        want = (_old_masked_logsumexp_forward(x, mask, axis=1) - lse_pos).mean()
+        got = ad.softmax_xent(Tensor(x), mask, pos).data
+        assert got.tobytes() == np.float64(want).tobytes()
 
 
 def test_masked_logsumexp_weight_counts_repeated_entries():
-    # weight c on a column is the same sum as c copies of it with weight 1
+    # weight c on a column gives the same loss, and the same gradient, as
+    # c copies of the column with weight 1
     rng = np.random.default_rng(23)
     x = rng.normal(size=(4, 3)) * 3
     w = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [0.0, 0.0, 2.0], [1.0, 1.0, 1.0]])
-    repeated = np.repeat(x, 3, axis=1)
+    pos = np.array([[0], [2], [1], [1]])
+    repeated = np.repeat(x, 3, axis=1)  # column c at 3c, 3c + 1 and 3c + 2
     ones = np.concatenate([np.arange(3) < w[:, [c]] for c in range(3)], axis=1)
-    got = ad.masked_logsumexp(Tensor(x), w, axis=1).data
-    want = ad.masked_logsumexp(Tensor(repeated), ones.astype(np.float64), axis=1).data
-    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    got_v, (got_g,) = ad.forward_backward(
+        lambda t: ad.softmax_xent(t, w, pos), [Tensor(x)])
+    want_v, (want_g,) = ad.forward_backward(
+        lambda t: ad.softmax_xent(t, ones, 3 * pos), [Tensor(repeated)])
+    assert got_v.item() == pytest.approx(want_v.item(), rel=1e-15, abs=0)
+    np.testing.assert_allclose(got_g, want_g.reshape(4, 3, 3).sum(axis=2),
+                               rtol=1e-15, atol=1e-16)
+
+
+def test_softmax_xent_is_one_node():
+    x = Tensor(np.zeros((4, 5)), requires_grad=True)
+    out = ad.softmax_xent(x, np.ones((4, 5)), XENT_POSITIVES)
+    assert out.shape == () and out._parents == (x,)
+
+
+def _with_small_row(seed):
+    x = np.random.default_rng(seed).normal(size=(4, 5))
+    x[1] *= 1e-2  # a row of norm about 0.02
+    return x
+
+
+def test_gradient_check_l2_normalize():
+    report = ad.gradient_check(_readout(ad.l2_normalize, (4, 5)),
+                               [Tensor(_with_small_row(25))])
+    assert report["passed"], report
+
+
+def test_gradient_check_l2_normalize_guarded_rows():
+    # rows of norm below eps are x / eps; a step of 1e-15 keeps them there
+    x = np.random.default_rng(27).normal(size=(2, 3)) * 1e-13
+    x[1] = 0.0
+    report = ad.gradient_check(_readout(ad.l2_normalize, (2, 3)), [Tensor(x)], step=1e-15)
+    assert report["passed"], report
+
+
+def test_l2_normalize_matches_composite():
+    x = _with_small_row(26)
+    x[3] = 0.0  # a guarded row
+    assert ad.l2_normalize(Tensor(x)).data.tobytes() == \
+        C.l2_normalize(Tensor(x)).data.tobytes()
+    got_v, (got_g,) = ad.forward_backward(_readout(ad.l2_normalize, (4, 5)),
+                                          [Tensor(x.copy())])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_v, (want_g,) = ad.forward_backward(_readout(C.l2_normalize, (4, 5)),
+                                                [Tensor(x.copy())])
+    assert got_v.item() == want_v.item()
+    np.testing.assert_allclose(got_g[:3], want_g[:3], rtol=0,
+                               atol=1e-12 * np.abs(want_g[:3]).max())
+    # on the zero row the composite's norm gradient is 0 * inf; the node's
+    # is the readout weight over eps
+    assert np.isnan(want_g[3]).all()
+    readout = np.random.default_rng(0).normal(size=(4, 5))
+    np.testing.assert_array_equal(got_g[3], readout[3] * (1.0 / 1e-12))
 
 
 @pytest.mark.parametrize("sum_z_first", [True, False])

@@ -213,6 +213,20 @@ def test_removed_keys_exit_1(pair, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phase", ["valid", "test"])
+def test_cold_eval_rejects_phase(phase, capsys):
+    # cold-eval ranks the cold-start slice only, so a phase would do nothing
+    from mmrec.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        main(["cold-eval", "--data", ".", "--bundle", "b", "--phase", phase])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --phase" in capsys.readouterr().err
+    args = build_parser().parse_args(["evaluate", "--data", ".", "--bundle", "b",
+                                      "--phase", phase])
+    assert args.phase == phase
+
+
 def test_evaluate_bundle_with_unknown_config_key_exits_1(workdir, tmp_path, capsys):
     from pathlib import Path
 

@@ -203,7 +203,7 @@ def _composite_block(params, prefix, x, bias, n_heads):
     """The transformer layer written with one primitive per op (per-head
     reshape/transpose, softmax, composite layer norm): the reference the
     fused block must reproduce."""
-    from .test_autodiff import _composite_layer_norm as layer_norm
+    from .composites import layer_norm, softmax
 
     b, s, d = x.shape
     dh = d // n_heads
@@ -216,7 +216,7 @@ def _composite_block(params, prefix, x, bias, n_heads):
 
     q, k, v = (heads(proj(x, f"w{c}", f"b{c}")) for c in "qkv")
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = ad.softmax(ad.add(scores, bias), axis=-1)
+    attn = softmax(ad.add(scores, bias), axis=-1)
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
     x = layer_norm(ad.add(x, proj(ctx, "wo", "bo")),
                    params[prefix + "ln1_g"], params[prefix + "ln1_b"])

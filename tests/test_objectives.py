@@ -11,6 +11,8 @@ from mmrec.model import RecModel
 from mmrec.objectives import (LABEL_REPLACED, LABEL_SHUFFLED,
                               LABEL_UNCHANGED, ObjectiveConfig)
 
+from . import composites as C
+
 
 class ConstModel:
     """Stub whose item embeddings are all equal; isolates loss arithmetic."""
@@ -403,14 +405,14 @@ def occurrence_dap_loss(ctx, hiddens):
     neg_scores = ad.matmul(h, ad.transpose(e_occ, (1, 0)))
     z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
     m = np.concatenate([np.ones((len(ctx.tr_u), 1)), allowed[ctx.tr_u]], axis=1)
-    lse = ad.masked_logsumexp(z, m, axis=1)
-    return ad.tmean(ad.sub(lse, pos_score))
+    lse = C.masked_logsumexp(z, m, axis=1)
+    return C.tmean(ad.sub(lse, pos_score))
 
 
 def occurrence_contrastive_loss(ctx, variant):
     all_allowed, occ_row = occurrence_negatives(ctx)
-    tn = ad.l2_normalize(ctx.emb["t_cls"])
-    vn = ad.l2_normalize(ctx.emb["v_cls"])
+    tn = C.l2_normalize(ctx.emb["t_cls"])
+    vn = C.l2_normalize(ctx.emb["v_cls"])
     t_occ = ad.embedding(tn, occ_row)
     v_occ = ad.embedding(vn, occ_row)
     if variant == "nicl":
@@ -432,22 +434,22 @@ def occurrence_contrastive_loss(ctx, variant):
             intra = ad.matmul(a, ad.transpose(same_occ, (1, 0)))
             cols.append(intra)
             masks.append(allowed)
-        den = ad.masked_logsumexp(ad.concat(cols, axis=1),
-                                  np.concatenate(masks, axis=1), axis=1)
+        den = C.masked_logsumexp(ad.concat(cols, axis=1),
+                                 np.concatenate(masks, axis=1), axis=1)
         if variant == "nicl":
             nrows = ctx.rows_at(a_u, a_l + 1)
             nxt_other = ad.tsum(ad.mul(a, ad.embedding(other_tab, nrows)), axis=-1)
             nxt_same = ad.tsum(ad.mul(a, ad.embedding(anchor_tab, nrows)), axis=-1)
             numz = ad.concat([pos, ad.reshape(nxt_other, (-1, 1)),
                               ad.reshape(nxt_same, (-1, 1))], axis=1)
-            num = ad.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
+            num = C.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
         else:
             num = ad.reshape(pos, (-1,))
         return ad.sub(den, num)
 
     tv = one_side(tn, vn, t_occ, v_occ)
     vt = one_side(vn, tn, v_occ, t_occ)
-    return ad.tmean(ad.mul(ad.add(tv, vt), 0.5))
+    return C.tmean(ad.mul(ad.add(tv, vt), 0.5))
 
 
 def occurrence_corrupt_batch(ctx, cfg):
@@ -652,3 +654,57 @@ def test_nid_head_gets_no_gradient_from_dap_and_nicl():
     total.backward()
     assert model.groups["nid_head"]["W"].grad is None
     assert model.groups["nid_head"]["b"].grad is None
+
+
+# ---------------------------------------------------------------------------
+# graph size
+# ---------------------------------------------------------------------------
+
+def _inner_nodes(out):
+    from mmrec.autodiff import _toposort
+
+    return [n for n in _toposort(out) if n._backward is not None]
+
+
+@pytest.mark.parametrize("name, nodes", [
+    ("dap", 4), ("vcl", 6), ("icl", 6), ("nicl", 6), ("nid", 4), ("rcl", 9)])
+def test_objective_is_one_xent_node_over_few_nodes(name, nodes):
+    # from leaf embeddings and hiddens: dap gathers, scores and takes the
+    # cross-entropy; the contrastive family normalizes one two-modality
+    # table and scores its anchors against it; rcl mean-pools both sides
+    cfg = small_config()
+    model = RecModel.init(cfg, 15)
+    batch = random_batch(cfg, np.random.default_rng(15), B=3, L=4)
+    ctx = obj.BatchContext(model, batch)
+    ctx.emb = {k: ad.Tensor(t.data, requires_grad=True) for k, t in ctx.emb.items()}
+    h, hc = (ad.Tensor(np.ones((3, 4, cfg.d)), requires_grad=True) for _ in range(2))
+    if name == "dap":
+        loss = obj.dap_loss(ctx, h)
+    elif name == "nid":
+        _, labels = obj.corrupt_batch(ctx, OCFG)
+        loss = obj.nid_loss(hc, labels, model.groups["nid_head"])
+    elif name == "rcl":
+        loss = obj.rcl_loss(h, hc, batch.mask, OCFG)
+    else:
+        loss = obj.contrastive_loss(ctx, name)
+    assert loss._backward.__qualname__.startswith("softmax_xent.")
+    assert len(_inner_nodes(loss)) == nodes
+
+
+def test_total_loss_on_a_transfer_batch_is_at_most_200_nodes():
+    from mmrec import data
+    from mmrec.autodiff import _toposort
+    from mmrec.encoders import ModelConfig
+
+    cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8,
+                      q=4, patch_dim=6, text_blocks=1, vision_blocks=1,
+                      fusion_blocks=1, user_blocks=1, L_max=12)
+    source, _ = data.generate_synthetic(data.SyntheticConfig(
+        n_users=80, n_items=60, L_min=8, L_max=12, n_latent_styles=4, seed=0))
+    batch = data.make_batches(data.filter_and_split(source, min_interactions=5),
+                              64, 12, 0)[0]
+    assert batch.idx.shape[0] == 64
+    total, _ = obj.total_loss(RecModel.init(cfg, 0), batch, OCFG)
+    # every node, parameters included (282 when each objective was composed
+    # from small nodes)
+    assert len(_toposort(total)) <= 200

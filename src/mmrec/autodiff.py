@@ -64,29 +64,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -290,10 +267,12 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 def linear(x, w, b):
     """`x @ w + b` over the last axis of x, as one node. w is (d_in, d_out)
-    and b is (d_out,); the weight gradient is a single GEMM over all leading
-    axes of x."""
+    and b is (d_out,). The forward and the weight gradient are each a single
+    GEMM over all leading axes of x, so a row's output does not depend on
+    how many rows share the call (a batched one-row matmul rounds
+    differently)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    data = x.data @ w.data
+    data = (x.data.reshape(-1, x.shape[-1]) @ w.data).reshape(*x.shape[:-1], -1)
     data += b.data
     if not _tracked(x, w, b):
         return Tensor(data)

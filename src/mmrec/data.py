@@ -1,8 +1,7 @@
 """Dataset ingestion, filtering, leave-one-out splitting, batching, and the
 synthetic multi-modal generator with a planted style-transition chain."""
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,10 +168,10 @@ def filter_and_split(dataset, min_interactions=5):
     return SplitDataset(items=items, train=train, valid=valid, test=test)
 
 
-def make_batches(split, B, L_max, seed, allow_single=False):
+def make_batches(split, B, L_max, seed):
     """Shuffle users by seed, truncate to the last L_max items, right-pad,
     and group into batches of at most B users."""
-    if B < 2 and not allow_single:
+    if B < 2:
         raise DataError("batch size < 2 leaves contrastive negative sets empty")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(split.train))

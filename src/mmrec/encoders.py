@@ -1,9 +1,9 @@
 """Item-level encoders: tiny text / vision transformers and merge-attention fusion.
 
 Both encoders prepend a learned cls vector and add learned positional
-embeddings; the fusion block runs one transformer layer over
+embeddings; fusion runs `fusion_blocks` transformer layers over
 [mm_cls; text hiddens; patch hiddens] and reads the item representation
-off the mm_cls position.
+off the mm_cls position, which is the only row its final layer computes.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -142,10 +142,36 @@ def transformer_block(params, prefix, x, bias, n_heads, query=None):
     return ad.layer_norm(ad.add(x, ff), p("ln2_g"), p("ln2_b"))
 
 
-def run_blocks(params, n_blocks, x, bias, n_heads):
-    for i in range(n_blocks):
+def run_blocks(params, n_blocks, x, bias, n_heads, rows=None):
+    """Run blocks b0..b{n_blocks-1} over x (B, S, d).
+
+    `rows`, one (B,) position per sequence, restricts the final block to
+    those rows: its keys and values still span all of x, a causal bias is
+    cut to each query's row, and the result is (B, d), or those rows of x
+    when there are no blocks.
+    """
+    for i in range(n_blocks if rows is None else n_blocks - 1):
         x = transformer_block(params, f"b{i}.", x, bias, n_heads)
-    return x
+    if rows is None:
+        return x
+    b = np.arange(x.shape[0])
+    if n_blocks == 0:
+        return ad.getitem(x, (b, rows))
+    query = ad.getitem(x, (b[:, None], rows[:, None]))  # (B, 1, d)
+    if bias.shape[2] > 1:  # causal: keep each query's own row of the triangle
+        bias = bias[b, :, rows][:, :, None]
+    h = transformer_block(params, f"b{n_blocks - 1}.", x, bias, n_heads, query=query)
+    return ad.reshape(h, (x.shape[0], x.shape[2]))
+
+
+def _prepend_row(row, parts, key_mask):
+    """Put the learned (d,) `row` in front of the (B, S_i, d) `parts`; returns
+    the (B, 1 + S, d) input and its bias, in which the row is always a key
+    and the (B, S) 0/1 `key_mask` masks the rest."""
+    b, d = key_mask.shape[0], row.shape[-1]
+    head = ad.add(ad.reshape(row, (1, 1, d)), np.zeros((b, 1, d)))
+    x = ad.concat([head, *parts], axis=1)
+    return x, attention_bias(np.concatenate([np.ones((b, 1)), key_mask], axis=1))
 
 
 def encode_text(params, cfg, token_ids, pad_mask):
@@ -162,16 +188,14 @@ def encode_text(params, cfg, token_ids, pad_mask):
             f"token id out of vocabulary [0, {cfg.vocab_size}): "
             f"{int(token_ids.min())}..{int(token_ids.max())}"
         )
-    b, p = token_ids.shape
+    p = token_ids.shape[1]
     if p > cfg.p_max:
         raise ValueError(f"token length {p} exceeds p_max={cfg.p_max}")
     emb = ad.add(ad.embedding(params["tok_emb"], token_ids),
                  ad.getitem(params["pos"], slice(1, p + 1)))
-    cls = ad.reshape(ad.add(params["cls"], ad.getitem(params["pos"], 0)), (1, 1, cfg.d))
-    cls = ad.add(cls, np.zeros((b, 1, cfg.d)))
-    x = ad.concat([cls, emb], axis=1)
-    key_mask = np.concatenate([np.ones((b, 1)), pad_mask], axis=1)
-    x = run_blocks(params, cfg.text_blocks, x, attention_bias(key_mask), cfg.n_heads)
+    cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
+    x, bias = _prepend_row(cls, [emb], pad_mask)
+    x = run_blocks(params, cfg.text_blocks, x, bias, cfg.n_heads)
     return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
 
@@ -182,14 +206,11 @@ def encode_vision(params, cfg, patches):
         raise ValueError(
             f"patches must be (B, {cfg.q}, {cfg.patch_dim}), got {patches.shape}"
         )
-    b = patches.shape[0]
     emb = ad.add(ad.linear(patches, params["proj_w"], params["proj_b"]),
                  ad.getitem(params["pos"], slice(1, cfg.q + 1)))
-    cls = ad.reshape(ad.add(params["cls"], ad.getitem(params["pos"], 0)), (1, 1, cfg.d))
-    cls = ad.add(cls, np.zeros((b, 1, cfg.d)))
-    x = ad.concat([cls, emb], axis=1)
-    key_mask = np.ones((b, cfg.q + 1))
-    x = run_blocks(params, cfg.vision_blocks, x, attention_bias(key_mask), cfg.n_heads)
+    cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
+    x, bias = _prepend_row(cls, [emb], np.ones(patches.shape[:2]))
+    x = run_blocks(params, cfg.vision_blocks, x, bias, cfg.n_heads)
     return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
 
@@ -197,13 +218,8 @@ def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
     """Merge-attention fusion; returns the mm_cls output (B, d)."""
     if text_hiddens.shape[-1] != cfg.d or vision_hiddens.shape[-1] != cfg.d:
         raise ValueError("fusion inputs must have hidden dimension d")
-    b, p, _ = text_hiddens.shape
-    q = vision_hiddens.shape[1]
-    mm = ad.reshape(params["mm_cls"], (1, 1, cfg.d))
-    mm = ad.add(mm, np.zeros((b, 1, cfg.d)))
-    x = ad.concat([mm, text_hiddens, vision_hiddens], axis=1)
-    key_mask = np.concatenate(
-        [np.ones((b, 1)), np.asarray(text_mask, dtype=np.float64), np.ones((b, q))],
-        axis=1)
-    x = run_blocks(params, cfg.fusion_blocks, x, attention_bias(key_mask), cfg.n_heads)
-    return ad.getitem(x, (slice(None), 0))
+    key_mask = np.concatenate([np.asarray(text_mask, dtype=np.float64),
+                               np.ones(vision_hiddens.shape[:2])], axis=1)
+    x, bias = _prepend_row(params["mm_cls"], [text_hiddens, vision_hiddens], key_mask)
+    rows = np.zeros(key_mask.shape[0], dtype=np.int64)
+    return run_blocks(params, cfg.fusion_blocks, x, bias, cfg.n_heads, rows)

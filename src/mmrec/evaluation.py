@@ -2,8 +2,7 @@
 cold-start variant over rare-item sub-sequences."""
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

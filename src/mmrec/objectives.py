@@ -302,9 +302,9 @@ def objective_terms(model, batch, cfg, corrupt=None):
     return terms
 
 
-def total_loss(model, batch, cfg, rng=None, corrupt=None):
+def total_loss(model, batch, cfg, corrupt=None):
     """Sum of the enabled objectives, added left to right in the order of
-    `objective_terms`, which receives `corrupt`. `rng` is ignored.
+    `objective_terms`, which receives `corrupt`.
 
     Returns (total Tensor, {objective name: float value}).
     """

@@ -1,7 +1,7 @@
 """Optimizer and the pre-training / fine-tuning loops with early stopping."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

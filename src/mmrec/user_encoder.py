@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import attention_bias, init_block, run_blocks, transformer_block, _gauss
+from .encoders import attention_bias, init_block, run_blocks, _gauss
 
 
 def init_user_encoder(rng, cfg):
@@ -30,20 +30,10 @@ def encode_sequence(params, cfg, item_reps, seq_mask, last=False):
             f"item representations must have dimension d={cfg.d}, "
             f"got {item_reps.shape[-1]}"
         )
-    b, length, _ = item_reps.shape
+    length = item_reps.shape[1]
     if length > cfg.L_max:
         raise ValueError(f"sequence length {length} exceeds L_max={cfg.L_max}")
     x = ad.add(item_reps, ad.getitem(params["pos"], slice(0, length)))
     bias = attention_bias(np.asarray(seq_mask, dtype=np.float64), causal=True)
-    if not last:
-        return run_blocks(params, cfg.user_blocks, x, bias, cfg.n_heads)
-    n = cfg.user_blocks
-    rows = np.arange(b)
-    pos = np.asarray(seq_mask).sum(axis=1).astype(np.int64) - 1
-    if n == 0:
-        return ad.getitem(x, (rows, pos))
-    x = run_blocks(params, n - 1, x, bias, cfg.n_heads)
-    query = ad.getitem(x, (rows[:, None], pos[:, None]))  # (B, 1, d)
-    row_bias = bias[rows, :, pos][:, :, None]  # (B, 1, 1, L)
-    h = transformer_block(params, f"b{n - 1}.", x, row_bias, cfg.n_heads, query=query)
-    return ad.reshape(h, (b, cfg.d))
+    rows = np.asarray(seq_mask).sum(axis=1).astype(np.int64) - 1 if last else None
+    return run_blocks(params, cfg.user_blocks, x, bias, cfg.n_heads, rows)

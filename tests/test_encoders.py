@@ -260,3 +260,80 @@ def test_block_is_twelve_nodes(model):
     out = enc.transformer_block(params, "b0.", x, enc.attention_bias(np.ones((2, 3))), 2)
     inner = [n for n in _toposort(out) if n._backward is not None]
     assert len(inner) == 12
+
+
+def _full_row_fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
+    """Fusion with every block run over all 1 + p + q rows, reading mm_cls
+    off row 0: the reference for the row-restricted final block."""
+    b = text_hiddens.shape[0]
+    mm = ad.add(ad.reshape(params["mm_cls"], (1, 1, cfg.d)), np.zeros((b, 1, cfg.d)))
+    x = ad.concat([mm, text_hiddens, vision_hiddens], axis=1)
+    key_mask = np.concatenate([np.ones((b, 1)), text_mask,
+                               np.ones(vision_hiddens.shape[:2])], axis=1)
+    x = enc.run_blocks(params, cfg.fusion_blocks, x, enc.attention_bias(key_mask),
+                       cfg.n_heads)
+    return ad.getitem(x, (slice(None), 0))
+
+
+def _fusion_model(blocks):
+    cfg = ModelConfig(d=8, n_heads=2, ffn_mult=2, vocab_size=20, p_max=4, q=5,
+                      patch_dim=3, text_blocks=1, vision_blocks=1,
+                      fusion_blocks=blocks, user_blocks=1, L_max=6)
+    model = RecModel.init(cfg, seed=20 + blocks)
+    rng = np.random.default_rng(blocks)
+    for group in ("text_encoder", "vision_encoder", "fusion"):
+        for t in model.groups[group].values():  # move gains and biases off 1/0
+            t.data = t.data + rng.normal(size=t.shape) * 0.1
+    return model
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_fusion_final_block_matches_full_row_fusion(blocks):
+    model = _fusion_model(blocks)
+    rng = np.random.default_rng(30 + blocks)
+    ids = rng.integers(1, 20, size=(5, 4))
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0],
+                     [1, 0, 0, 0]], dtype=float)
+    patches = rng.normal(size=(5, 5, 3))
+    weights = rng.normal(size=(5, 8))
+    fusions = (model.fuse,
+               lambda t, v, m: _full_row_fuse(model.groups["fusion"], model.cfg, t, v, m))
+    runs = []
+    for fuse in fusions:
+        model.zero_grad()
+        _, t_hid = model.encode_text(ids, mask)
+        _, v_hid = model.encode_vision(patches)
+        e_cls = fuse(t_hid, v_hid, mask)
+        ad.tsum(ad.mul(e_cls, weights)).backward()
+        runs.append((e_cls.data, {n: t.grad for n, t in model.named_parameters()
+                                  if n.split(".")[0] in ("text_encoder",
+                                                         "vision_encoder", "fusion")}))
+    (got, got_g), (want, want_g) = runs
+    assert got.shape == (5, 8)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    assert got_g.keys() == want_g.keys()
+    for name, w in want_g.items():
+        assert (got_g[name] is None) == (w is None), name
+        if w is None:
+            continue
+        # the key bias's exact gradient is zero: both sides hold rounding noise
+        tol = 1e-15 if name.endswith("bk") else 1e-12 * np.abs(w).max()
+        np.testing.assert_allclose(got_g[name], w, rtol=0, atol=tol, err_msg=name)
+
+
+def test_final_fusion_block_attends_with_one_query_row(monkeypatch):
+    model = _fusion_model(2)
+    query_shapes = []
+    attention = ad.attention
+
+    def recording_attention(q, k, v, bias, n_heads):
+        query_shapes.append(q.shape)
+        return attention(q, k, v, bias, n_heads)
+
+    monkeypatch.setattr(ad, "attention", recording_attention)
+    rng = np.random.default_rng(7)
+    t_hid = ad.Tensor(rng.normal(size=(3, 4, 8)))
+    v_hid = ad.Tensor(rng.normal(size=(3, 5, 8)))
+    e_cls = model.fuse(t_hid, v_hid, np.ones((3, 4)))
+    assert e_cls.shape == (3, 8)
+    assert query_shapes == [(3, 10, 8), (3, 1, 8)]

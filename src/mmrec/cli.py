@@ -232,7 +232,9 @@ def cmd_finetune(cfg, args):
     else:
         modality = transfer.MODE_MODALITY[args.mode]
         model = RecModel.init(model_config(cfg, modality), cfg["seed"])
-    log = training.finetune(model, split, train_config(cfg))
+    tcfg = train_config(cfg)
+    tcfg.L_max = model.cfg.L_max  # a loaded model keeps its bundle's L_max
+    log = training.finetune(model, split, tcfg)
     os.makedirs(args.out, exist_ok=True)
     transfer.save_bundle(model, os.path.join(args.out, "finetuned.bundle"))
     _write_log(log, args.out)
@@ -257,10 +259,10 @@ def _cmd_eval(cfg, args, cold):
         if phase == "cold":
             report = evaluation.evaluate_cold_start(
                 model, split, threshold=cfg["cold_threshold"],
-                L_max=cfg["l_max"], dataset=args.dataset)
+                dataset=args.dataset)
         else:
             report = evaluation.evaluate(model, split, phase=phase,
-                                         L_max=cfg["l_max"], dataset=args.dataset)
+                                         dataset=args.dataset)
         print(report.to_text())
         name = "cold_metrics.jsonl" if phase == "cold" else "metrics.jsonl"
         lines.setdefault(name, []).append(report.to_json() + "\n")

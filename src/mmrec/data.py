@@ -2,6 +2,7 @@
 synthetic multi-modal generator with a planted style-transition chain."""
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -86,8 +87,12 @@ def load_dataset(items_path, interactions_path):
             if not line:
                 continue
             if line.startswith("#meta"):
-                meta = dict(kv.split("=") for kv in line.split()[1:])
-                q, pd = int(meta["q"]), int(meta["patch_dim"])
+                try:
+                    meta = dict(kv.split("=") for kv in line.split()[1:])
+                    q, pd = int(meta["q"]), int(meta["patch_dim"])
+                except (KeyError, ValueError):
+                    raise DataError(f"{items_path}:{lineno}: #meta header needs "
+                                    f"integer q= and patch_dim=, got {line!r}") from None
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
@@ -168,6 +173,18 @@ def filter_and_split(dataset, min_interactions=5):
     return SplitDataset(items=items, train=train, valid=valid, test=test)
 
 
+def pad(seqs, fill):
+    """Right-pad ragged integer sequences into (n, longest) arrays: the int64
+    values with `fill` past each row's end, and a float 0/1 mask of the
+    real slots."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    values = np.full(real.shape, fill, dtype=np.int64)
+    values[real] = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
+                               count=int(lengths.sum()))
+    return values, real.astype(np.float64)
+
+
 def make_batches(split, B, L_max, seed):
     """Shuffle users by seed, truncate to the last L_max items, right-pad,
     and group into batches of at most B users."""
@@ -177,14 +194,8 @@ def make_batches(split, B, L_max, seed):
     order = rng.permutation(len(split.train))
     batches = []
     for bi, start in enumerate(range(0, len(order), B)):
-        chunk = [split.train[u] for u in order[start:start + B]]
-        chunk = [seq[-L_max:] for seq in chunk]
-        width = max(len(s) for s in chunk)
-        idx = np.full((len(chunk), width), PAD_ITEM, dtype=np.int64)
-        mask = np.zeros((len(chunk), width))
-        for r, seq in enumerate(chunk):
-            idx[r, : len(seq)] = seq
-            mask[r, : len(seq)] = 1.0
+        idx, mask = pad([split.train[u][-L_max:] for u in order[start:start + B]],
+                        PAD_ITEM)
         rng_seed = int(np.random.SeedSequence([seed, bi]).generate_state(1)[0])
         batches.append(Batch(idx=idx, mask=mask, items=split.items, rng_seed=rng_seed))
     return batches

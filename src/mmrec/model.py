@@ -23,8 +23,7 @@ class RecModel:
     def __init__(self, cfg: ModelConfig, groups):
         self.cfg = cfg
         self.groups = groups
-        self.version = 0  # bumped on every parameter update; invalidates caches
-        self.index_cache = None  # (catalog, ItemIndex) of transfer.item_index
+        self.index_cache = None  # (catalog, digest, ItemIndex) of transfer.item_index
 
     @classmethod
     def init(cls, cfg: ModelConfig, seed: int):
@@ -89,7 +88,6 @@ class RecModel:
     def load_snapshot(self, snap):
         for n, t in self.named_parameters():
             t.data = snap[n].copy()
-        self.version += 1
 
     def clone(self):
         m = RecModel(copy.deepcopy(self.cfg), {})

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import data
 
 LABEL_UNCHANGED = 0
 LABEL_SHUFFLED = 1
@@ -48,12 +49,7 @@ def pack_item_features(items, catalog_indices):
     Returns (token_ids (n, p), pad_mask (n, p), patches (n, q, patch_dim)).
     """
     recs = [items[i] for i in catalog_indices]
-    width = max(len(r.tokens) for r in recs)
-    ids = np.zeros((len(recs), width), dtype=np.int64)
-    mask = np.zeros((len(recs), width))
-    for r, rec in enumerate(recs):
-        ids[r, : len(rec.tokens)] = rec.tokens
-        mask[r, : len(rec.tokens)] = 1.0
+    ids, mask = data.pad([r.tokens for r in recs], data.PAD_TOKEN)
     patches = np.stack([r.patches for r in recs])
     return ids, mask, patches
 

@@ -106,7 +106,6 @@ def _run_training(model, split, tcfg, ocfg, log_label):
             loss, parts = objectives.total_loss(model, batch, ocfg)
             loss.backward()
             opt.step()
-            model.version += 1
             for k, val in parts.items():
                 sums[k] = sums.get(k, 0.0) + val
             n += 1

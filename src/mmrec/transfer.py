@@ -15,12 +15,15 @@ from dataclasses import fields
 import numpy as np
 
 from . import autodiff as ad
+from . import data
 from . import objectives
 from .encoders import ModelConfig
 from .model import RecModel
 
 MAGIC = b"MMRB0001"
 FORMAT_VERSION = 1
+INDEX_CHUNK = 256  # items encoded per forward in build_item_index
+PREFIX_CHUNK = 128  # prefixes encoded per forward in encode_prefixes
 
 TRANSFER_MODES = ("full", "item_encoders", "user_encoder", "text_only", "vision_only")
 
@@ -198,62 +201,59 @@ def _load_group(group, gname, arrays):
 class ItemIndex:
     """Cached per-item representations for full-catalog scoring."""
 
-    def __init__(self, order, reps, model_version):
+    def __init__(self, order, reps):
         self.order = order  # catalog indices, sorted
         self.reps = reps  # (n_items, d)
         self.row_of = {c: r for r, c in enumerate(order)}
-        self.model_version = model_version
-
-    def fresh_for(self, model):
-        return self.model_version == model.version
 
 
-def build_item_index(model, items, chunk=256):
+def build_item_index(model, items):
     """Encode every catalog item once (no gradients) into a new index."""
     if not items:
         raise ValueError("catalog is empty")
     order = sorted(items)
     reps = np.zeros((len(order), model.cfg.d))
     with ad.no_grad():
-        for start in range(0, len(order), chunk):
-            part = order[start : start + chunk]
+        for start in range(0, len(order), INDEX_CHUNK):
+            part = order[start : start + INDEX_CHUNK]
             ids, mask, patches = objectives.pack_item_features(items, part)
             emb = model.item_embeddings(ids, mask, patches)
             reps[start : start + len(part)] = emb["e_cls"].data
     reps.flags.writeable = False  # shared by every user of the cached index
-    return ItemIndex(order, reps, model.version)
+    return ItemIndex(order, reps)
 
 
 def item_index(model, items):
     """The model's index of the catalog `items`, built on first use and kept
-    on the model (one entry). It is reused while `model.version` is the one
-    it was built at and `items` is the same object, so code that writes
-    parameters must bump `model.version`, and a changed catalog must be a
-    new object."""
+    on the model (one entry). It is reused while `items` is the same object
+    and the parameters hold the bytes it was built from, so no writer has to
+    signal a change; a changed catalog must be a new object."""
+    h = hashlib.sha256()
+    for _, t in model.named_parameters():
+        h.update(np.ascontiguousarray(t.data))
+    digest = h.digest()
     cached = model.index_cache
-    if cached is not None and cached[0] is items and cached[1].fresh_for(model):
-        return cached[1]
+    if cached is not None and cached[0] is items and cached[1] == digest:
+        return cached[2]
     index = build_item_index(model, items)
-    model.index_cache = (items, index)
+    model.index_cache = (items, digest, index)
     return index
 
 
-def encode_prefixes(model, prefixes, items, index, L_max, chunk=128):
-    """Last-position user states for a list of prefix sequences; (n, d)."""
+def encode_prefixes(model, prefixes, items, index, L_max):
+    """Last-position user states for a list of prefix sequences; (n, d).
+    `items` is unused: the states read only `index`."""
+    order = np.asarray(index.order)
     out = np.zeros((len(prefixes), model.cfg.d))
     with ad.no_grad():
-        for start in range(0, len(prefixes), chunk):
-            part = [p[-L_max:] for p in prefixes[start : start + chunk]]
-            width = max(len(p) for p in part)
-            rows = np.zeros((len(part), width), dtype=np.int64)
-            mask = np.zeros((len(part), width))
-            for r, p in enumerate(part):
-                try:
-                    rows[r, : len(p)] = [index.row_of[i] for i in p]
-                except KeyError as e:
-                    raise ValueError(
-                        f"prefix item {e.args[0]!r} is not in the catalog") from None
-                mask[r, : len(p)] = 1.0
+        for start in range(0, len(prefixes), PREFIX_CHUNK):
+            part = [p[-L_max:] for p in prefixes[start : start + PREFIX_CHUNK]]
+            ids, mask = data.pad(part, order[0])  # padding maps to row 0
+            rows = np.searchsorted(order, ids).clip(max=len(order) - 1)
+            missing = order[rows] != ids
+            if missing.any():
+                raise ValueError(f"prefix item {int(ids[missing][0])!r} "
+                                 "is not in the catalog")
             h = model.encode_sequence(ad.Tensor(index.reps[rows]), mask, last=True)
             out[start : start + len(part)] = h.data
     return out

@@ -189,6 +189,33 @@ def test_evaluate_all_phases_share_one_index(workdir, tmp_path, monkeypatch):
     assert json.loads(cold)["count"] > 0
 
 
+def test_loaded_model_commands_use_the_bundle_l_max(tmp_path):
+    """evaluate, cold-eval and finetune --bundle truncate prefixes to the
+    bundle's L_max: without `-o l_max=6` they write what they write with it."""
+    data, pre = str(tmp_path / "data"), str(tmp_path / "pre")
+    longer = ["-o", "seq_min=9", "-o", "seq_max=12", "-o", "cold_threshold=100"]
+    assert main(tiny_args(longer + ["gen-data", "--out", data])) == 0
+    assert main(tiny_args(longer + ["pretrain", "--data", data, "--out", pre])) == 0
+    bundle = os.path.join(pre, "pretrained.bundle")
+    without = [a for kv in TINY if kv != "l_max=6" for a in ("-o", kv)] + longer
+    outputs = {}
+    for name, args in (("with", tiny_args(longer)), ("without", without)):
+        out = tmp_path / name
+        common = ["--data", data, "--bundle", bundle]
+        assert main(args + ["evaluate", *common, "--dataset", "source",
+                            "--phase", "all", "--out", str(out / "all")]) == 0
+        assert main(args + ["cold-eval", *common, "--out", str(out / "cold")]) == 0
+        assert main(args + ["finetune", *common, "--out", str(out / "ft")]) == 0
+        with open(out / "ft" / "log.jsonl") as f:
+            log = [json.loads(line) for line in f]
+        outputs[name] = (
+            [(out / rel).read_bytes() for rel in
+             ("all/metrics.jsonl", "all/cold_metrics.jsonl",
+              "cold/cold_metrics.jsonl", "ft/finetuned.bundle")],
+            [{k: v for k, v in e.items() if k != "seconds"} for e in log])
+    assert outputs["with"] == outputs["without"]
+
+
 def test_finetune_missing_group_exits_1(workdir, tmp_path, capsys):
     from mmrec.encoders import ModelConfig
     from mmrec.model import RecModel

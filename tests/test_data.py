@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mmrec import data as D
 from mmrec.data import (DataError, Dataset, ItemRecord, SyntheticConfig,
@@ -66,6 +69,19 @@ def test_load_rejects_malformed_with_line_numbers(tmp_path):
         ip = write(tmp_path / "i.tsv", text)
         with pytest.raises(DataError, match=needle):
             load_dataset(ip, inter)
+
+
+@pytest.mark.parametrize("head", ["#meta patch_dim=2",  # no q=
+                                  "#meta q=1 patch_dim",  # a bare token
+                                  "#meta q=one patch_dim=2"])  # not an integer
+def test_malformed_meta_header_exits_1_naming_path_and_line(tmp_path, capsys, head):
+    from mmrec.cli import main
+
+    write(tmp_path / "source_items.tsv", head + "\n0\t1 2\t0.0 0.0\n")
+    write(tmp_path / "source_interactions.tsv", "0\t0\n")
+    assert main(["stats", "--data", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{os.path.join(tmp_path, 'source_items.tsv')}:1: #meta header" in err
 
 
 def test_load_rejects_dangling_interaction_index(tmp_path):
@@ -142,6 +158,21 @@ def test_split_assigns_last_two_items():
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
+
+@given(st.lists(st.lists(st.integers(-2**63, 2**63 - 1), max_size=6), max_size=5),
+       st.integers(-3, 3))
+def test_pad_matches_fill_loop(seqs, fill):
+    values, mask = D.pad(seqs, fill)
+    width = max((len(s) for s in seqs), default=0)
+    want_values = np.full((len(seqs), width), fill, dtype=np.int64)
+    want_mask = np.zeros((len(seqs), width))
+    for r, seq in enumerate(seqs):
+        want_values[r, : len(seq)] = seq
+        want_mask[r, : len(seq)] = 1.0
+    assert values.dtype == np.int64 and mask.dtype == np.float64
+    np.testing.assert_array_equal(values, want_values)
+    np.testing.assert_array_equal(mask, want_mask)
+
 
 def small_split():
     users = [[0, 1, 2, 3, 4]] * 3 + [[4, 3, 2, 1, 0]] * 2

@@ -245,6 +245,44 @@ def test_index_rebuilt_after_load_snapshot(monkeypatch, tmp_path):
     assert len(built) == 2  # the model's rebuild and the fresh model's build
 
 
+def test_index_rebuilt_after_unsignalled_writes(monkeypatch):
+    """A parameter written in place, then AdamW steps taken outside the
+    training loop: each write alone rebuilds the index, and `evaluate`
+    equals it on a clone, which starts uncached."""
+    from mmrec import objectives, training
+    from mmrec.data import make_batches
+
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    first = transfer.item_index(model, split.items)
+    built = count_builds(monkeypatch)
+
+    def assert_matches_clone():
+        twin = model.clone()
+        for phase in ("valid", "test"):
+            assert report_key(evaluate(model, split, phase=phase, L_max=4)) == \
+                report_key(evaluate(twin, split, phase=phase, L_max=4))
+        got = transfer.item_index(model, split.items)
+        assert got.reps.tobytes() == \
+            transfer.item_index(twin, split.items).reps.tobytes()
+        return got
+
+    model.groups["text_encoder"]["tok_emb"].data[1:] *= 1.5
+    written = assert_matches_clone()
+    assert len(built) == 2  # the model's rebuild and the clone's build
+    assert written.reps.tobytes() != first.reps.tobytes()
+
+    opt = training.AdamW(model.trainable_parameters(),
+                         training.TrainConfig(learning_rate=0.05))
+    for batch in make_batches(split, 4, 4, seed=0):
+        model.zero_grad()
+        objectives.total_loss(model, batch, objectives.dap_only())[0].backward()
+        opt.step()
+    stepped = assert_matches_clone()
+    assert len(built) == 4
+    assert stepped.reps.tobytes() != written.reps.tobytes()
+
+
 def test_index_rebuilt_for_another_catalog_object(monkeypatch, tmp_path):
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
@@ -279,7 +317,6 @@ class OracleModel:
     """Items are one-hot; the user state is the one-hot of the successor of
     the last item under the cyclic map i -> i+1 mod n."""
 
-    version = 0
     index_cache = None
 
     def __init__(self, n):
@@ -291,6 +328,9 @@ class OracleModel:
             modality = "both"
 
         self.cfg = cfg
+
+    def named_parameters(self):
+        return iter(())
 
     def item_embeddings(self, ids, mask, patches):
         reps = np.zeros((ids.shape[0], self.n))

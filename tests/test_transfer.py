@@ -350,25 +350,26 @@ def test_index_reused_when_fresh(model, items):
     predict_scores(model, [2, 3], items)
     assert calls["n"] == 1  # cache hit: items never re-encoded
     assert tr.item_index(model, items) is index
+    model.load_snapshot(model.snapshot())  # new arrays, the same bytes
+    assert tr.item_index(model, items) is index
 
 
 def test_index_rebuilt_after_parameter_update(model, items):
     index = tr.item_index(model, items)
-    assert index.fresh_for(model)
-    model.groups["fusion"]["mm_cls"].data += 0.1
-    model.version += 1
-    assert not index.fresh_for(model)
+    model.groups["fusion"]["mm_cls"].data += 0.1  # in place, with no signal
     scores = predict_scores(model, [0, 1], items)
     rebuilt = tr.item_index(model, items)
-    assert rebuilt is not index and rebuilt.fresh_for(model)
+    assert rebuilt is not index
     assert not np.array_equal(rebuilt.reps, index.reps)
     fresh = predict_scores(model.clone(), [0, 1], items)  # a clone starts uncached
     np.testing.assert_array_equal(scores, fresh)
 
 
-def test_index_matches_unchunked_encoding(model, items):
-    a = build_item_index(model, items, chunk=2)
-    b = build_item_index(model, items, chunk=1000)
+def test_index_matches_unchunked_encoding(model, items, monkeypatch):
+    monkeypatch.setattr(tr, "INDEX_CHUNK", 2)
+    a = build_item_index(model, items)
+    monkeypatch.setattr(tr, "INDEX_CHUNK", 1000)
+    b = build_item_index(model, items)
     np.testing.assert_array_equal(a.reps, b.reps)
     assert a.order == sorted(items)
 
@@ -391,9 +392,14 @@ def test_encode_prefixes_truncates_to_l_max(model, items):
 def test_out_of_catalog_prefix_item_named(model, items):
     with pytest.raises(ValueError, match="999"):
         predict_scores(model, [999], items)
-    with pytest.raises(ValueError, match="not in the catalog"):
+    with pytest.raises(ValueError, match="999 is not in the catalog"):
         tr.encode_prefixes(model, [[0, 1], [2, 999]], items,
                            build_item_index(model, items), L_max=4)
+    with pytest.raises(ValueError, match="-1 is not in the catalog"):
+        predict_scores(model, [0, -1], items)
+    gap = {i: rec for i, rec in items.items() if i != 3}  # 3 lies inside the range
+    with pytest.raises(ValueError, match="3 is not in the catalog"):
+        predict_scores(model, [2, 3, 4], gap)
 
 
 def test_encode_prefixes_matches_full_path_at_transfer_scale():

@@ -103,7 +103,7 @@ def test_encode_prefixes_matches_full_path_with_truncation(blocks):
 
     model = _model_with_blocks(blocks)
     rng = np.random.default_rng(10 + blocks)
-    index = ItemIndex(list(range(9)), rng.normal(size=(9, 8)), model.version)
+    index = ItemIndex(list(range(9)), rng.normal(size=(9, 8)))
     # lengths 1..9 against L_max=6: the longer prefixes are truncated
     prefixes = [rng.integers(0, 9, size=n).tolist() for n in range(1, 10)]
     got = transfer.encode_prefixes(model, prefixes, None, index, 6)

@@ -25,6 +25,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def grad_enabled():
+    """False inside `no_grad`, where operations record no graph."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 

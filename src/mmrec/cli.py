@@ -120,14 +120,25 @@ def write_resolved_config(cfg, out_dir):
         f.write(dump_config(cfg))
 
 
+# model-size configuration key -> the ModelConfig field it sets
+MODEL_KEYS = {
+    "d": "d", "n_heads": "n_heads", "ffn_mult": "ffn_mult",
+    "vocab_size": "vocab_size", "p_max": "p_max", "q": "q",
+    "patch_dim": "patch_dim", "text_blocks": "text_blocks",
+    "vision_blocks": "vision_blocks", "user_blocks": "user_blocks",
+    "l_max": "L_max",
+}
+
+
 def model_config(cfg, modality="both"):
-    return ModelConfig(
-        d=cfg["d"], n_heads=cfg["n_heads"], ffn_mult=cfg["ffn_mult"],
-        vocab_size=cfg["vocab_size"], p_max=cfg["p_max"], q=cfg["q"],
-        patch_dim=cfg["patch_dim"], text_blocks=cfg["text_blocks"],
-        vision_blocks=cfg["vision_blocks"], user_blocks=cfg["user_blocks"],
-        L_max=cfg["l_max"], modality=modality,
-    )
+    return ModelConfig(**{f: cfg[k] for k, f in MODEL_KEYS.items()},
+                       modality=modality)
+
+
+def with_model_keys(cfg, mcfg):
+    """`cfg` with its model-size keys read from `mcfg`, the configuration of
+    a model loaded from a bundle, which keeps its sizes whatever `cfg` says."""
+    return {**cfg, **{k: getattr(mcfg, f) for k, f in MODEL_KEYS.items()}}
 
 
 def train_config(cfg):
@@ -229,12 +240,11 @@ def cmd_finetune(cfg, args):
     split = _load_split(cfg, args.data, "target")
     if args.bundle and args.bundle != "none":
         model = transfer.load_components(args.bundle, args.mode, cfg["seed"])
+        cfg = with_model_keys(cfg, model.cfg)
     else:
         modality = transfer.MODE_MODALITY[args.mode]
         model = RecModel.init(model_config(cfg, modality), cfg["seed"])
-    tcfg = train_config(cfg)
-    tcfg.L_max = model.cfg.L_max  # a loaded model keeps its bundle's L_max
-    log = training.finetune(model, split, tcfg)
+    log = training.finetune(model, split, train_config(cfg))
     os.makedirs(args.out, exist_ok=True)
     transfer.save_bundle(model, os.path.join(args.out, "finetuned.bundle"))
     _write_log(log, args.out)
@@ -247,6 +257,7 @@ def cmd_finetune(cfg, args):
 def _cmd_eval(cfg, args, cold):
     split = _load_split(cfg, args.data, args.dataset)
     model = transfer.model_from_bundle(args.bundle)
+    cfg = with_model_keys(cfg, model.cfg)
     if cold:
         phases = ["cold"]
     elif args.phase == "all":

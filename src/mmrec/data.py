@@ -338,14 +338,26 @@ def cold_item_subsequences(split, threshold=10):
     the training sequences. Every occurrence at position >= 2 of a user's
     full (train + valid + test) sequence yields one pair.
     """
-    counts = train_item_counts(split)
-    pairs = []
-    for u, seq in enumerate(split.train):
-        full = list(seq) + [split.valid[u], split.test[u]]
-        for pos in range(1, len(full)):
-            if counts.get(full[pos], 0) < threshold:
-                pairs.append((full[:pos], full[pos]))
-    return pairs
+    train = split.train
+    lengths = np.fromiter(map(len, train), dtype=np.int64, count=len(train))
+    # the full sequences, concatenated: user u's occupies slots
+    # begin[u] .. end[u] - 1, its train prefix then its valid and test items
+    end = np.cumsum(lengths + 2)
+    begin = end - lengths - 2
+    train_slots = (np.arange(int(lengths.sum()))
+                   + 2 * np.repeat(np.arange(len(train)), lengths))
+    flat = np.empty(len(train_slots) + 2 * len(train), dtype=np.int64)
+    flat[train_slots] = np.fromiter(chain.from_iterable(train), dtype=np.int64,
+                                    count=len(train_slots))
+    flat[end - 2] = split.valid
+    flat[end - 1] = split.test
+    # each slot's item's number of training occurrences
+    unique, slot_item = np.unique(flat, return_inverse=True)
+    seen = np.bincount(slot_item[train_slots], minlength=len(unique))[slot_item]
+    slot_begin = np.repeat(begin, lengths + 2)
+    cold = np.nonzero((np.arange(len(flat)) > slot_begin) & (seen < threshold))[0]
+    return [(flat[b:j].tolist(), target) for b, j, target in
+            zip(slot_begin[cold].tolist(), cold.tolist(), flat[cold].tolist())]
 
 
 def stats_report(dataset, name="dataset"):

@@ -34,11 +34,52 @@ def random_batch(cfg, rng, B=2, L=4, n_items=6):
     return Batch(idx=idx, mask=mask, items=items, rng_seed=int(rng.integers(2**31)))
 
 
+class _StageReuse(RecModel):
+    """The model, on the same parameter Tensors, whose item-encoder stages
+    return their previous output when nothing they read has changed.
+
+    A probe of `central_difference` moves one element of one group, so the
+    text encoder, vision encoder and fusion outputs of the previous
+    evaluation stay valid under every probe outside their own group. Each
+    stage keeps its last no-grad call, keyed by the bytes of its group's
+    parameters and of its inputs, so a reused output is exactly the one a
+    recomputation would give. Grad-mode calls build the graph as usual.
+    The user encoder reads the fused items, which almost every probe moves,
+    and is not memoised."""
+
+    def __init__(self, model):
+        super().__init__(model.cfg, model.groups)
+        self.last = {}  # group name -> (key, output) of its last no-grad call
+
+    def _reuse(self, group, compute, *inputs):
+        if ad.grad_enabled():
+            return compute(*inputs)
+        arrays = [x.data if isinstance(x, ad.Tensor) else x for x in inputs]
+        key = ([p.data.tobytes() for p in self.groups[group].values()]
+               + [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+        hit = self.last.get(group)
+        if hit is None or hit[0] != key:
+            hit = self.last[group] = (key, compute(*inputs))
+        return hit[1]
+
+    def encode_text(self, token_ids, pad_mask):
+        return self._reuse("text_encoder", super().encode_text, token_ids, pad_mask)
+
+    def encode_vision(self, patches):
+        return self._reuse("vision_encoder", super().encode_vision, patches)
+
+    def fuse(self, text_hiddens, vision_hiddens, text_mask):
+        return self._reuse("fusion", super().fuse, text_hiddens, vision_hiddens,
+                           text_mask)
+
+
 def _loss_fn(model, batch, name):
     """Zero-argument closure evaluating loss `name` on the batch: the
     composed `total_loss`, or one objective's term on its own. The batch
-    never changes, so it is corrupted on the first call only."""
+    never changes, so it is corrupted on the first call only, and the item
+    encoders rerun only when a probe reaches them (`_StageReuse`)."""
     corruption = []
+    model = _StageReuse(model)
 
     def corrupt_once(ctx, cfg):
         if not corruption:
@@ -73,11 +114,14 @@ def check_parameters(model, loss_fn, step=1e-5):
 
 
 def run_gradient_checks(seed=0, losses=CHECK_LOSSES, step=1e-5):
-    """Returns {loss name: max relative error} on the small configuration."""
+    """Returns {loss name: max relative error} on the small configuration.
+
+    `rcl` is checked on three sequences: with two, seed 0 corrupts both to
+    the same rows, so the loss is exactly ln 2 and its gradient is zero."""
     results = {}
     for name in losses:
         rng = np.random.default_rng(seed)
         model = RecModel.init(small_config(), seed)
-        batch = random_batch(model.cfg, rng)
+        batch = random_batch(model.cfg, rng, B=3 if name == "rcl" else 2)
         results[name] = check_parameters(model, _loss_fn(model, batch, name), step)
     return results

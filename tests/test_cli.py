@@ -216,6 +216,24 @@ def test_loaded_model_commands_use_the_bundle_l_max(tmp_path):
     assert outputs["with"] == outputs["without"]
 
 
+def test_loaded_model_commands_record_the_bundle_model_keys(workdir, tmp_path):
+    """evaluate and finetune --bundle write the loaded model's sizes to
+    resolved_config.txt, not the command line's, which they do not use."""
+    _, data, pre = workdir
+    bundle = ["--data", data, "--bundle", os.path.join(pre, "pretrained.bundle")]
+    wider = tiny_args(["-o", "d=16", "-o", "l_max=9", "-o", "text_blocks=2"])
+    for name, args in (("same", tiny_args([])), ("wider", wider)):
+        assert main(args + ["evaluate", *bundle, "--out", str(tmp_path / name)]) == 0
+        assert main(args + ["finetune", *bundle, "--out",
+                            str(tmp_path / name / "ft")]) == 0
+    for out in ("wider", "wider/ft"):
+        resolved = parse_config(str(tmp_path / out / "resolved_config.txt"))
+        assert (resolved["d"], resolved["l_max"], resolved["text_blocks"]) == (8, 6, 1)
+        assert resolved["batch_size"] == 4  # the other keys are the command line's
+    assert ((tmp_path / "wider" / "metrics.jsonl").read_bytes()
+            == (tmp_path / "same" / "metrics.jsonl").read_bytes())
+
+
 def test_finetune_missing_group_exits_1(workdir, tmp_path, capsys):
     from mmrec.encoders import ModelConfig
     from mmrec.model import RecModel

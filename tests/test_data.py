@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmrec import data as D
-from mmrec.data import (DataError, Dataset, ItemRecord, SyntheticConfig,
-                        cold_item_subsequences, filter_and_split,
+from mmrec.data import (DataError, Dataset, ItemRecord, SplitDataset,
+                        SyntheticConfig, cold_item_subsequences, filter_and_split,
                         generate_synthetic, load_dataset, make_batches,
                         planted_transition_matrix, save_dataset,
                         stats_report, train_item_counts)
@@ -310,18 +310,25 @@ def test_synthetic_rejects_bad_config():
 # cold-start extraction
 # ---------------------------------------------------------------------------
 
+def _cold_pairs_loop(split, threshold):
+    """Reference pairs: one count lookup per position of each full sequence."""
+    counts = train_item_counts(split)
+    pairs = []
+    for u, seq in enumerate(split.train):
+        full = list(seq) + [split.valid[u], split.test[u]]
+        for pos in range(1, len(full)):
+            if counts.get(full[pos], 0) < threshold:
+                pairs.append((full[:pos], full[pos]))
+    return pairs
+
+
 def test_cold_extraction_matches_brute_force():
     rng = np.random.default_rng(11)
     users = [rng.integers(0, 15, size=10).tolist() for _ in range(25)]
     split = filter_and_split(toy_dataset(users, n_items=15))
     threshold = 10
     counts = train_item_counts(split)
-    expected = []
-    for u in range(len(split.train)):
-        full = list(split.train[u]) + [split.valid[u], split.test[u]]
-        for pos in range(1, len(full)):
-            if counts[full[pos]] < threshold:
-                expected.append((full[:pos], full[pos]))
+    expected = _cold_pairs_loop(split, threshold)
     got = cold_item_subsequences(split, threshold=threshold)
     assert got == expected
     assert expected  # fixture really exercises the cold branch
@@ -342,6 +349,35 @@ def test_cold_threshold_boundaries():
     # items 0/1/2 occur 5x in train: cold once the threshold exceeds 5
     pairs = cold_item_subsequences(split, threshold=6)
     assert len(pairs) == 5 * 4  # every non-initial position of every user
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cold_pairs_equal_the_per_position_loop(seed):
+    rng = np.random.default_rng(seed)
+    catalog = (rng.permutation(40) * 1000 - 7000).tolist()  # sparse ids, some < 0
+    trained, held_out = catalog[:30], catalog[30:]
+    n_users = int(rng.integers(1, 25))
+    train = [rng.choice(trained, size=int(rng.integers(0, 9))).tolist()
+             for _ in range(n_users)]
+    # valid/test items come from the whole catalog, and at least one of them
+    # never occurs in training
+    valid, test = (rng.choice(catalog, size=n_users).tolist() for _ in range(2))
+    test[0] = held_out[0]
+    split = SplitDataset(items={i: None for i in catalog}, train=train,
+                         valid=valid, test=test)
+    top = max(train_item_counts(split).values())
+    for threshold in (0, 1, 3, top + 1):
+        got = cold_item_subsequences(split, threshold)
+        assert got == _cold_pairs_loop(split, threshold)
+        for prefix, target in got:
+            assert type(target) is int and all(type(i) is int for i in prefix)
+    assert len(cold_item_subsequences(split, top + 1)) == sum(
+        len(seq) + 1 for seq in train)
+
+
+def test_cold_pairs_of_an_empty_split():
+    split = SplitDataset(items={}, train=[], valid=[], test=[])
+    assert cold_item_subsequences(split, 10) == []
 
 
 def test_stats_report_columns():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mmrec import autodiff as ad
+from mmrec import encoders as enc
 from mmrec import gradcheck
 from mmrec import objectives as obj
 from mmrec.gradcheck import CHECK_LOSSES, random_batch, small_config
@@ -71,3 +73,69 @@ def test_total_check_corrupts_each_sequence_once(monkeypatch):
     assert len(corrupted) == batch.size
     fresh = obj.total_loss(model, batch, ObjectiveConfig())[0].item()
     assert loss_fn().item() == fresh and len(corrupted) == 2 * batch.size
+
+
+def test_reused_stages_give_the_values_of_a_fresh_model():
+    model, batch = model_and_batch(d=2, p=2, q=2)
+    loss_fn, pairs = gradcheck._loss_fn(model, batch, "total"), []
+
+    def recorded():
+        # corruption is a function of the batch alone, so a fresh
+        # `total_loss` draws the one the closure keeps
+        fresh = obj.total_loss(model.clone(), batch, ObjectiveConfig())[0]
+        out = loss_fn()
+        pairs.append((out.data.tobytes(), fresh.data.tobytes()))
+        return out
+
+    n = sum(p.data.size for _, p in model.trainable_parameters())
+    gradcheck.check_parameters(model, recorded)
+    assert len(pairs) == 1 + 2 * n
+    assert all(got == want for got, want in pairs)
+
+
+def test_item_encoders_rerun_only_when_a_probe_reaches_them(monkeypatch):
+    model, batch = model_and_batch(d=2, p=2, q=2)
+    runs = {"text_encoder": 0, "vision_encoder": 0}
+    for group, name in (("text_encoder", "encode_text"),
+                        ("vision_encoder", "encode_vision")):
+        def counted(*args, _group=group, _run=getattr(enc, name)):
+            runs[_group] += not ad.grad_enabled()
+            return _run(*args)
+        monkeypatch.setattr(enc, name, counted)
+    gradcheck.check_parameters(model, gradcheck._loss_fn(model, batch, "total"))
+    for group, count in runs.items():
+        n = sum(p.data.size for p in model.groups[group].values())
+        # probes only, not the analytic pass: twice per own element, once on
+        # entering and once on leaving the group
+        assert 2 * n <= count <= 2 * n + 2, group
+
+
+def test_grad_mode_after_probes_matches_a_fresh_model():
+    model, batch = model_and_batch(d=2, p=2, q=2)
+    fresh = model.clone()
+    loss_fn = gradcheck._loss_fn(model, batch, "total")
+    flat = model.groups["user_encoder"]["pos"].data.reshape(-1)
+    ad.central_difference(loss_fn, flat[:2])  # fills every stage's memo
+    model.zero_grad()
+    loss_fn().backward()
+    obj.total_loss(fresh, batch, ObjectiveConfig())[0].backward()
+    want = dict(fresh.named_parameters())
+    for name, p in model.named_parameters():
+        assert p.grad is not None and want[name].grad is not None, name
+        assert p.grad.tobytes() == want[name].grad.tobytes(), name
+
+
+def test_rcl_check_verifies_a_nonzero_gradient(monkeypatch):
+    seen = []
+
+    def analytic(model, loss_fn, step):
+        model.zero_grad()
+        loss_fn().backward()
+        seen.append(max(float(np.abs(p.grad).max())
+                        for _, p in model.trainable_parameters()
+                        if p.grad is not None))
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "check_parameters", analytic)
+    gradcheck.run_gradient_checks(seed=0, losses=("rcl",))
+    assert seen[0] > 1e-6

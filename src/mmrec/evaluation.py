@@ -2,6 +2,7 @@
 cold-start variant over rare-item sub-sequences."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ from . import data as data_mod
 from . import transfer
 
 DEFAULT_KS = (10, 20, 50)
-_RANK_CHUNK = 512  # score rows per comparison in ranks_of_targets
+_RANK_CHUNK = 128  # most score rows per block in _rank_pairs: 2 MB at 2000 items
 
 
 @dataclass
@@ -40,17 +41,10 @@ class MetricsReport:
 def ranks_of_targets(scores, target_rows):
     """1-based full-catalog rank of `target_rows[i]` in each row `scores[i]`:
     the number of scores >= the target's, so ties rank the target below its
-    equals. Rows are compared `_RANK_CHUNK` at a time to bound the boolean
-    temporary."""
+    equals."""
     scores = np.asarray(scores)
-    target_rows = np.asarray(target_rows, dtype=np.int64)
-    ranks = np.empty(len(target_rows), dtype=np.int64)
-    for start in range(0, len(target_rows), _RANK_CHUNK):
-        stop = start + _RANK_CHUNK
-        part = scores[start:stop]
-        target = part[np.arange(len(part)), target_rows[start:stop]]
-        ranks[start:stop] = (part >= target[:, None]).sum(axis=1)
-    return ranks
+    target = scores[np.arange(len(scores)), np.asarray(target_rows, dtype=np.int64)]
+    return np.count_nonzero(scores >= target[:, None], axis=1)
 
 
 def rank_of_target(scores, target_row):
@@ -87,13 +81,23 @@ def _aggregate(ranks, ks, dataset, phase):
 
 
 def _rank_pairs(model, pairs, items, L_max, ks, dataset, phase):
+    """Score and rank the pairs in blocks of at most `_RANK_CHUNK` rows, so no
+    (pairs, catalog) matrix is built. No block has one row unless there is
+    one pair: NumPy computes a one-row product with gemv, which rounds
+    differently from the GEMM that gives larger blocks the full product's
+    bits."""
     if not pairs:
         return _aggregate([], ks, dataset, phase)
     index = transfer.item_index(model, items)
-    prefixes = [p for p, _ in pairs]
-    states = transfer.encode_prefixes(model, prefixes, items, index, L_max)
-    scores = states @ index.reps.T  # (n_pairs, n_items)
-    ranks = ranks_of_targets(scores, [index.row_of[t] for _, t in pairs])
+    states = transfer.encode_prefixes(model, [p for p, _ in pairs], items, index,
+                                      L_max)
+    targets = np.fromiter((index.row_of[t] for _, t in pairs), dtype=np.int64,
+                          count=len(pairs))
+    n_blocks = max(1, min(math.ceil(len(pairs) / _RANK_CHUNK), len(pairs) // 2))
+    ranks = np.concatenate([
+        ranks_of_targets(block @ index.reps.T, rows)
+        for block, rows in zip(np.array_split(states, n_blocks),
+                               np.array_split(targets, n_blocks))])
     return _aggregate(ranks, ks, dataset, phase)
 
 

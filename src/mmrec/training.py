@@ -88,6 +88,9 @@ def _validation_hr(model, split, tcfg):
 
 
 def _run_training(model, split, tcfg, ocfg, log_label):
+    if tcfg.L_max > model.cfg.L_max:
+        raise ValueError(f"TrainConfig.L_max={tcfg.L_max} exceeds the model's "
+                         f"L_max={model.cfg.L_max}")
     opt = AdamW(model.trainable_parameters(), tcfg)
     log = []
     t0 = time.perf_counter()

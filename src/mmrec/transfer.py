@@ -241,8 +241,12 @@ def item_index(model, items):
 
 
 def encode_prefixes(model, prefixes, items, index, L_max):
-    """Last-position user states for a list of prefix sequences; (n, d).
-    `items` is unused: the states read only `index`."""
+    """Last-position user states for a list of prefix sequences, each cut to
+    its last `L_max` items; (n, d). `items` is unused: the states read only
+    `index`. An `L_max` above the model's is a ValueError."""
+    if L_max > model.cfg.L_max:
+        raise ValueError(f"L_max={L_max} exceeds the model's "
+                         f"L_max={model.cfg.L_max}")
     order = np.asarray(index.order)
     out = np.zeros((len(prefixes), model.cfg.d))
     with ad.no_grad():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, strategies as st
 from mmrec import autodiff as ad
 from mmrec import evaluation, transfer
 from mmrec.data import (ItemRecord, SplitDataset, SyntheticConfig,
-                        filter_and_split, generate_synthetic)
+                        cold_item_subsequences, filter_and_split,
+                        generate_synthetic)
 from mmrec.evaluation import (MetricsReport, evaluate, evaluate_cold_start,
                               evaluate_train, rank_of_target, ranking_metrics,
                               ranks_of_targets)
@@ -39,12 +41,9 @@ def test_rank_rejects_bad_row():
         rank_of_target(np.array([1.0, 2.0]), 2)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 512])
-def test_ranks_of_targets_matches_counting_loop(chunk, monkeypatch):
-    monkeypatch.setattr(evaluation, "_RANK_CHUNK", chunk)
+def test_ranks_of_targets_matches_counting_loop():
     rng = np.random.default_rng(8)
-    # scores from few distinct values, so most targets have ties; 1100 rows
-    # end in a partial chunk for every chunk size
+    # scores from few distinct values, so most targets have ties
     scores = rng.integers(0, 5, size=(1100, 7)).astype(np.float64)
     rows = rng.integers(0, 7, size=1100)
     want = [1 + int((s > s[r]).sum()) + int((s == s[r]).sum()) - 1
@@ -116,6 +115,12 @@ def tiny_split(seed=0):
     return filter_and_split(source, min_interactions=2)
 
 
+def leave_one_out_pairs(split, phase):
+    return [(list(seq) + ([split.valid[u]] if phase == "test" else []),
+             split.test[u] if phase == "test" else split.valid[u])
+            for u, seq in enumerate(split.train)]
+
+
 def brute_force_ranks(model, pairs, items, L_max):
     order = sorted(items)
     ranks = []
@@ -132,12 +137,7 @@ def test_evaluate_matches_brute_force(phase):
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
     report = evaluate(model, split, phase=phase, ks=(1, 3, 5), L_max=4)
-    pairs = []
-    for u, seq in enumerate(split.train):
-        prefix = list(seq) if phase == "valid" else list(seq) + [split.valid[u]]
-        target = split.valid[u] if phase == "valid" else split.test[u]
-        pairs.append((prefix, target))
-    ranks = brute_force_ranks(model, pairs, split.items, 4)
+    ranks = brute_force_ranks(model, leave_one_out_pairs(split, phase), split.items, 4)
     for k in (1, 3, 5):
         hr = 100.0 * sum(r <= k for r in ranks) / len(ranks)
         ndcg = 100.0 * sum(1.0 / math.log2(r + 1) for r in ranks if r <= k) / len(ranks)
@@ -151,6 +151,18 @@ def test_evaluate_rejects_unknown_phase():
     model = RecModel.init(small_config(), 0)
     with pytest.raises(ValueError, match="phase"):
         evaluate(model, split, phase="final")
+
+
+def test_evaluate_rejects_l_max_above_the_models():
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    with pytest.raises(ValueError, match="L_max=5 exceeds the model's L_max=4"):
+        evaluate(model, split, L_max=5)
+    # a smaller L_max still truncates every prefix
+    cut = SplitDataset(items=split.items, train=[s[-3:] for s in split.train],
+                       valid=split.valid, test=split.test)
+    assert report_key(evaluate(model, split, phase="valid", L_max=3)) == \
+        report_key(evaluate(model, cut, phase="valid"))
 
 
 def test_evaluate_leaves_model_untouched():
@@ -168,6 +180,87 @@ def test_evaluate_train_counts_all_transitions():
     model = RecModel.init(small_config(), 0)
     report = evaluate_train(model, split, ks=(5,), L_max=4)
     assert report.count == sum(len(s) - 1 for s in split.train)
+
+
+# ---------------------------------------------------------------------------
+# blocked scoring: bounded memory, the full matrix's ranks
+# ---------------------------------------------------------------------------
+
+def full_matrix_report(model, pairs, items, like):
+    """The report, shaped as `like`, that one unblocked (pairs, catalog)
+    score matrix gives."""
+    index = transfer.build_item_index(model, items)
+    states = transfer.encode_prefixes(model, [p for p, _ in pairs], items, index,
+                                      model.cfg.L_max)
+    scores = states @ index.reps.T
+    ranks = [int((s >= s[index.row_of[t]]).sum()) for s, (_, t) in zip(scores, pairs)]
+    return evaluation._aggregate(ranks, like.ks, like.dataset, like.phase)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 128])
+def test_rank_pairs_blocks_match_full_matrix(chunk, monkeypatch):
+    """Blocked scoring reports exactly what one full score matrix reports, for
+    pair counts of 1 (mod chunk) and for a single pair. No block has one row
+    unless the call has one pair, and none has more than max(chunk, 3)."""
+    source, _ = generate_synthetic(SyntheticConfig(
+        n_users=420, n_items=120, L_min=5, L_max=8, vocab_size=12, p_min=2,
+        p_max=4, q=4, patch_dim=4, seed=3))
+    whole = filter_and_split(source, min_interactions=2)
+
+    def first_users(n):
+        return SplitDataset(items=whole.items, train=whole.train[:n],
+                            valid=whole.valid[:n], test=whole.test[:n])
+
+    split = first_users(3 * 128 + 1)  # 1 (mod 3) and 1 (mod 128)
+    assert len(split.train) == 3 * 128 + 1
+    cold = cold_item_subsequences(split, 10)
+    assert len(cold) > 1
+    model = RecModel.init(small_config(), 0)
+    monkeypatch.setattr(evaluation, "_RANK_CHUNK", chunk)
+    blocks, rank = [], evaluation.ranks_of_targets
+    monkeypatch.setattr(evaluation, "ranks_of_targets",
+                        lambda s, t: blocks.append(len(s)) or rank(s, t))
+    cases = [(evaluate, s, {"phase": phase}, leave_one_out_pairs(s, phase))
+             for s in (split, first_users(1)) for phase in ("valid", "test")]
+    cases.append((evaluate_cold_start, split, {}, cold))
+    for fn, s, kw, pairs in cases:
+        blocks.clear()
+        report = fn(model, s, **kw)
+        assert sum(blocks) == len(pairs) == report.count
+        assert min(blocks) >= min(2, len(pairs))
+        assert max(blocks) <= max(chunk, 3)
+        want = full_matrix_report(model, pairs, s.items, report)
+        assert report_key(report) == report_key(want)  # HR and NDCG exact
+
+
+def test_rank_pairs_peak_memory_is_a_fraction_of_the_score_matrix(monkeypatch):
+    """NumPy reports its buffers to tracemalloc: ranking 1000 pairs against
+    1500 items peaks below a quarter of one (pairs, catalog) float64 matrix."""
+    n_pairs, n_items = 1000, 1500
+    rng = np.random.default_rng(0)
+    items = {i: ItemRecord(i, rng.integers(1, 12, size=3).tolist(),
+                           rng.normal(size=(4, 4))) for i in range(n_items)}
+    split = SplitDataset(
+        items=items,
+        train=[rng.choice(n_items, size=4, replace=False).tolist()
+               for _ in range(n_pairs)],
+        valid=rng.integers(0, n_items, size=n_pairs).tolist(),
+        test=rng.integers(0, n_items, size=n_pairs).tolist())
+    model = RecModel.init(small_config(), 0)
+    transfer.item_index(model, split.items)  # the cached index is not counted
+    peaks, rank_pairs = [], evaluation._rank_pairs
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return rank_pairs(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(evaluation, "_rank_pairs", traced)
+    assert evaluate(model, split, phase="valid").count == n_pairs
+    assert peaks[0] < n_pairs * n_items * 8 / 4
 
 
 # ---------------------------------------------------------------------------

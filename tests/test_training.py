@@ -161,6 +161,16 @@ def test_pretrain_log_structure_and_epoch_zero():
         assert e["seconds"] >= 0.0
 
 
+def test_l_max_above_the_models_is_rejected_before_epoch_zero(monkeypatch):
+    from mmrec import training
+
+    model, split = tiny_setup()
+    monkeypatch.setattr(training, "_validation_hr", lambda *a: pytest.fail(
+        "validation ran"))
+    with pytest.raises(ValueError, match="L_max=7 exceeds the model's L_max=6"):
+        pretrain(model, split, tcfg(L_max=7))
+
+
 def test_training_is_reproducible():
     snaps = []
     for _ in range(2):

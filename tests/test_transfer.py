@@ -389,6 +389,15 @@ def test_encode_prefixes_truncates_to_l_max(model, items):
     np.testing.assert_array_equal(a, b)
 
 
+def test_l_max_above_the_models_is_rejected(model, items):
+    with pytest.raises(ValueError, match="L_max=5 exceeds the model's L_max=4"):
+        predict_scores(model, [0, 1], items, L_max=5)
+    # a smaller L_max still truncates the prefix
+    np.testing.assert_array_equal(
+        predict_scores(model, [0, 1, 2, 3, 4], items, L_max=3),
+        predict_scores(model, [2, 3, 4], items))
+
+
 def test_out_of_catalog_prefix_item_named(model, items):
     with pytest.raises(ValueError, match="999"):
         predict_scores(model, [999], items)

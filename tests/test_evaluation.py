@@ -41,7 +41,11 @@ def test_rank_rejects_bad_row():
         rank_of_target(np.array([1.0, 2.0]), 2)
 
 
-def test_ranks_of_targets_matches_counting_loop():
+@pytest.mark.parametrize("chunk", [1, 3, 512])
+def test_ranks_of_targets_matches_counting_loop(chunk):
+    """Whole-matrix ranks match a counting loop, and so do ranks taken over
+    row blocks of `chunk` rows, as the blocked scoring in evaluation takes
+    them; 1100 rows end in a partial block for every chunk size."""
     rng = np.random.default_rng(8)
     # scores from few distinct values, so most targets have ties
     scores = rng.integers(0, 5, size=(1100, 7)).astype(np.float64)
@@ -49,6 +53,9 @@ def test_ranks_of_targets_matches_counting_loop():
     want = [1 + int((s > s[r]).sum()) + int((s == s[r]).sum()) - 1
             for s, r in zip(scores, rows)]
     assert ranks_of_targets(scores, rows).tolist() == want
+    blocked = [ranks_of_targets(scores[i:i + chunk], rows[i:i + chunk])
+               for i in range(0, len(rows), chunk)]
+    assert np.concatenate(blocked).tolist() == want
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=29),

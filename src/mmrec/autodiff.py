@@ -338,22 +338,6 @@ def attention(q, k, v, bias, n_heads):
     return _make(data, (q, k, v), bw)
 
 
-def embedding(table, ids):
-    """Row lookup `table[ids]`; gradient scatters back with np.add.at."""
-    table = as_tensor(table)
-    ids = np.asarray(ids)
-    data = table.data[ids]
-    if not _tracked(table):
-        return Tensor(data)
-
-    def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
-
-    return _make(data, (table,), bw)
-
-
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)

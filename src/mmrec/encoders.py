@@ -191,7 +191,7 @@ def encode_text(params, cfg, token_ids, pad_mask):
     p = token_ids.shape[1]
     if p > cfg.p_max:
         raise ValueError(f"token length {p} exceeds p_max={cfg.p_max}")
-    emb = ad.add(ad.embedding(params["tok_emb"], token_ids),
+    emb = ad.add(ad.getitem(params["tok_emb"], token_ids),
                  ad.getitem(params["pos"], slice(1, p + 1)))
     cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
     x, bias = _prepend_row(cls, [emb], pad_mask)

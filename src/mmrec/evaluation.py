@@ -80,17 +80,17 @@ def _aggregate(ranks, ks, dataset, phase):
                          dataset=dataset, phase=phase)
 
 
-def _rank_pairs(model, pairs, items, L_max, ks, dataset, phase):
-    """Score and rank the pairs in blocks of at most `_RANK_CHUNK` rows, so no
-    (pairs, catalog) matrix is built. No block has one row unless there is
-    one pair: NumPy computes a one-row product with gemv, which rounds
-    differently from the GEMM that gives larger blocks the full product's
-    bits."""
+def _rank_pairs(model, pairs, items, ks, dataset, phase):
+    """Score and rank the pairs, each prefix cut to the model's `L_max`, in
+    blocks of at most `_RANK_CHUNK` rows, so no (pairs, catalog) matrix is
+    built. No block has one row unless there is one pair: NumPy computes a
+    one-row product with gemv, which rounds differently from the GEMM that
+    gives larger blocks the full product's bits."""
     if not pairs:
         return _aggregate([], ks, dataset, phase)
     index = transfer.item_index(model, items)
     states = transfer.encode_prefixes(model, [p for p, _ in pairs], items, index,
-                                      L_max)
+                                      model.cfg.L_max)
     targets = np.fromiter((index.row_of[t] for _, t in pairs), dtype=np.int64,
                           count=len(pairs))
     n_blocks = max(1, min(math.ceil(len(pairs) / _RANK_CHUNK), len(pairs) // 2))
@@ -101,7 +101,7 @@ def _rank_pairs(model, pairs, items, L_max, ks, dataset, phase):
     return _aggregate(ranks, ks, dataset, phase)
 
 
-def evaluate(model, split, phase="test", ks=DEFAULT_KS, L_max=None, dataset=""):
+def evaluate(model, split, phase="test", ks=DEFAULT_KS, dataset=""):
     """Leave-one-out evaluation against the full catalog.
 
     phase "valid" scores the validation target given the training prefix;
@@ -110,32 +110,28 @@ def evaluate(model, split, phase="test", ks=DEFAULT_KS, L_max=None, dataset=""):
     """
     if phase not in ("valid", "test"):
         raise ValueError(f"unknown phase {phase!r}")
-    L_max = L_max or model.cfg.L_max
     pairs = []
     for u, seq in enumerate(split.train):
         if phase == "valid":
             pairs.append((list(seq), split.valid[u]))
         else:
             pairs.append((list(seq) + [split.valid[u]], split.test[u]))
-    return _rank_pairs(model, pairs, split.items, L_max, ks, dataset, phase)
+    return _rank_pairs(model, pairs, split.items, ks, dataset, phase)
 
 
-def evaluate_train(model, split, ks=(10,), L_max=None):
+def evaluate_train(model, split, ks=(10,)):
     """HR/NDCG over all training-set transitions (overfit diagnostics)."""
-    L_max = L_max or model.cfg.L_max
     pairs = []
     for seq in split.train:
         for pos in range(1, len(seq)):
             pairs.append((seq[:pos], seq[pos]))
-    return _rank_pairs(model, pairs, split.items, L_max, ks, "", "train")
+    return _rank_pairs(model, pairs, split.items, ks, "", "train")
 
 
-def evaluate_cold_start(model, split, threshold=10, ks=DEFAULT_KS, L_max=None,
-                        dataset=""):
+def evaluate_cold_start(model, split, threshold=10, ks=DEFAULT_KS, dataset=""):
     """Evaluation restricted to sub-sequences ending at a cold item.
 
     An empty cold set yields an all-zero report with count 0.
     """
-    L_max = L_max or model.cfg.L_max
     pairs = data_mod.cold_item_subsequences(split, threshold)
-    return _rank_pairs(model, pairs, split.items, L_max, ks, dataset, "cold")
+    return _rank_pairs(model, pairs, split.items, ks, dataset, "cold")

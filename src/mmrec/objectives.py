@@ -136,7 +136,7 @@ def contrastive_loss(ctx, variant):
     t_rows = ctx.rows_at(a_u, a_l)
     anchors = np.concatenate([t_rows, t_rows + n_items])  # text, then vision
     other = np.concatenate([t_rows + n_items, t_rows])  # same item, other modality
-    z = ad.matmul(ad.embedding(table, anchors), ad.transpose(table, (1, 0)))
+    z = ad.matmul(ad.getitem(table, anchors), ad.transpose(table, (1, 0)))
     neg = ctx.neg_weight[a_u]
     intra = np.zeros_like(neg) if variant == "vcl" else neg
     w = np.block([[intra, neg], [neg, intra]])
@@ -280,7 +280,7 @@ def objective_terms(model, batch, cfg, corrupt=None):
     ctx = BatchContext(model, batch)
     e = ctx.emb["e_cls"]
     if cfg.dap or cfg.rcl:
-        hiddens = model.encode_sequence(ad.embedding(e, ctx.pos_to_row), batch.mask)
+        hiddens = model.encode_sequence(ad.getitem(e, ctx.pos_to_row), batch.mask)
     terms = {}
     if cfg.dap:
         terms["dap"] = dap_loss(ctx, hiddens)
@@ -288,7 +288,7 @@ def objective_terms(model, batch, cfg, corrupt=None):
         terms[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive)
     if cfg.nid or cfg.rcl:
         corr_rows, labels = (corrupt or corrupt_batch)(ctx, cfg)
-        corr_hiddens = model.encode_sequence(ad.embedding(e, corr_rows), batch.mask)
+        corr_hiddens = model.encode_sequence(ad.getitem(e, corr_rows), batch.mask)
         if cfg.nid:
             terms["nid"] = nid_loss(corr_hiddens, labels, model.groups["nid_head"])
         if cfg.rcl:

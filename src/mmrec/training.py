@@ -81,9 +81,8 @@ def _epoch_seed(seed, epoch):
     return int(np.random.SeedSequence([seed, epoch]).generate_state(1)[0])
 
 
-def _validation_hr(model, split, tcfg):
-    report = evaluation.evaluate(model, split, phase="valid",
-                                 ks=(10,), L_max=tcfg.L_max)
+def _validation_hr(model, split):
+    report = evaluation.evaluate(model, split, phase="valid", ks=(10,))
     return report.hr[10] / 100.0, report.ndcg[10] / 100.0
 
 
@@ -94,7 +93,7 @@ def _run_training(model, split, tcfg, ocfg, log_label):
     opt = AdamW(model.trainable_parameters(), tcfg)
     log = []
     t0 = time.perf_counter()
-    hr0, ndcg0 = _validation_hr(model, split, tcfg)
+    hr0, ndcg0 = _validation_hr(model, split)
     history = [hr0]
     best = model.snapshot()
     log.append({"label": log_label, "epoch": 0, "losses": {},
@@ -112,7 +111,7 @@ def _run_training(model, split, tcfg, ocfg, log_label):
             for k, val in parts.items():
                 sums[k] = sums.get(k, 0.0) + val
             n += 1
-        hr, ndcg = _validation_hr(model, split, tcfg)
+        hr, ndcg = _validation_hr(model, split)
         history.append(hr)
         # argmax keeps the first best epoch; only a strict improvement re-snapshots
         if int(np.argmax(history)) == len(history) - 1:

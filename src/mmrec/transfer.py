@@ -263,15 +263,15 @@ def encode_prefixes(model, prefixes, items, index, L_max):
     return out
 
 
-def predict_scores(model, prefix, items, L_max=None):
-    """Softmax distribution over the whole catalog for one prefix sequence."""
+def predict_scores(model, prefix, items):
+    """Softmax distribution over the whole catalog for one prefix sequence,
+    cut to the model's `L_max`."""
     if not prefix:
         raise ValueError("prefix must contain at least one item")
     if not items:
         raise ValueError("catalog is empty")
     index = item_index(model, items)
-    L_max = L_max or model.cfg.L_max
-    h = encode_prefixes(model, [list(prefix)], items, index, L_max)[0]
+    h = encode_prefixes(model, [list(prefix)], items, index, model.cfg.L_max)[0]
     logits = index.reps @ h
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()

@@ -1,4 +1,16 @@
+import dataclasses
+
 ACCEPTANCE_LINES = []
+
+
+def with_l_max(model, L_max):
+    """A clone of `model` whose user encoder keeps the first `L_max` rows of
+    its position table, so it cuts every prefix to its last `L_max` items."""
+    short = model.clone()
+    short.cfg = dataclasses.replace(short.cfg, L_max=L_max)
+    pos = short.groups["user_encoder"]["pos"]
+    pos.data = pos.data[:L_max].copy()
+    return short
 
 
 def pytest_terminal_summary(terminalreporter):

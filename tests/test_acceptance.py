@@ -83,7 +83,7 @@ def transfer_runs(tmp_path_factory):
             fcfg = TrainConfig(learning_rate=1e-3, max_epochs=4, patience=10,
                                B=32, L_max=12, seed=seed)
             log = finetune(m, tgt_split, fcfg)
-            rep = evaluate(m, tgt_split, phase="test", ks=(10,), L_max=12)
+            rep = evaluate(m, tgt_split, phase="test", ks=(10,))
             runs[kind][seed] = {
                 "model": m,
                 "val_curve": [e["val_hr10"] for e in log],
@@ -213,7 +213,7 @@ def test_criterion_05_overfit_capability():
     log = pretrain(model, split, tcfg)
     elapsed = time.perf_counter() - t0
     epochs = log[-1]["epoch"]
-    rep = evaluate_train(model, split, ks=(10,), L_max=16)
+    rep = evaluate_train(model, split, ks=(10,))
     hr = rep.hr[10] / 100.0
     assert epochs <= 200
     assert elapsed <= 600.0, f"training took {elapsed:.0f}s"
@@ -241,7 +241,7 @@ def test_criterion_07_versatility(transfer_runs, tmp_path):
         fcfg = TrainConfig(learning_rate=1e-3, max_epochs=1, patience=10,
                            B=32, L_max=12, seed=1)
         finetune(m, tgt_split, fcfg)
-        rep = evaluate(m, tgt_split, phase="test", ks=(10,), L_max=12)
+        rep = evaluate(m, tgt_split, phase="test", ks=(10,))
         assert rep.count == len(tgt_split.train), mode
     # text_only predictions ignore serialized vision/fusion parameters
     base = model_from_bundle(bundle)
@@ -325,8 +325,7 @@ def test_criterion_10_cold_start(transfer_runs):
     _, sparse_target = generate_synthetic(cfg)
     sparse_split = filter_and_split(sparse_target, min_interactions=2)
     model = transfer_runs["runs"]["transfer"][1]["model"]
-    rep = evaluate_cold_start(model, sparse_split, threshold=10,
-                              ks=(10,), L_max=12)
+    rep = evaluate_cold_start(model, sparse_split, threshold=10, ks=(10,))
     assert rep.count > 0
     # content-blind baseline: random scores over the same cold pairs
     pairs = cold_item_subsequences(sparse_split, threshold=10)

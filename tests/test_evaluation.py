@@ -16,6 +16,8 @@ from mmrec.evaluation import (MetricsReport, evaluate, evaluate_cold_start,
 from mmrec.gradcheck import small_config
 from mmrec.model import RecModel
 
+from .conftest import with_l_max
+
 
 # ---------------------------------------------------------------------------
 # rank and metric primitives
@@ -128,11 +130,11 @@ def leave_one_out_pairs(split, phase):
             for u, seq in enumerate(split.train)]
 
 
-def brute_force_ranks(model, pairs, items, L_max):
+def brute_force_ranks(model, pairs, items):
     order = sorted(items)
     ranks = []
     for prefix, target in pairs:
-        scores = transfer.predict_scores(model, list(prefix), items, L_max=L_max)
+        scores = transfer.predict_scores(model, list(prefix), items)
         t = scores[order.index(target)]
         ranks.append(1 + sum(1 for s in scores if s > t)
                      + sum(1 for s in scores if s == t) - 1)
@@ -143,8 +145,8 @@ def brute_force_ranks(model, pairs, items, L_max):
 def test_evaluate_matches_brute_force(phase):
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
-    report = evaluate(model, split, phase=phase, ks=(1, 3, 5), L_max=4)
-    ranks = brute_force_ranks(model, leave_one_out_pairs(split, phase), split.items, 4)
+    report = evaluate(model, split, phase=phase, ks=(1, 3, 5))
+    ranks = brute_force_ranks(model, leave_one_out_pairs(split, phase), split.items)
     for k in (1, 3, 5):
         hr = 100.0 * sum(r <= k for r in ranks) / len(ranks)
         ndcg = 100.0 * sum(1.0 / math.log2(r + 1) for r in ranks if r <= k) / len(ranks)
@@ -160,23 +162,26 @@ def test_evaluate_rejects_unknown_phase():
         evaluate(model, split, phase="final")
 
 
-def test_evaluate_rejects_l_max_above_the_models():
+def test_evaluate_cuts_prefixes_to_the_models_l_max():
+    """A model with the first 3 rows of another's position table reports on
+    long prefixes what both report on the same prefixes cut to 3 items."""
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
-    with pytest.raises(ValueError, match="L_max=5 exceeds the model's L_max=4"):
-        evaluate(model, split, L_max=5)
-    # a smaller L_max still truncates every prefix
-    cut = SplitDataset(items=split.items, train=[s[-3:] for s in split.train],
-                       valid=split.valid, test=split.test)
-    assert report_key(evaluate(model, split, phase="valid", L_max=3)) == \
-        report_key(evaluate(model, cut, phase="valid"))
+    short = with_l_max(model, 3)
+    assert max(len(s) for s in split.train) > 3
+    for phase, keep in (("valid", 3), ("test", 2)):  # test prefixes end in valid
+        cut = SplitDataset(items=split.items, train=[s[-keep:] for s in split.train],
+                           valid=split.valid, test=split.test)
+        want = report_key(evaluate(model, cut, phase=phase))
+        assert report_key(evaluate(short, split, phase=phase)) == want
+        assert report_key(evaluate(short, cut, phase=phase)) == want
 
 
 def test_evaluate_leaves_model_untouched():
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
     before = model.snapshot()
-    evaluate(model, split, ks=(10,), L_max=4)
+    evaluate(model, split, ks=(10,))
     after = model.snapshot()
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
@@ -185,7 +190,7 @@ def test_evaluate_leaves_model_untouched():
 def test_evaluate_train_counts_all_transitions():
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
-    report = evaluate_train(model, split, ks=(5,), L_max=4)
+    report = evaluate_train(model, split, ks=(5,))
     assert report.count == sum(len(s) - 1 for s in split.train)
 
 
@@ -302,10 +307,10 @@ def test_one_index_build_serves_valid_test_and_cold(monkeypatch):
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
     built = count_builds(monkeypatch)
-    evaluate(model, split, phase="valid", L_max=4)
-    evaluate(model, split, phase="test", L_max=4)
-    assert evaluate_cold_start(model, split, threshold=100, L_max=4).count > 0
-    evaluate_train(model, split, L_max=4)
+    evaluate(model, split, phase="valid")
+    evaluate(model, split, phase="test")
+    assert evaluate_cold_start(model, split, threshold=100).count > 0
+    evaluate_train(model, split)
     assert len(built) == 1
 
 
@@ -317,11 +322,11 @@ def test_index_rebuilt_after_each_training_step(monkeypatch, tmp_path):
     built = count_builds(monkeypatch)
     validations, reps, validation_hr = [], set(), training._validation_hr
 
-    def checked(m, s, tcfg):
+    def checked(m, s):
         validations.append(len(built))
-        assert_matches_fresh_model(m, s, tmp_path, phase="valid", ks=(10,), L_max=4)
+        assert_matches_fresh_model(m, s, tmp_path, phase="valid", ks=(10,))
         reps.add(transfer.item_index(m, s.items).reps.tobytes())
-        return validation_hr(m, s, tcfg)
+        return validation_hr(m, s)
 
     monkeypatch.setattr(training, "_validation_hr", checked)
     cfg = training.TrainConfig(learning_rate=0.05, max_epochs=2, patience=10, B=4,
@@ -338,10 +343,10 @@ def test_index_rebuilt_after_load_snapshot(monkeypatch, tmp_path):
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
     other = RecModel.init(small_config(), 1).snapshot()
-    evaluate(model, split, L_max=4)
+    evaluate(model, split)
     built = count_builds(monkeypatch)
     model.load_snapshot(other)
-    assert_matches_fresh_model(model, split, tmp_path, L_max=4)
+    assert_matches_fresh_model(model, split, tmp_path)
     assert len(built) == 2  # the model's rebuild and the fresh model's build
 
 
@@ -360,8 +365,8 @@ def test_index_rebuilt_after_unsignalled_writes(monkeypatch):
     def assert_matches_clone():
         twin = model.clone()
         for phase in ("valid", "test"):
-            assert report_key(evaluate(model, split, phase=phase, L_max=4)) == \
-                report_key(evaluate(twin, split, phase=phase, L_max=4))
+            assert report_key(evaluate(model, split, phase=phase)) == \
+                report_key(evaluate(twin, split, phase=phase))
         got = transfer.item_index(model, split.items)
         assert got.reps.tobytes() == \
             transfer.item_index(twin, split.items).reps.tobytes()
@@ -386,14 +391,14 @@ def test_index_rebuilt_after_unsignalled_writes(monkeypatch):
 def test_index_rebuilt_for_another_catalog_object(monkeypatch, tmp_path):
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
-    evaluate(model, split, L_max=4)
+    evaluate(model, split)
     built = count_builds(monkeypatch)
     items = dict(split.items)
     first = min(items)
     items[first] = ItemRecord(first, [1, 2], items[first].patches + 1.0)
     changed = SplitDataset(items=items, train=split.train, valid=split.valid,
                            test=split.test)
-    assert_matches_fresh_model(model, changed, tmp_path, L_max=4)
+    assert_matches_fresh_model(model, changed, tmp_path)
     assert len(built) == 2
 
 
@@ -464,7 +469,7 @@ def test_oracle_model_scores_perfectly():
     split = oracle_split()
     model = OracleModel(6)
     for phase in ("valid", "test"):
-        report = evaluate(model, split, phase=phase, ks=(1, 10), L_max=10)
+        report = evaluate(model, split, phase=phase, ks=(1, 10))
         assert report.hr[1] == 100.0
         assert report.ndcg[10] == 100.0
 
@@ -476,7 +481,7 @@ def test_anti_oracle_model_never_hits():
         def encode_sequence(self, reps, mask, last=False):
             return _states(np.roll(reps.data, 3, axis=-1), mask, last)  # wrong successor
 
-    report = evaluate(AntiOracle(6), split, phase="test", ks=(1,), L_max=10)
+    report = evaluate(AntiOracle(6), split, phase="test", ks=(1,))
     assert report.hr[1] == 0.0
 
 
@@ -487,7 +492,7 @@ def test_anti_oracle_model_never_hits():
 def test_cold_start_empty_set_gives_zero_report():
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
-    report = evaluate_cold_start(model, split, threshold=0, ks=(10,), L_max=4)
+    report = evaluate_cold_start(model, split, threshold=0, ks=(10,))
     assert report.count == 0
     assert report.hr[10] == 0.0 and report.ndcg[10] == 0.0
     assert report.phase == "cold"
@@ -495,7 +500,6 @@ def test_cold_start_empty_set_gives_zero_report():
 
 def test_cold_start_oracle_hits_every_cold_target():
     split = oracle_split()
-    report = evaluate_cold_start(OracleModel(6), split, threshold=100,
-                                 ks=(1,), L_max=10)
+    report = evaluate_cold_start(OracleModel(6), split, threshold=100, ks=(1,))
     assert report.count > 0
     assert report.hr[1] == 100.0

@@ -134,7 +134,7 @@ def pipeline():
     model = RecModel.init(cfg, 42)
     batch = random_batch(cfg, rng, B=2, L=3, n_items=6)
     ctx = obj.BatchContext(model, batch)
-    reps = ad.embedding(ctx.emb["e_cls"], ctx.pos_to_row)
+    reps = ad.getitem(ctx.emb["e_cls"], ctx.pos_to_row)
     hiddens = model.encode_sequence(reps, batch.mask)
     return model, batch, ctx, hiddens
 
@@ -232,7 +232,7 @@ def test_vcl_icl_match_scalar_enumeration(pipeline):
 def test_nid_matches_scalar_enumeration(pipeline):
     model, batch, ctx, _ = pipeline
     corr_rows, labels = obj.corrupt_batch(ctx, OCFG)
-    corr_reps = ad.embedding(ctx.emb["e_cls"], corr_rows)
+    corr_reps = ad.getitem(ctx.emb["e_cls"], corr_rows)
     corr_h = model.encode_sequence(corr_reps, batch.mask)
     W = model.groups["nid_head"]["W"].data
     b = model.groups["nid_head"]["b"].data
@@ -399,8 +399,8 @@ def occurrence_dap_loss(ctx, hiddens):
     allowed, occ_row = occurrence_negatives(ctx)
     e = ctx.emb["e_cls"]
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))
-    pos = ad.embedding(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
-    e_occ = ad.embedding(e, occ_row)
+    pos = ad.getitem(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
+    e_occ = ad.getitem(e, occ_row)
     pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
     neg_scores = ad.matmul(h, ad.transpose(e_occ, (1, 0)))
     z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
@@ -413,8 +413,8 @@ def occurrence_contrastive_loss(ctx, variant):
     all_allowed, occ_row = occurrence_negatives(ctx)
     tn = C.l2_normalize(ctx.emb["t_cls"])
     vn = C.l2_normalize(ctx.emb["v_cls"])
-    t_occ = ad.embedding(tn, occ_row)
-    v_occ = ad.embedding(vn, occ_row)
+    t_occ = ad.getitem(tn, occ_row)
+    v_occ = ad.getitem(vn, occ_row)
     if variant == "nicl":
         a_u, a_l = ctx.tr_u, ctx.tr_l
     else:
@@ -424,8 +424,8 @@ def occurrence_contrastive_loss(ctx, variant):
     allowed = all_allowed[a_u]
 
     def one_side(anchor_tab, other_tab, same_occ, other_occ):
-        a = ad.embedding(anchor_tab, rows)
-        pos = ad.tsum(ad.mul(a, ad.embedding(other_tab, rows)), axis=-1)
+        a = ad.getitem(anchor_tab, rows)
+        pos = ad.tsum(ad.mul(a, ad.getitem(other_tab, rows)), axis=-1)
         pos = ad.reshape(pos, (-1, 1))
         inter = ad.matmul(a, ad.transpose(other_occ, (1, 0)))
         cols = [pos, inter]
@@ -438,8 +438,8 @@ def occurrence_contrastive_loss(ctx, variant):
                                  np.concatenate(masks, axis=1), axis=1)
         if variant == "nicl":
             nrows = ctx.rows_at(a_u, a_l + 1)
-            nxt_other = ad.tsum(ad.mul(a, ad.embedding(other_tab, nrows)), axis=-1)
-            nxt_same = ad.tsum(ad.mul(a, ad.embedding(anchor_tab, nrows)), axis=-1)
+            nxt_other = ad.tsum(ad.mul(a, ad.getitem(other_tab, nrows)), axis=-1)
+            nxt_same = ad.tsum(ad.mul(a, ad.getitem(anchor_tab, nrows)), axis=-1)
             numz = ad.concat([pos, ad.reshape(nxt_other, (-1, 1)),
                               ad.reshape(nxt_same, (-1, 1))], axis=1)
             num = C.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
@@ -510,7 +510,7 @@ def test_unique_item_losses_match_occurrence_oracle(kind, seed, name):
     model, batch = parity_case(kind, seed)
 
     def hiddens(ctx):
-        reps = ad.embedding(ctx.emb["e_cls"], ctx.pos_to_row)
+        reps = ad.getitem(ctx.emb["e_cls"], ctx.pos_to_row)
         return model.encode_sequence(reps, batch.mask)
 
     if name == "dap":

@@ -5,9 +5,12 @@ from hypothesis import given, strategies as st
 from mmrec.autodiff import Tensor
 from mmrec.data import SyntheticConfig, filter_and_split, generate_synthetic
 from mmrec.encoders import ModelConfig
+from mmrec.evaluation import evaluate
 from mmrec.model import RecModel
 from mmrec.training import (AdamW, NonFiniteGradient, TrainConfig, finetune,
                             pretrain, should_stop)
+
+from .conftest import with_l_max
 
 
 def opt_for(params, **kw):
@@ -171,6 +174,23 @@ def test_l_max_above_the_models_is_rejected_before_epoch_zero(monkeypatch):
         pretrain(model, split, tcfg(L_max=7))
 
 
+def test_validation_reads_the_models_l_max_not_the_batches():
+    """A `TrainConfig.L_max` below the model's cuts training batches only:
+    epoch 0 logs the HR@10 that `evaluate` reports for the initial model,
+    which on this split differs from the HR@10 of prefixes cut to 2 items."""
+    model, _ = tiny_setup()
+    source, _ = generate_synthetic(SyntheticConfig(
+        n_users=40, n_items=30, L_min=5, L_max=6, vocab_size=12, p_min=2,
+        p_max=4, q=4, patch_dim=4, seed=0))
+    split = filter_and_split(source, min_interactions=2)
+    initial = model.clone()
+    hr10 = evaluate(initial, split, phase="valid", ks=(10,)).hr[10] / 100
+    assert hr10 != evaluate(with_l_max(initial, 2), split, phase="valid",
+                            ks=(10,)).hr[10] / 100
+    log = pretrain(model, split, tcfg(L_max=2, max_epochs=1))
+    assert log[0]["val_hr10"] == hr10
+
+
 def test_training_is_reproducible():
     snaps = []
     for _ in range(2):
@@ -196,7 +216,7 @@ def test_model_ends_at_best_validation_snapshot():
     model, split = tiny_setup(seed=1)
     cfg = tcfg(max_epochs=3, learning_rate=1e-2)
     log = pretrain(model, split, cfg)
-    hr, _ = _validation_hr(model, split, cfg)
+    hr, _ = _validation_hr(model, split)
     assert hr == pytest.approx(max(e["val_hr10"] for e in log), abs=1e-12)
 
 

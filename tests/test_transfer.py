@@ -18,6 +18,8 @@ from mmrec.transfer import (LOADED_GROUPS, MODE_MODALITY, TRANSFER_MODES,
                             load_bundle, load_components, model_from_bundle,
                             predict_scores, save_bundle)
 
+from .conftest import with_l_max
+
 
 @pytest.fixture
 def model():
@@ -330,7 +332,7 @@ def test_softmax_preserves_logit_order(model, items):
     index = tr.item_index(model, items)
     h = tr.encode_prefixes(model, [[0, 1, 2]], items, index, 4)[0]
     logits = index.reps @ h
-    scores = predict_scores(model, [0, 1, 2], items, L_max=4)
+    scores = predict_scores(model, [0, 1, 2], items)
     assert tr.item_index(model, items) is index  # predict_scores scored with it
     assert np.array_equal(np.argsort(logits), np.argsort(scores))
 
@@ -391,11 +393,17 @@ def test_encode_prefixes_truncates_to_l_max(model, items):
 
 def test_l_max_above_the_models_is_rejected(model, items):
     with pytest.raises(ValueError, match="L_max=5 exceeds the model's L_max=4"):
-        predict_scores(model, [0, 1], items, L_max=5)
-    # a smaller L_max still truncates the prefix
-    np.testing.assert_array_equal(
-        predict_scores(model, [0, 1, 2, 3, 4], items, L_max=3),
-        predict_scores(model, [2, 3, 4], items))
+        tr.encode_prefixes(model, [[0, 1]], items, build_item_index(model, items),
+                           L_max=5)
+
+
+def test_predict_scores_cuts_prefixes_to_the_models_l_max(model, items):
+    """A model with the first 3 rows of another's position table scores a
+    long prefix as both score its last 3 items."""
+    short = with_l_max(model, 3)
+    want = predict_scores(model, [2, 3, 4], items)
+    np.testing.assert_array_equal(predict_scores(short, [0, 1, 2, 3, 4], items), want)
+    np.testing.assert_array_equal(predict_scores(short, [2, 3, 4], items), want)
 
 
 def test_out_of_catalog_prefix_item_named(model, items):

@@ -137,21 +137,6 @@ def add(a, b):
     return _make(data, (a, b), bw)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-    if not _tracked(a, b):
-        return Tensor(data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), bw)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
@@ -270,16 +255,20 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(data, (x, gain, bias), bw)
 
 
-def linear(x, w, b):
+def linear(x, w, b=None):
     """`x @ w + b` over the last axis of x, as one node. w is (d_in, d_out)
-    and b is (d_out,). The forward and the weight gradient are each a single
-    GEMM over all leading axes of x, so a row's output does not depend on
-    how many rows share the call (a batched one-row matmul rounds
+    and b, when given, is (d_out,). The forward and the weight gradient are
+    each a single GEMM over all leading axes of x, so a row's output does not
+    depend on how many rows share the call (a batched one-row matmul rounds
     differently)."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x, w = as_tensor(x), as_tensor(w)
     data = (x.data.reshape(-1, x.shape[-1]) @ w.data).reshape(*x.shape[:-1], -1)
-    data += b.data
-    if not _tracked(x, w, b):
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        data += b.data
+        parents += (b,)
+    if not _tracked(*parents):
         return Tensor(data)
 
     def bw(g):
@@ -288,10 +277,10 @@ def linear(x, w, b):
             x._accum(g @ w.data.T)
         if w.requires_grad:
             w._accum(x.data.reshape(-1, x.shape[-1]).T @ g2)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b._accum(g2.sum(axis=0))
 
-    return _make(data, (x, w, b), bw)
+    return _make(data, parents, bw)
 
 
 def attention(q, k, v, bias, n_heads):
@@ -446,25 +435,8 @@ def softmax_xent(z, weights, positives):
 
 
 # ---------------------------------------------------------------------------
-# program-level helpers
+# finite differences
 # ---------------------------------------------------------------------------
-
-def forward_backward(program, inputs):
-    """Evaluate `program(*inputs)` and return (scalar value, gradients).
-
-    `program` composes primitives from this module; `inputs` are Tensors
-    (grad tracking is forced on). The terminal must be scalar.
-    """
-    for t in inputs:
-        t.requires_grad = True
-        t.zero_grad()
-    out = program(*inputs)
-    if out.data.size != 1:
-        raise ValueError(f"program terminal must be scalar, got shape {out.shape}")
-    out.backward()
-    grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
-    return out, grads
-
 
 def central_difference(fn, flat, step=1e-5):
     """Central-difference derivatives of the scalar `fn()` with respect to
@@ -490,33 +462,3 @@ def relative_error(analytic, numeric):
         return 0.0
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def finite_difference(program, inputs, index, step=1e-5):
-    """Central-difference gradient of program w.r.t. inputs[index]."""
-    base = [t.data.copy() for t in inputs]
-    g = central_difference(lambda: program(*[Tensor(b) for b in base]),
-                           base[index].reshape(-1), step)
-    return g.reshape(base[index].shape)
-
-
-def gradient_check(program, point, step=1e-5, tol=1e-4):
-    """Compare analytic gradients against central differences.
-
-    Returns a report dict with per-input max relative error (see
-    `relative_error`) and pass flags.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    tensors = [as_tensor(p) for p in point]
-    _, grads = forward_backward(program, tensors)
-    report = {"inputs": [], "passed": True, "max_rel_error": 0.0}
-    for i, analytic in enumerate(grads):
-        rel = relative_error(analytic, finite_difference(program, tensors, i, step=step))
-        ok = rel <= tol
-        report["inputs"].append({"index": i, "max_rel_error": rel, "passed": ok})
-        report["max_rel_error"] = max(report["max_rel_error"], rel)
-        report["passed"] = report["passed"] and ok
-    return report

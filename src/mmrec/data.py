@@ -190,6 +190,8 @@ def make_batches(split, B, L_max, seed):
     and group into batches of at most B users."""
     if B < 2:
         raise DataError("batch size < 2 leaves contrastive negative sets empty")
+    if L_max < 1:  # seq[-L_max:] would keep whole sequences, or cut their heads
+        raise DataError(f"L_max={L_max} must be at least 1")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(split.train))
     batches = []

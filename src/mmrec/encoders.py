@@ -68,9 +68,10 @@ def _ones(shape):
 def init_block(rng, d, ffn_mult, prefix):
     h = d * ffn_mult
     p = {}
-    for name in ("wq", "wk", "wv", "wo"):
-        p[f"{prefix}{name}"] = _gauss(rng, (d, d))
-        p[f"{prefix}b{name[1]}"] = _zeros((d,))
+    for c in "qkvo":
+        p[f"{prefix}w{c}"] = _gauss(rng, (d, d))
+        if c != "k":  # softmax cancels a key bias: q·bk is the same for every key
+            p[f"{prefix}b{c}"] = _zeros((d,))
     p[f"{prefix}ln1_g"] = _ones((d,))
     p[f"{prefix}ln1_b"] = _zeros((d,))
     p[f"{prefix}w1"] = _gauss(rng, (d, h))
@@ -135,7 +136,7 @@ def transformer_block(params, prefix, x, bias, n_heads, query=None):
     if query is None:
         query = x
     q = ad.linear(query, p("wq"), p("bq"))
-    k, v = (ad.linear(x, p(f"w{c}"), p(f"b{c}")) for c in "kv")
+    k, v = ad.linear(x, p("wk")), ad.linear(x, p("wv"), p("bv"))
     ctx = ad.linear(ad.attention(q, k, v, bias, n_heads), p("wo"), p("bo"))
     x = ad.layer_norm(ad.add(query, ctx), p("ln1_g"), p("ln1_b"))
     ff = ad.linear(ad.gelu(ad.linear(x, p("w1"), p("b1"))), p("w2"), p("b2"))

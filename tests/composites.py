@@ -1,9 +1,9 @@
 """Reference versions of the fused autodiff nodes, built from small nodes.
 
-The elementwise nodes here (`exp`, `log`, `power`, `softmax`, `tmean`) have
-no caller in the library; the composites written with them are the oracles
-that the one-node `layer_norm`, `l2_normalize` and `softmax_xent` and the
-objectives built on them are checked against.
+The elementwise nodes here (`exp`, `log`, `power`, `softmax`, `tmean`, `sub`)
+have no caller in the library; the composites written with them are the
+oracles that the one-node `layer_norm`, `l2_normalize` and `softmax_xent` and
+the objectives built on them are checked against.
 """
 
 import numpy as np
@@ -43,6 +43,11 @@ def softmax(x, axis=-1):
                  lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
 
 
+def sub(a, b):
+    """a - b as a + b * -1; negation is exact, so it is bitwise a - b."""
+    return ad.add(a, ad.mul(b, -1.0))
+
+
 def tmean(x, axis=None, keepdims=False):
     x = ad.as_tensor(x)
     if axis is None:
@@ -57,7 +62,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     """Layer norm as nine nodes; the fused node reproduces its forward
     bitwise."""
     mu = tmean(x, axis=-1, keepdims=True)
-    xc = ad.sub(x, mu)
+    xc = sub(x, mu)
     var = tmean(ad.mul(xc, xc), axis=-1, keepdims=True)
     inv = power(ad.add(var, eps), -0.5)
     return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
@@ -79,7 +84,7 @@ def masked_logsumexp(x, weights, axis=-1):
     weights = np.asarray(weights, dtype=np.float64)
     keep = (weights > 0).astype(np.float64)
     shift = np.where(keep > 0, x.data, -np.inf).max(axis=axis, keepdims=True)
-    z = ad.mul(ad.sub(x, shift), keep)
+    z = ad.mul(sub(x, shift), keep)
     s = ad.tsum(ad.mul(exp(z), weights), axis=axis)
     return ad.add(log(s), np.squeeze(shift, axis=axis))
 
@@ -91,5 +96,5 @@ def softmax_xent(z, weights, positives):
     pos = np.asarray(positives)
     rows = np.broadcast_to(np.arange(z.shape[0])[:, None], pos.shape)
     zp = ad.getitem(z, (rows, pos))
-    return tmean(ad.sub(masked_logsumexp(z, weights, axis=1),
-                        masked_logsumexp(zp, np.ones(pos.shape), axis=1)))
+    return tmean(sub(masked_logsumexp(z, weights, axis=1),
+                     masked_logsumexp(zp, np.ones(pos.shape), axis=1)))

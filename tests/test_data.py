@@ -214,6 +214,14 @@ def test_batching_rejects_singleton_unless_allowed():
         make_batches(split, B=1, L_max=4, seed=0)
 
 
+@pytest.mark.parametrize("L_max", [0, -1])
+def test_batching_rejects_l_max_below_one(L_max):
+    # slicing seq[-L_max:] would keep whole sequences at 0 (seq[0:]) and
+    # drop the first item at -1 (seq[1:])
+    with pytest.raises(DataError, match=f"L_max={L_max}"):
+        make_batches(small_split(), 4, L_max, 0)
+
+
 def test_batches_cover_every_user_once():
     split = small_split()
     batches = make_batches(split, B=2, L_max=4, seed=3)

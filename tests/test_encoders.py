@@ -208,13 +208,15 @@ def _composite_block(params, prefix, x, bias, n_heads):
     b, s, d = x.shape
     dh = d // n_heads
 
-    def proj(t, w, bb):
-        return ad.add(ad.matmul(t, params[prefix + w]), params[prefix + bb])
+    def proj(t, w, bb=None):
+        out = ad.matmul(t, params[prefix + w])
+        return out if bb is None else ad.add(out, params[prefix + bb])
 
     def heads(t):
         return ad.transpose(ad.reshape(t, (b, s, n_heads, dh)), (0, 2, 1, 3))
 
-    q, k, v = (heads(proj(x, f"w{c}", f"b{c}")) for c in "qkv")
+    q, k, v = (heads(proj(x, "wq", "bq")), heads(proj(x, "wk")),
+               heads(proj(x, "wv", "bv")))
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = softmax(ad.add(scores, bias), axis=-1)
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
@@ -244,12 +246,9 @@ def test_transformer_block_matches_composite(causal):
         runs.append((out.data, {"x": x.grad, **{n: t.grad for n, t in params.items()}}))
     (got, got_g), (want, want_g) = runs
     assert got.tobytes() == want.tobytes()
-    scale = max(np.abs(g).max() for g in want_g.values())
     for name, w in want_g.items():
-        # the key bias shifts every score of a query equally, so its exact
-        # gradient is zero and both sides hold only rounding noise
-        tol = 1e-12 * (np.abs(w).max() if not name.endswith("bk") else scale)
-        np.testing.assert_allclose(got_g[name], w, rtol=0, atol=tol, err_msg=name)
+        np.testing.assert_allclose(got_g[name], w, rtol=0,
+                                   atol=1e-12 * np.abs(w).max(), err_msg=name)
 
 
 def test_block_is_twelve_nodes(model):
@@ -316,9 +315,8 @@ def test_fusion_final_block_matches_full_row_fusion(blocks):
         assert (got_g[name] is None) == (w is None), name
         if w is None:
             continue
-        # the key bias's exact gradient is zero: both sides hold rounding noise
-        tol = 1e-15 if name.endswith("bk") else 1e-12 * np.abs(w).max()
-        np.testing.assert_allclose(got_g[name], w, rtol=0, atol=tol, err_msg=name)
+        np.testing.assert_allclose(got_g[name], w, rtol=0,
+                                   atol=1e-12 * np.abs(w).max(), err_msg=name)
 
 
 def test_final_fusion_block_attends_with_one_query_row(monkeypatch):

@@ -139,3 +139,17 @@ def test_rcl_check_verifies_a_nonzero_gradient(monkeypatch):
     monkeypatch.setattr(gradcheck, "check_parameters", analytic)
     gradcheck.run_gradient_checks(seed=0, losses=("rcl",))
     assert seen[0] > 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_parameter_array_receives_gradient(seed):
+    # a parameter whose gradient is rounding noise changes no output, and
+    # its central differences would compare noise with noise
+    model = RecModel.init(small_config(), seed)
+    batch = random_batch(model.cfg, np.random.default_rng(seed), B=3)
+    obj.total_loss(model, batch, ObjectiveConfig())[0].backward()
+    largest = {name: float(np.abs(p.grad).max()) if p.grad is not None else 0.0
+               for name, p in model.named_parameters()}
+    scale = max(largest.values())
+    inert = {name: g / scale for name, g in largest.items() if g <= 1e-15 * scale}
+    assert not inert, inert

@@ -406,7 +406,7 @@ def occurrence_dap_loss(ctx, hiddens):
     z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
     m = np.concatenate([np.ones((len(ctx.tr_u), 1)), allowed[ctx.tr_u]], axis=1)
     lse = C.masked_logsumexp(z, m, axis=1)
-    return C.tmean(ad.sub(lse, pos_score))
+    return C.tmean(C.sub(lse, pos_score))
 
 
 def occurrence_contrastive_loss(ctx, variant):
@@ -445,7 +445,7 @@ def occurrence_contrastive_loss(ctx, variant):
             num = C.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
         else:
             num = ad.reshape(pos, (-1,))
-        return ad.sub(den, num)
+        return C.sub(den, num)
 
     tv = one_side(tn, vn, t_occ, v_occ)
     vt = one_side(vn, tn, v_occ, t_occ)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmrec.autodiff import Tensor
-from mmrec.data import SyntheticConfig, filter_and_split, generate_synthetic
+from mmrec.data import (DataError, SyntheticConfig, filter_and_split,
+                        generate_synthetic)
 from mmrec.encoders import ModelConfig
 from mmrec.evaluation import evaluate
 from mmrec.model import RecModel
@@ -172,6 +173,12 @@ def test_l_max_above_the_models_is_rejected_before_epoch_zero(monkeypatch):
         "validation ran"))
     with pytest.raises(ValueError, match="L_max=7 exceeds the model's L_max=6"):
         pretrain(model, split, tcfg(L_max=7))
+
+
+def test_l_max_below_one_is_rejected():
+    model, split = tiny_setup()
+    with pytest.raises(DataError, match="L_max=0"):
+        pretrain(model, split, tcfg(L_max=0))
 
 
 def test_validation_reads_the_models_l_max_not_the_batches():

@@ -144,6 +144,37 @@ def test_legacy_dropout_key_loads(model, tmp_path):
     assert all(np.array_equal(back[k], want[k]) for k in want)
 
 
+def write_with_key_bias(model, path):
+    """`model` in the layout that carried an attention key bias: a zero (d,)
+    `b{i}.bk` beside each block's `wk`, in manifest and payload alike."""
+    groups = {g: {p: t.data for p, t in group.items()} for g, group in model.groups.items()}
+    for group in groups.values():
+        group.update({p[:-2] + "bk": np.zeros(model.cfg.d) for p in list(group)
+                      if p.endswith(".wk")})
+    manifest = {"format_version": tr.FORMAT_VERSION, "config": model.cfg.to_dict(),
+                "groups": {g: {p: list(a.shape) for p, a in groups[g].items()}
+                           for g in groups}}
+    write_signed(path, manifest, b"".join(groups[g][p].tobytes() for g in sorted(groups)
+                                          for p in sorted(groups[g])))
+
+
+def test_bundle_with_key_bias_loads_with_it_ignored(model, items, tmp_path):
+    legacy, current = tmp_path / "legacy.bundle", tmp_path / "m.bundle"
+    write_with_key_bias(model, legacy)
+    _, groups = load_bundle(legacy)
+    assert all("b0.bk" in groups[g] for g in ("text_encoder", "vision_encoder",
+                                              "fusion", "user_encoder"))
+    save_bundle(model, current)
+    prefix = [0, 3, 5]
+    want = predict_scores(model, prefix, items)
+    for back in (model_from_bundle(legacy),
+                 load_components(legacy, "full", fresh_init_seed=9)):
+        assert not any(n.endswith("bk") for n, _ in back.named_parameters())
+        assert predict_scores(back, prefix, items).tobytes() == want.tobytes()
+        save_bundle(back, tmp_path / "again.bundle")
+        assert (tmp_path / "again.bundle").read_bytes() == current.read_bytes()
+
+
 def test_unknown_config_key_rejected(model, tmp_path):
     save_bundle(model, tmp_path / "m.bundle")
     resign_with_config(tmp_path / "m.bundle", tmp_path / "bogus.bundle", bogus=1)

@@ -1,8 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation records its parents and a backward closure on the output
-tensor; `backward()` runs a topological sweep from a scalar loss. All math
-is double precision and single-threaded, so results are bit-reproducible.
+Every operation is its output plus a vector-Jacobian product (vjp): `_make`
+records the parents and the vjp on the output tensor, and `backward()` runs
+a topological sweep from a scalar loss that adds each returned gradient into
+its parent. All math is double precision and single-threaded, so results are
+bit-reproducible.
 """
 
 import math
@@ -45,8 +47,8 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g):
-        # the first write copies: backward closures may hand the same array
-        # to several parents, or a view of their own incoming gradient
+        # the first write copies: a vjp may return the same array for
+        # several parents, or a view of its own incoming gradient
         if self.grad is None:
             self.grad = np.array(np.broadcast_to(g, self.data.shape))
         else:
@@ -64,7 +66,10 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward(node.grad)
+                grads = node._backward(node.grad)
+                for parent, g in zip(node._parents, grads, strict=True):
+                    if g is not None and parent.requires_grad:
+                        parent._accum(g)
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -100,10 +105,15 @@ def _tracked(*tensors):
     return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
 
 
-def _make(data, parents, backward):
+def _make(data, parents, vjp):
+    """The output `data` of an op on the Tensors `parents`: a constant when
+    no parent is tracked, otherwise a node whose `vjp(g)` maps the output's
+    gradient to one gradient per parent (None adds nothing)."""
+    if not _tracked(*parents):
+        return Tensor(data)
     out = Tensor(data, requires_grad=True)
     out._parents = parents
-    out._backward = backward
+    out._backward = vjp
     return out
 
 
@@ -124,68 +134,39 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-    if not _tracked(a, b):
-        return Tensor(data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), bw)
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-    if not _tracked(a, b):
-        return Tensor(data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), bw)
+    return _make(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.shape),
+                            _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data @ b.data
-    if not _tracked(a, b):
-        return Tensor(data)
 
-    def bw(g):
-        if a.requires_grad:
-            if b.data.ndim == 1:
-                ga = np.outer(g, b.data) if a.data.ndim == 2 else g * b.data
-            else:
-                ga = g @ b.data.swapaxes(-1, -2)
-            a._accum(_unbroadcast(np.asarray(ga), a.shape))
-        if b.requires_grad:
-            if a.data.ndim == 1:
-                gb = np.outer(a.data, g) if b.data.ndim == 2 else g * a.data
-            else:
-                gb = a.data.swapaxes(-1, -2) @ g
-            b._accum(_unbroadcast(np.asarray(gb), b.shape))
+    def vjp(g):
+        if b.data.ndim == 1:
+            ga = np.outer(g, b.data) if a.data.ndim == 2 else g * b.data
+        else:
+            ga = g @ b.data.swapaxes(-1, -2)
+        if a.data.ndim == 1:
+            gb = np.outer(a.data, g) if b.data.ndim == 2 else g * a.data
+        else:
+            gb = a.data.swapaxes(-1, -2) @ g
+        return (_unbroadcast(np.asarray(ga), a.shape),
+                _unbroadcast(np.asarray(gb), b.shape))
 
-    return _make(data, (a, b), bw)
+    return _make(a.data @ b.data, (a, b), vjp)
 
 
 def relu(x):
     x = as_tensor(x)
-    data = np.maximum(x.data, 0.0)
-    if not _tracked(x):
-        return Tensor(data)
-    mask = (x.data > 0.0).astype(np.float64)
-
-    def bw(g):
-        x._accum(g * mask)
-
-    return _make(data, (x,), bw)
+    return _make(np.maximum(x.data, 0.0), (x,),
+                 lambda g: (g * (x.data > 0.0).astype(np.float64),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -198,30 +179,23 @@ def gelu(x):
     v2 = v * v  # float `v**3` has no fast path in numpy and is ~100x slower
     inner = _GELU_C * (v + 0.044715 * (v2 * v))
     t = np.tanh(inner)
-    data = 0.5 * v * (1.0 + t)
-    if not _tracked(x):
-        return Tensor(data)
 
-    def bw(g):
+    def vjp(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * v2)
-        dx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
-        x._accum(g * dx)
+        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner),)
 
-    return _make(data, (x,), bw)
+    return _make(0.5 * v * (1.0 + t), (x,), vjp)
 
 
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-    if not _tracked(x):
-        return Tensor(data)
 
-    def bw(g):
+    def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accum(np.broadcast_to(g, x.shape))
+        return (np.broadcast_to(g, x.shape),)
 
-    return _make(data, (x,), bw)
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -237,22 +211,15 @@ def layer_norm(x, gain, bias, eps=1e-5):
     var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
     inv = (var + eps) ** -0.5
     xhat = xc * inv
-    data = xhat * gain.data + bias.data
-    if not _tracked(x, gain, bias):
-        return Tensor(data)
 
-    def bw(g):
-        if x.requires_grad:
-            dxhat = g * gain.data
-            dxc = inv * (dxhat - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True)
-                                         * inv_n))
-            x._accum(dxc - dxc.sum(axis=-1, keepdims=True) * inv_n)
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.shape))
+    def vjp(g):
+        dxhat = g * gain.data
+        dxc = inv * (dxhat - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True)
+                                     * inv_n))
+        return (dxc - dxc.sum(axis=-1, keepdims=True) * inv_n,
+                _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
 
-    return _make(data, (x, gain, bias), bw)
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 def linear(x, w, b=None):
@@ -268,19 +235,13 @@ def linear(x, w, b=None):
         b = as_tensor(b)
         data += b.data
         parents += (b,)
-    if not _tracked(*parents):
-        return Tensor(data)
 
-    def bw(g):
+    def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.reshape(-1, x.shape[-1]).T @ g2)
-        if b is not None and b.requires_grad:
-            b._accum(g2.sum(axis=0))
+        grads = (g @ w.data.T, x.data.reshape(-1, x.shape[-1]).T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
 
-    return _make(data, parents, bw)
+    return _make(data, parents, vjp)
 
 
 def attention(q, k, v, bias, n_heads):
@@ -307,80 +268,49 @@ def attention(q, k, v, bias, n_heads):
     z = (qh @ kh.transpose(0, 1, 3, 2)) * scale + bias
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    data = merge(p @ vh)
-    if not _tracked(q, k, v):
-        return Tensor(data)
 
-    def bw(g):
+    def vjp(g):
         gh = heads(g)
-        if v.requires_grad:
-            v._accum(merge(p.transpose(0, 1, 3, 2) @ gh))
-        if q.requires_grad or k.requires_grad:
-            dp = gh @ vh.transpose(0, 1, 3, 2)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            ds *= scale
-            if q.requires_grad:
-                q._accum(merge(ds @ kh))
-            if k.requires_grad:
-                k._accum(merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)))
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= scale
+        return (merge(ds @ kh),
+                merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)),
+                merge(p.transpose(0, 1, 3, 2) @ gh))
 
-    return _make(data, (q, k, v), bw)
+    return _make(merge(p @ vh), (q, k, v), vjp)
 
 
 def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _tracked(*tensors):
-        return Tensor(data)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accum(piece)
-
-    return _make(data, tuple(tensors), bw)
+    tensors = tuple(as_tensor(t) for t in tensors)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1],
+                                    axis=axis))
 
 
 def reshape(x, shape):
     x = as_tensor(x)
-    data = x.data.reshape(shape)
-    if not _tracked(x):
-        return Tensor(data)
-
-    def bw(g):
-        x._accum(g.reshape(x.shape))
-
-    return _make(data, (x,), bw)
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 
 
 def transpose(x, axes):
     x = as_tensor(x)
-    data = x.data.transpose(axes)
-    if not _tracked(x):
-        return Tensor(data)
-    inv = np.argsort(axes)
-
-    def bw(g):
-        x._accum(g.transpose(inv))
-
-    return _make(data, (x,), bw)
+    return _make(x.data.transpose(axes), (x,),
+                 lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def getitem(x, index):
-    """Basic slicing / integer-array indexing with scatter-add gradient."""
+    """Basic slicing / integer-array indexing with scatter-add gradient. The
+    scatter adds into `x.grad` in place, in index order, and returns None."""
     x = as_tensor(x)
-    data = x.data[index]
-    if not _tracked(x):
-        return Tensor(data)
 
-    def bw(g):
+    def vjp(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         np.add.at(x.grad, index, g)
+        return (None,)
 
-    return _make(data, (x,), bw)
+    return _make(x.data[index], (x,), vjp)
 
 
 def l2_normalize(x, eps=1e-12):
@@ -392,13 +322,8 @@ def l2_normalize(x, eps=1e-12):
     guard = norm >= eps
     inv = 1.0 / np.where(guard, norm, eps)
     data = x.data * inv
-    if not _tracked(x):
-        return Tensor(data)
-
-    def bw(g):
-        x._accum(inv * (g - data * ((g * data).sum(axis=-1, keepdims=True) * guard)))
-
-    return _make(data, (x,), bw)
+    return _make(data, (x,), lambda g: (
+        inv * (g - data * ((g * data).sum(axis=-1, keepdims=True) * guard)),))
 
 
 def softmax_xent(z, weights, positives):
@@ -422,16 +347,13 @@ def softmax_xent(z, weights, positives):
     pshift = zp.max(axis=1, keepdims=True)
     ep = np.exp(zp - pshift)
     sp = ep.sum(axis=1, keepdims=True)
-    data = ((np.log(s) + shift) - (np.log(sp) + pshift)).mean()
-    if not _tracked(z):
-        return Tensor(data)
 
-    def bw(g):
+    def vjp(g):
         d = e / s
         np.add.at(d, (rows, pos), -(ep / sp))
-        z._accum(d * (g / len(d)))
+        return (d * (g / len(d)),)
 
-    return _make(data, (z,), bw)
+    return _make(((np.log(s) + shift) - (np.log(sp) + pshift)).mean(), (z,), vjp)
 
 
 # ---------------------------------------------------------------------------

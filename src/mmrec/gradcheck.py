@@ -99,7 +99,7 @@ def _loss_fn(model, batch, name):
                                               corrupt_once)[name]
 
 
-def check_parameters(model, loss_fn, step=1e-5):
+def check_parameters(model, loss_fn):
     """Max relative error (`autodiff.relative_error`) between analytic and
     central-difference gradients over every trainable parameter element.
     Calls `loss_fn` once, then twice per trainable element."""
@@ -108,12 +108,12 @@ def check_parameters(model, loss_fn, step=1e-5):
     worst = 0.0
     for _, p in model.trainable_parameters():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = ad.central_difference(loss_fn, p.data.reshape(-1), step)
+        numeric = ad.central_difference(loss_fn, p.data.reshape(-1))
         worst = max(worst, ad.relative_error(analytic.reshape(-1), numeric))
     return worst
 
 
-def run_gradient_checks(seed=0, losses=CHECK_LOSSES, step=1e-5):
+def run_gradient_checks(seed=0, losses=CHECK_LOSSES):
     """Returns {loss name: max relative error} on the small configuration.
 
     `rcl` is checked on three sequences: with two, seed 0 corrupts both to
@@ -123,5 +123,5 @@ def run_gradient_checks(seed=0, losses=CHECK_LOSSES, step=1e-5):
         rng = np.random.default_rng(seed)
         model = RecModel.init(small_config(), seed)
         batch = random_batch(model.cfg, rng, B=3 if name == "rcl" else 2)
-        results[name] = check_parameters(model, _loss_fn(model, batch, name), step)
+        results[name] = check_parameters(model, _loss_fn(model, batch, name))
     return results

@@ -33,6 +33,9 @@ class ObjectiveConfig:
             raise ValueError(f"unknown contrastive variant {self.contrastive!r}")
         if self.rcl_pooling not in ("mean", "last"):
             raise ValueError(f"unknown pooling {self.rcl_pooling!r}")
+        for name in ("shuffle_rate", "replace_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name}={getattr(self, name)} must lie in [0, 1]")
 
 
 def dap_only():

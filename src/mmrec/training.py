@@ -26,6 +26,18 @@ class TrainConfig:
     grad_clip: float = 0.0  # global-norm clip, 0 disables
     trainable_top_blocks: object = "all"
 
+    def __post_init__(self):
+        # `not x >= 0` also rejects NaN
+        for name in ("learning_rate", "weight_decay", "adam_eps", "max_epochs",
+                     "grad_clip"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be non-negative")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}={getattr(self, name)} must lie in [0, 1)")
+        if not self.patience >= 1:
+            raise ValueError(f"patience={self.patience} must be >= 1")
+
 
 class NonFiniteGradient(RuntimeError):
     pass

@@ -12,10 +12,8 @@ from mmrec import autodiff as ad
 
 
 def _node(x, data, grad_of):
-    """One-parent node whose backward accumulates grad_of(g)."""
-    if not ad._tracked(x):
-        return ad.Tensor(data)
-    return ad._make(data, (x,), lambda g: x._accum(grad_of(g)))
+    """One-parent node whose vjp is grad_of(g)."""
+    return ad._make(data, (x,), lambda g: (grad_of(g),))
 
 
 def exp(x):

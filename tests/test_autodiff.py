@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from mmrec import autodiff as ad
 from mmrec.autodiff import Tensor
+from mmrec.encoders import attention_bias
 
 from . import composites as C
 
@@ -153,7 +154,7 @@ def test_gradient_check_flags_corrupted_rule():
         orig = out._backward
 
         def corrupted(g):
-            orig(g * 2.0)  # deliberately wrong scale
+            return orig(g * 2.0)  # deliberately wrong scale
 
         out._backward = corrupted
         return out
@@ -534,3 +535,92 @@ def test_gelu_matches_cube_closed_form():
                                  1e-15 * np.maximum(np.abs(value), np.abs(v)) + 1e-300)
     np.testing.assert_array_less(np.abs(x.grad - slope),
                                  1e-15 * np.maximum(np.abs(slope), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the node constructor: every primitive is a forward plus a vjp
+# ---------------------------------------------------------------------------
+
+# name -> (primitive over Tensors, shapes of its Tensor inputs)
+PRIMITIVES = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(3, 4), (3, 1)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "relu": (ad.relu, [(3, 4)]),
+    "gelu": (ad.gelu, [(3, 4)]),
+    "tsum": (lambda x: ad.tsum(x, axis=1), [(3, 4)]),
+    "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)]),
+    "linear": (ad.linear, [(2, 3, 4), (4, 2), (2,)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, attention_bias(_key_mask()), 2),
+                  [(2, 4, 6)] * 3),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)]),
+    "reshape": (lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
+    "transpose": (lambda x: ad.transpose(x, (1, 0)), [(3, 4)]),
+    "getitem": (lambda x: ad.getitem(x, np.array([2, 0, 2])), [(3, 4)]),
+    "l2_normalize": (ad.l2_normalize, [(3, 4)]),
+    "softmax_xent": (lambda z: ad.softmax_xent(z, np.ones((3, 4)), [[0], [3], [3]]),
+                     [(3, 4)]),
+}
+
+
+def _primitive_inputs(name):
+    rng = np.random.default_rng(len(name))
+    return [rng.normal(size=s) for s in PRIMITIVES[name][1]]
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_untracked_primitive_output_is_a_constant_leaf(name):
+    fn = PRIMITIVES[name][0]
+    arrays = _primitive_inputs(name)
+    tracked = fn(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert len(tracked._parents) == len(arrays) and tracked._backward is not None
+    with ad.no_grad():
+        off = fn(*[Tensor(a, requires_grad=True) for a in arrays])
+    constant = fn(*[Tensor(a) for a in arrays])
+    for out in (off, constant):
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert out.data.tobytes() == tracked.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_vjp_returns_one_gradient_per_parent(name):
+    fn = PRIMITIVES[name][0]
+    out = fn(*[Tensor(a, requires_grad=True) for a in _primitive_inputs(name)])
+    grads = out._backward(np.ones_like(out.data))
+    assert len(grads) == len(out._parents)
+    for p, g in zip(out._parents, grads):
+        assert g is None or np.shape(g) == p.shape
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, c: ad.mul(x, c),
+    lambda x, c: ad.linear(c, x, np.ones(3)),
+    lambda x, c: ad.add(x, np.zeros((3, 3))),
+], ids=["mul", "linear", "add"])
+def test_constant_parent_of_tracked_node_gets_no_gradient(build):
+    # the vjp computes a gradient for every parent; the sweep drops those of
+    # constants
+    rng = np.random.default_rng(28)
+    x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    out = build(x, rng.normal(size=(3, 3)))
+    ad.tsum(out).backward()
+    constants = [p for p in out._parents if p is not x]
+    assert x.grad is not None and constants
+    assert all(p.grad is None for p in constants)
+
+
+def test_getitem_adds_into_a_held_gradient_in_place():
+    # row 2 is gathered three times: each of its gradients is added into the
+    # array the parent already holds, in index order, as np.add.at does
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    index = np.array([2, 0, 2, 2, 3])
+    readout = rng.normal(size=(5, 3))
+    prior = rng.normal(size=(4, 3))
+    x.grad = held = prior.copy()
+    ad.tsum(ad.mul(ad.getitem(x, index), readout)).backward()
+    assert x.grad is held
+    want = prior.copy()
+    np.add.at(want, index, readout)
+    assert x.grad.tobytes() == want.tobytes()

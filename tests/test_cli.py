@@ -327,3 +327,24 @@ def test_non_positive_model_size_exits_1(workdir, tmp_path, capsys, pair):
                            "--out", str(tmp_path / "o")]))
     assert code == 1
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", [
+    "learning_rate=-1", "weight_decay=-0.01", "beta1=1.5", "beta2=1.0",
+    "beta1=-0.1", "adam_eps=-1e-8", "max_epochs=-3", "patience=0",
+    "grad_clip=-1", "learning_rate=nan", "shuffle_rate=1.5", "replace_rate=-0.1",
+])
+def test_bad_training_value_exits_1_before_training(workdir, tmp_path, capsys,
+                                                   monkeypatch, pair):
+    # rejected when the configuration is built: training never starts and
+    # no bundle is written
+    from mmrec import training
+
+    runs = []
+    monkeypatch.setattr(training, "_run_training", lambda *a: runs.append(a) or [])
+    _, data, _ = workdir
+    out = tmp_path / "o"
+    code = main(tiny_args(["-o", pair, "pretrain", "--data", data, "--out", str(out)]))
+    assert code == 1
+    assert pair.split("=")[0] in capsys.readouterr().err
+    assert not runs and not (out / "pretrained.bundle").exists()

@@ -128,7 +128,7 @@ def test_grad_mode_after_probes_matches_a_fresh_model():
 def test_rcl_check_verifies_a_nonzero_gradient(monkeypatch):
     seen = []
 
-    def analytic(model, loss_fn, step):
+    def analytic(model, loss_fn):
         model.zero_grad()
         loss_fn().backward()
         seen.append(max(float(np.abs(p.grad).max())

@@ -214,11 +214,12 @@ def cmd_gen_data(cfg, args):
 
 
 def cmd_stats(cfg, args):
-    for which in ("source", "target"):
-        items_path, inter_path = _dataset_paths(args.data, which)
-        if not os.path.exists(items_path):
-            continue
-        dataset = data_mod.load_dataset(items_path, inter_path)
+    present = [which for which in ("source", "target")
+               if os.path.exists(_dataset_paths(args.data, which)[0])]
+    if not present:
+        raise DataError(f"no source or target dataset in {args.data}")
+    for which in present:
+        dataset = data_mod.load_dataset(*_dataset_paths(args.data, which))
         print(data_mod.stats_report(dataset, which))
     return 0
 

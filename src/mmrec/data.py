@@ -78,10 +78,17 @@ def save_dataset(dataset, items_path, interactions_path):
             f.write(f"{uid}\t{' '.join(str(i) for i in seq)}\n")
 
 
+def _open(path):
+    try:
+        return open(path)
+    except OSError as e:
+        raise DataError(f"cannot read data file {path}: {e}") from None
+
+
 def load_dataset(items_path, interactions_path):
     items = {}
     q = pd = None
-    with open(items_path) as f:
+    with _open(items_path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
@@ -115,7 +122,7 @@ def load_dataset(items_path, interactions_path):
                 raise DataError(f"{items_path}:{lineno}: item has no tokens")
             items[idx] = ItemRecord(idx, tokens, vals.reshape(q, pd))
     users = []
-    with open(interactions_path) as f:
+    with _open(interactions_path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
@@ -340,6 +347,8 @@ def cold_item_subsequences(split, threshold=10):
     the training sequences. Every occurrence at position >= 2 of a user's
     full (train + valid + test) sequence yields one pair.
     """
+    if threshold < 0:
+        raise DataError(f"cold threshold={threshold} must be non-negative")
     train = split.train
     lengths = np.fromiter(map(len, train), dtype=np.int64, count=len(train))
     # the full sequences, concatenated: user u's occupies slots

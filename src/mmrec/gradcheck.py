@@ -75,28 +75,18 @@ class _StageReuse(RecModel):
 
 def _loss_fn(model, batch, name):
     """Zero-argument closure evaluating loss `name` on the batch: the
-    composed `total_loss`, or one objective's term on its own. The batch
-    never changes, so it is corrupted on the first call only, and the item
-    encoders rerun only when a probe reaches them (`_StageReuse`)."""
-    corruption = []
-    model = _StageReuse(model)
-
-    def corrupt_once(ctx, cfg):
-        if not corruption:
-            corruption.append(objectives.corrupt_batch(ctx, cfg))
-        return corruption[0]
-
-    if name == "total":
-        ocfg = ObjectiveConfig()
-        return lambda: objectives.total_loss(model, batch, ocfg,
-                                             corrupt=corrupt_once)[0]
+    composed `total_loss`, or `total_loss` with that objective alone. The
+    batch never changes, so its context, corruption included, is built
+    once, and the item encoders rerun only when a probe reaches them
+    (`_StageReuse`)."""
     if name not in CHECK_LOSSES:
         raise ValueError(f"unknown loss {name!r}")
-    only = ObjectiveConfig(
+    cfg = ObjectiveConfig() if name == "total" else ObjectiveConfig(
         dap=name == "dap", nid=name == "nid", rcl=name == "rcl",
         contrastive=name if name in objectives.CONTRASTIVE_VARIANTS else None)
-    return lambda: objectives.objective_terms(model, batch, only,
-                                              corrupt_once)[name]
+    ctx = objectives.BatchContext(cfg, batch)
+    model = _StageReuse(model)
+    return lambda: objectives.total_loss(model, batch, cfg, ctx)[0]
 
 
 def check_parameters(model, loss_fn):

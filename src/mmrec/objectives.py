@@ -2,6 +2,7 @@
 the cross-modal contrastive family, sequence corruption with noised-item
 detection, and the corrupted-vs-original sequence contrast."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,10 +59,12 @@ def pack_item_features(items, catalog_indices):
 
 
 class BatchContext:
-    """Everything the losses share for one batch: unique-item embeddings,
-    occurrence bookkeeping, and per-user negative weights."""
+    """Everything the losses read that depends on the batch alone:
+    occurrence bookkeeping, the unique items' packed features, per-user
+    negative weights, transitions and, when nid or rcl is on, the
+    corruption. `total_loss` sets `emb`, the unique items' embeddings."""
 
-    def __init__(self, model, batch):
+    def __init__(self, cfg, batch):
         self.batch = batch
         idx, mask = batch.idx, batch.mask
         self.B, self.L = idx.shape
@@ -72,8 +75,7 @@ class BatchContext:
         # (B, L) map into the unique-item table; padded slots point at row 0
         self.pos_to_row = np.zeros_like(idx)
         self.pos_to_row[real] = occ_row
-        ids, tmask, patches = pack_item_features(batch.items, self.unique.tolist())
-        self.emb = model.item_embeddings(ids, tmask, patches)
+        self.features = pack_item_features(batch.items, self.unique.tolist())
         # neg_weight[u, i]: legal negative occurrences of unique item i for
         # anchors of user u: its batch count if u's sequence lacks i (then
         # every occurrence is another user's), else 0
@@ -84,6 +86,8 @@ class BatchContext:
         # transitions: positions (u, l) whose successor (u, l+1) is real
         trans = real[:, :-1] & real[:, 1:]
         self.tr_u, self.tr_l = np.nonzero(trans)
+        if cfg.nid or cfg.rcl:
+            self.corr_rows, self.labels = corrupt_batch(self, cfg)
 
     def rows_at(self, users, positions):
         return self.pos_to_row[users, positions]
@@ -271,16 +275,21 @@ def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, cfg):
 # total
 # ---------------------------------------------------------------------------
 
-def objective_terms(model, batch, cfg, corrupt=None):
-    """Run the pipeline on a batch; returns {objective name: loss Tensor}
-    for the enabled objectives, in the order dap, contrastive, nid, rcl.
+def total_loss(model, batch, cfg, ctx=None):
+    """Run the enabled objectives on a batch and add them left to right in
+    the order dap, contrastive, nid, rcl; one enabled objective is returned
+    as its own Tensor.
 
     Items are encoded once per call. The clean sequence is encoded only
-    when dap or rcl needs it, the corrupted one only for nid or rcl.
-    `corrupt(ctx, cfg)` stands in for `corrupt_batch`, e.g. to reuse one
-    corruption over repeated evaluations of an unchanged batch.
+    when dap or rcl needs it, the corrupted one only for nid or rcl. `ctx`
+    is `BatchContext(cfg, batch)`, built here unless passed, e.g. to reuse
+    one over repeated evaluations of an unchanged batch.
+
+    Returns (total Tensor, {objective name: float value}).
     """
-    ctx = BatchContext(model, batch)
+    if ctx is None:
+        ctx = BatchContext(cfg, batch)
+    ctx.emb = model.item_embeddings(*ctx.features)
     e = ctx.emb["e_cls"]
     if cfg.dap or cfg.rcl:
         hiddens = model.encode_sequence(ad.getitem(e, ctx.pos_to_row), batch.mask)
@@ -290,26 +299,12 @@ def objective_terms(model, batch, cfg, corrupt=None):
     if cfg.contrastive is not None:
         terms[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive)
     if cfg.nid or cfg.rcl:
-        corr_rows, labels = (corrupt or corrupt_batch)(ctx, cfg)
-        corr_hiddens = model.encode_sequence(ad.getitem(e, corr_rows), batch.mask)
+        corr_hiddens = model.encode_sequence(ad.getitem(e, ctx.corr_rows), batch.mask)
         if cfg.nid:
-            terms["nid"] = nid_loss(corr_hiddens, labels, model.groups["nid_head"])
+            terms["nid"] = nid_loss(corr_hiddens, ctx.labels, model.groups["nid_head"])
         if cfg.rcl:
             terms["rcl"] = rcl_loss(hiddens, corr_hiddens, batch.mask, cfg)
     if not terms:
         raise ValueError("no objectives enabled")
-    return terms
-
-
-def total_loss(model, batch, cfg, corrupt=None):
-    """Sum of the enabled objectives, added left to right in the order of
-    `objective_terms`, which receives `corrupt`.
-
-    Returns (total Tensor, {objective name: float value}).
-    """
-    terms = objective_terms(model, batch, cfg, corrupt)
-    values = list(terms.values())
-    total = values[0]
-    for t in values[1:]:
-        total = ad.add(total, t)
+    total = functools.reduce(ad.add, terms.values())
     return total, {name: t.item() for name, t in terms.items()}

@@ -102,6 +102,8 @@ def _run_training(model, split, tcfg, ocfg, log_label):
     if tcfg.L_max > model.cfg.L_max:
         raise ValueError(f"TrainConfig.L_max={tcfg.L_max} exceeds the model's "
                          f"L_max={model.cfg.L_max}")
+    if tcfg.trainable_top_blocks != "all":
+        model.set_trainable_top_blocks(tcfg.trainable_top_blocks)
     opt = AdamW(model.trainable_parameters(), tcfg)
     log = []
     t0 = time.perf_counter()
@@ -147,6 +149,4 @@ def pretrain(model, source_split, tcfg, ocfg=None):
 
 def finetune(model, target_split, tcfg):
     """Fine-tune with the next-item objective only (single-task)."""
-    if tcfg.trainable_top_blocks != "all":
-        model.set_trainable_top_blocks(tcfg.trainable_top_blocks)
     return _run_training(model, target_split, tcfg, objectives.dap_only(), "finetune")

@@ -75,8 +75,11 @@ def save_bundle(model, path):
 
 def load_bundle(path):
     """Read and checksum-verify a bundle; returns (config dict, group arrays)."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise BundleError(f"cannot read bundle {path}: {e}") from None
     if raw[: len(MAGIC)] != MAGIC:
         raise BundleError(f"{path}: not a checkpoint bundle (bad magic)")
     mlen = int.from_bytes(raw[8:16], "little")

@@ -1,6 +1,17 @@
 import dataclasses
 
+from mmrec import objectives
+
 ACCEPTANCE_LINES = []
+
+
+def encoded_context(model, batch, cfg=None):
+    """`BatchContext(cfg, batch)` with the item embeddings `total_loss`
+    would set. The default config has nid and rcl off, so no corruption is
+    drawn; tests of one loss reach that loss's own checks."""
+    ctx = objectives.BatchContext(cfg or objectives.dap_only(), batch)
+    ctx.emb = model.item_embeddings(*ctx.features)
+    return ctx
 
 
 def with_l_max(model, L_max):

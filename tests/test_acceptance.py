@@ -27,7 +27,7 @@ from mmrec.training import TrainConfig, finetune, pretrain
 from mmrec.transfer import (TRANSFER_MODES, BundleError, load_bundle,
                             load_components, model_from_bundle,
                             predict_scores, save_bundle)
-from tests.conftest import ACCEPTANCE_LINES
+from tests.conftest import ACCEPTANCE_LINES, encoded_context
 
 
 def record(n, name, detail):
@@ -183,7 +183,7 @@ def test_criterion_04_corruption_statistics():
     for seed in range(50):
         batch = random_batch(small_config(), np.random.default_rng(seed),
                              B=3, L=4, n_items=10)
-        ctx = obj.BatchContext(model, batch)
+        ctx = encoded_context(model, batch)
         rows, labels = obj.corrupt_batch(ctx, obj.ObjectiveConfig())
         for u in range(3):
             own = {int(i) for i in batch.idx[u]}

@@ -317,7 +317,41 @@ def test_config_error_exits_1(capsys):
 def test_missing_data_exits_1(tmp_path, capsys):
     code = main(tiny_args(["pretrain", "--data", str(tmp_path / "void"),
                            "--out", str(tmp_path / "o")]))
-    assert code != 0
+    assert code == 1
+
+
+def test_missing_bundle_exits_1(workdir, tmp_path, capsys):
+    _, data, _ = workdir
+    code = main(tiny_args(["evaluate", "--data", data, "--bundle",
+                           str(tmp_path / "absent.bundle")]))
+    assert code == 1
+    assert "cannot read bundle" in capsys.readouterr().err
+
+
+def test_stats_without_datasets_exits_1(tmp_path, capsys):
+    assert main(["stats", "--data", str(tmp_path)]) == 1
+    assert "no source or target dataset" in capsys.readouterr().err
+
+
+def test_pretrain_rejects_out_of_range_trainable_top_blocks(workdir, tmp_path, capsys):
+    _, data, _ = workdir
+    out = tmp_path / "o"
+    code = main(tiny_args(["-o", "trainable_top_blocks=5", "pretrain",
+                           "--data", data, "--out", str(out)]))
+    assert code == 1
+    assert "trainable_top_blocks=5" in capsys.readouterr().err
+    assert not (out / "pretrained.bundle").exists()
+
+
+def test_negative_cold_threshold_exits_1(workdir, tmp_path, capsys):
+    _, data, pre = workdir
+    out = tmp_path / "o"
+    code = main(tiny_args(["-o", "cold_threshold=-4", "cold-eval", "--data", data,
+                           "--dataset", "source", "--bundle",
+                           os.path.join(pre, "pretrained.bundle"), "--out", str(out)]))
+    assert code == 1
+    assert "cold threshold=-4" in capsys.readouterr().err
+    assert not (out / "cold_metrics.jsonl").exists()
 
 
 @pytest.mark.parametrize("pair", ["n_heads=0", "d=0", "ffn_mult=0", "vocab_size=-1"])

@@ -349,6 +349,8 @@ def test_cold_threshold_boundaries():
     users = [[0, 1, 2, 3, 4]] * 5  # every item occurs 5x overall, 3x in train
     split = filter_and_split(toy_dataset(users), min_interactions=5)
     assert cold_item_subsequences(split, threshold=0) == []
+    with pytest.raises(DataError, match="non-negative"):
+        cold_item_subsequences(split, threshold=-1)
     # items 3 and 4 never occur in train (they are the valid/test targets),
     # so they are cold under any positive threshold
     pairs = cold_item_subsequences(split, threshold=1)

@@ -34,13 +34,15 @@ def test_check_parameters_evaluates_once_plus_twice_per_trainable_element(top_bl
 def test_single_loss_equals_its_term_in_the_full_pipeline(name):
     model, batch = model_and_batch(seed=1)
     full = ObjectiveConfig(contrastive=name if name in obj.CONTRASTIVE_VARIANTS else "nicl")
-    want = obj.objective_terms(model, batch, full)[name].item()
+    want = obj.total_loss(model, batch, full)[1][name]
     assert gradcheck._loss_fn(model, batch, name)().item() == want
 
 
-def test_total_loss_fn_encodes_the_batch_once(monkeypatch):
-    model, batch = model_and_batch(seed=2)
-    built = []
+@pytest.mark.parametrize("name", CHECK_LOSSES)
+def test_total_loss_fn_encodes_the_batch_once(name, monkeypatch):
+    model, batch = model_and_batch(seed=2, d=2, p=2, q=2)
+    fresh = obj.total_loss(model, batch, ObjectiveConfig())[0].item()
+    built, corrupted, corrupt_sequence = [], [], obj.corrupt_sequence
 
     class Counted(obj.BatchContext):
         def __init__(self, *args):
@@ -48,9 +50,16 @@ def test_total_loss_fn_encodes_the_batch_once(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(obj, "BatchContext", Counted)
-    loss = gradcheck._loss_fn(model, batch, "total")()
+    monkeypatch.setattr(obj, "corrupt_sequence",
+                        lambda *args: corrupted.append(1) or corrupt_sequence(*args))
+    loss_fn = gradcheck._loss_fn(model, batch, name)
+    loss = loss_fn()
+    assert gradcheck.check_parameters(model, loss_fn) <= 1e-4
+    # one context, and so one corruption, for the whole check
     assert len(built) == 1
-    assert loss.item() == obj.total_loss(model, batch, ObjectiveConfig())[0].item()
+    assert len(corrupted) == (batch.size if name in ("total", "nid", "rcl") else 0)
+    if name == "total":
+        assert loss.item() == fresh
 
 
 def test_unknown_loss_rejected():

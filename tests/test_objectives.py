@@ -12,6 +12,7 @@ from mmrec.objectives import (LABEL_REPLACED, LABEL_SHUFFLED,
                               LABEL_UNCHANGED, ObjectiveConfig)
 
 from . import composites as C
+from .conftest import encoded_context
 
 
 class ConstModel:
@@ -37,7 +38,7 @@ def const_batch(B, L, seed=0):
 
 
 def const_ctx(B, L):
-    return obj.BatchContext(ConstModel(), const_batch(B, L))
+    return encoded_context(ConstModel(), const_batch(B, L))
 
 
 OCFG = ObjectiveConfig()
@@ -84,7 +85,7 @@ def test_nicl_b1_never_positive():
         rng = np.random.default_rng(seed)
         model = RecModel.init(cfg, seed)
         batch = random_batch(cfg, rng, B=1, L=4)
-        ctx = obj.BatchContext(model, batch)
+        ctx = encoded_context(model, batch)
         assert obj.contrastive_loss(ctx, "nicl").item() <= 1e-12
 
 
@@ -123,6 +124,25 @@ def test_rcl_identical_users_is_log_b():
     assert loss == pytest.approx(math.log(3), abs=1e-9)
 
 
+def test_rcl_last_pooling_is_mean_over_the_last_rows():
+    # ragged: full, half and one-item sequences
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
+    users, last = np.arange(3), np.array([3, 1, 0])
+    rng = np.random.default_rng(16)
+    h, hc = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 4, 5))
+    full = [ad.Tensor(x, requires_grad=True) for x in (h, hc)]
+    rows = [ad.Tensor(x[users, last][:, None], requires_grad=True) for x in (h, hc)]
+    got = obj.rcl_loss(*full, mask, ObjectiveConfig(rcl_pooling="last"))
+    want = obj.rcl_loss(*rows, np.ones((3, 1)), OCFG)
+    assert got.item() == want.item()
+    got.backward()
+    want.backward()
+    for f, r in zip(full, rows):
+        expected = np.zeros_like(f.data)
+        expected[users, last] = r.grad[:, 0]
+        assert f.grad.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # independent scalar enumeration oracles
 # ---------------------------------------------------------------------------
@@ -133,7 +153,7 @@ def pipeline():
     rng = np.random.default_rng(42)
     model = RecModel.init(cfg, 42)
     batch = random_batch(cfg, rng, B=2, L=3, n_items=6)
-    ctx = obj.BatchContext(model, batch)
+    ctx = encoded_context(model, batch)
     reps = ad.getitem(ctx.emb["e_cls"], ctx.pos_to_row)
     hiddens = model.encode_sequence(reps, batch.mask)
     return model, batch, ctx, hiddens
@@ -320,7 +340,7 @@ def test_corrupt_batch_reproducible_and_order_invariant():
     model = RecModel.init(cfg, 3)
     rng = np.random.default_rng(3)
     batch = random_batch(cfg, rng, B=3, L=4, n_items=12)
-    ctx = obj.BatchContext(model, batch)
+    ctx = encoded_context(model, batch)
     rows1, labels1 = obj.corrupt_batch(ctx, OCFG)
     rows2, labels2 = obj.corrupt_batch(ctx, OCFG)
     np.testing.assert_array_equal(rows1, rows2)
@@ -328,10 +348,25 @@ def test_corrupt_batch_reproducible_and_order_invariant():
     perm = [2, 0, 1]
     pbatch = Batch(idx=batch.idx[perm], mask=batch.mask[perm],
                    items=batch.items, rng_seed=batch.rng_seed)
-    pctx = obj.BatchContext(model, pbatch)
+    pctx = encoded_context(model, pbatch)
     prows, plabels = obj.corrupt_batch(pctx, OCFG)
     np.testing.assert_array_equal(plabels, labels1[perm])
     np.testing.assert_array_equal(prows, rows1[perm])  # same unique-item table
+
+
+@pytest.mark.parametrize("nid, rcl", [(False, False), (True, False), (False, True)])
+def test_context_holds_the_corruption_only_for_nid_or_rcl(nid, rcl):
+    cfg = small_config()
+    batch = random_batch(cfg, np.random.default_rng(3), B=3, L=4, n_items=12)
+    ocfg = ObjectiveConfig(nid=nid, rcl=rcl)
+    ctx = obj.BatchContext(ocfg, batch)
+    if nid or rcl:
+        rows, labels = obj.corrupt_batch(ctx, ocfg)
+        np.testing.assert_array_equal(ctx.corr_rows, rows)
+        np.testing.assert_array_equal(ctx.labels, labels)
+    else:
+        assert not hasattr(ctx, "corr_rows") and not hasattr(ctx, "labels")
+    assert not hasattr(ctx, "emb")  # the model is not read
 
 
 def test_replaced_items_never_from_anchor_user():
@@ -340,7 +375,7 @@ def test_replaced_items_never_from_anchor_user():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         batch = random_batch(cfg, rng, B=3, L=4, n_items=12)
-        ctx = obj.BatchContext(model, batch)
+        ctx = encoded_context(model, batch)
         rows, labels = obj.corrupt_batch(ctx, OCFG)
         unique = ctx.unique
         for u in range(3):
@@ -361,7 +396,7 @@ def test_negative_set_exclusion_exhaustive():
         rng = np.random.default_rng(seed)
         # overlapping items across users to exercise the exclusion rule
         batch = random_batch(cfg, rng, B=3, L=4, n_items=5)
-        ctx = obj.BatchContext(model, batch)
+        ctx = encoded_context(model, batch)
         unique = [int(c) for c in ctx.unique]
         assert unique == sorted({int(i) for i in batch.idx.reshape(-1)})
         for u in range(3):
@@ -494,7 +529,7 @@ def parity_case(kind, seed):
 
 def loss_and_grads(model, batch, loss_of):
     model.zero_grad()
-    loss = loss_of(obj.BatchContext(model, batch))
+    loss = loss_of(encoded_context(model, batch))
     loss.backward()
     return loss.item(), {n: t.grad.copy() for n, t in model.named_parameters()
                          if t.grad is not None}
@@ -535,7 +570,7 @@ def test_unique_item_losses_match_occurrence_oracle(kind, seed, name):
 @pytest.mark.parametrize("kind, seed", PARITY_CASES)
 def test_corrupt_batch_matches_occurrence_oracle(kind, seed, monkeypatch):
     model, batch = parity_case(kind, seed)
-    ctx = obj.BatchContext(model, batch)
+    ctx = encoded_context(model, batch)
     want_rows, want_labels, want_pools = occurrence_corrupt_batch(ctx, OCFG)
     pools, corrupt_sequence = [], obj.corrupt_sequence
 
@@ -576,16 +611,16 @@ def test_objective_terms_single_objective_returns_its_key(name):
     cfg = small_config()
     model = RecModel.init(cfg, 11)
     batch = random_batch(cfg, np.random.default_rng(11), B=2, L=4)
-    assert list(obj.objective_terms(model, batch, only(name))) == [name]
+    assert list(obj.total_loss(model, batch, only(name))[1]) == [name]
 
 
 def test_total_is_left_fold_of_terms_bitwise():
     cfg = small_config()
     model = RecModel.init(cfg, 12)
     batch = random_batch(cfg, np.random.default_rng(12), B=3, L=4, n_items=12)
-    terms = obj.objective_terms(model, batch, OCFG)
+    terms = obj.total_loss(model, batch, OCFG)[1]
     assert list(terms) == ["dap", "nicl", "nid", "rcl"]
-    v = [t.item() for t in terms.values()]
+    v = list(terms.values())
     total, parts = obj.total_loss(model, batch, OCFG)
     assert total.item() == ((v[0] + v[1]) + v[2]) + v[3]
     assert parts == dict(zip(terms, v))
@@ -597,7 +632,7 @@ def test_objective_terms_rejects_empty_config():
     batch = random_batch(cfg, np.random.default_rng(13), B=2, L=4)
     none = ObjectiveConfig(dap=False, contrastive=None, nid=False, rcl=False)
     with pytest.raises(ValueError, match="no objectives"):
-        obj.objective_terms(model, batch, none)
+        obj.total_loss(model, batch, none)
 
 
 @pytest.mark.parametrize("name, sequences", [
@@ -608,7 +643,7 @@ def test_objective_terms_encodes_only_the_sequences_it_needs(name, sequences):
     batch = random_batch(cfg, np.random.default_rng(14), B=2, L=4)
     encode, calls = model.encode_sequence, []
     model.encode_sequence = lambda *args: calls.append(1) or encode(*args)
-    obj.objective_terms(model, batch, only(name))
+    obj.total_loss(model, batch, only(name))
     assert len(calls) == sequences
 
 
@@ -675,7 +710,7 @@ def test_objective_is_one_xent_node_over_few_nodes(name, nodes):
     cfg = small_config()
     model = RecModel.init(cfg, 15)
     batch = random_batch(cfg, np.random.default_rng(15), B=3, L=4)
-    ctx = obj.BatchContext(model, batch)
+    ctx = encoded_context(model, batch)
     ctx.emb = {k: ad.Tensor(t.data, requires_grad=True) for k, t in ctx.emb.items()}
     h, hc = (ad.Tensor(np.ones((3, 4, cfg.d)), requires_grad=True) for _ in range(2))
     if name == "dap":

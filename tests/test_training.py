@@ -276,6 +276,17 @@ def test_finetune_applies_freezing():
     assert model.groups["text_encoder"]["b1.wq"].requires_grad
 
 
+def test_pretrain_applies_freezing():
+    model, split = tiny_setup(text_blocks=2, vision_blocks=2)
+    before = model.snapshot()
+    # keep the last epoch's parameters, not the best-validation snapshot
+    model.load_snapshot = lambda snapshot: None
+    pretrain(model, split, tcfg(trainable_top_blocks=1))
+    after = model.snapshot()
+    assert before["text_encoder.tok_emb"].tobytes() == after["text_encoder.tok_emb"].tobytes()
+    assert before["text_encoder.b1.wq"].tobytes() != after["text_encoder.b1.wq"].tobytes()
+
+
 def test_early_stopping_truncates_run():
     model, split = tiny_setup()
     # patience 1 with a tiny learning rate: validation cannot improve past

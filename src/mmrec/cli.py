@@ -161,6 +161,8 @@ def objective_config(cfg):
     contrastive = [n for n in names if n in objectives.CONTRASTIVE_VARIANTS]
     if len(contrastive) > 1:
         raise ConfigError("objectives: enable at most one of vcl/icl/nicl")
+    if not names:
+        raise ConfigError("objectives: enable at least one")
     return ObjectiveConfig(
         dap="dap" in names,
         contrastive=contrastive[0] if contrastive else None,
@@ -225,9 +227,10 @@ def cmd_stats(cfg, args):
 
 
 def cmd_pretrain(cfg, args):
+    tcfg, ocfg = train_config(cfg), objective_config(cfg)
     split = _load_split(cfg, args.data, "source")
     model = RecModel.init(model_config(cfg), cfg["seed"])
-    log = training.pretrain(model, split, train_config(cfg), objective_config(cfg))
+    log = training.pretrain(model, split, tcfg, ocfg)
     os.makedirs(args.out, exist_ok=True)
     transfer.save_bundle(model, os.path.join(args.out, "pretrained.bundle"))
     _write_log(log, args.out)
@@ -256,6 +259,8 @@ def cmd_finetune(cfg, args):
 
 
 def _cmd_eval(cfg, args, cold):
+    if cfg["cold_threshold"] < 0:  # before any phase runs
+        raise ConfigError(f"cold threshold={cfg['cold_threshold']} must be non-negative")
     split = _load_split(cfg, args.data, args.dataset)
     model = transfer.model_from_bundle(args.bundle)
     cfg = with_model_keys(cfg, model.cfg)

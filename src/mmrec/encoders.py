@@ -1,9 +1,12 @@
-"""Item-level encoders: tiny text / vision transformers and merge-attention fusion.
+"""The model's four transformer stacks: text, vision, fusion and user encoder.
 
-Both encoders prepend a learned cls vector and add learned positional
-embeddings; fusion runs `fusion_blocks` transformer layers over
+Each is one `run_stack` call over its own parameter group. The text and
+vision encoders prepend a learned cls row and add learned positional
+embeddings; fusion runs `fusion_blocks` layers over
 [mm_cls; text hiddens; patch hiddens] and reads the item representation
-off the mm_cls position, which is the only row its final layer computes.
+off the mm_cls position, the only row its final layer computes; the user
+encoder is a causal (SASRec-style) stack with positions over item
+representation sequences.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -83,28 +86,11 @@ def init_block(rng, d, ffn_mult, prefix):
     return p
 
 
-def init_text_encoder(rng, cfg):
-    p = {"tok_emb": _gauss(rng, (cfg.vocab_size, cfg.d)),
-         "pos": _gauss(rng, (cfg.p_max + 1, cfg.d)),
-         "cls": _gauss(rng, (cfg.d,))}
-    for i in range(cfg.text_blocks):
-        p.update(init_block(rng, cfg.d, cfg.ffn_mult, f"b{i}."))
-    return p
-
-
-def init_vision_encoder(rng, cfg):
-    p = {"proj_w": _gauss(rng, (cfg.patch_dim, cfg.d)),
-         "proj_b": _zeros((cfg.d,)),
-         "pos": _gauss(rng, (cfg.q + 1, cfg.d)),
-         "cls": _gauss(rng, (cfg.d,))}
-    for i in range(cfg.vision_blocks):
-        p.update(init_block(rng, cfg.d, cfg.ffn_mult, f"b{i}."))
-    return p
-
-
-def init_fusion(rng, cfg):
-    p = {"mm_cls": _gauss(rng, (cfg.d,))}
-    for i in range(cfg.fusion_blocks):
+def init_stack(rng, cfg, n_blocks, **tables):
+    """A stack's parameters: the named Gaussian tables, each given by its
+    shape and drawn in the order given, then blocks b0..b{n_blocks-1}."""
+    p = {name: _gauss(rng, shape) for name, shape in tables.items()}
+    for i in range(n_blocks):
         p.update(init_block(rng, cfg.d, cfg.ffn_mult, f"b{i}."))
     return p
 
@@ -165,14 +151,25 @@ def run_blocks(params, n_blocks, x, bias, n_heads, rows=None):
     return ad.reshape(h, (x.shape[0], x.shape[2]))
 
 
-def _prepend_row(row, parts, key_mask):
-    """Put the learned (d,) `row` in front of the (B, S_i, d) `parts`; returns
-    the (B, 1 + S, d) input and its bias, in which the row is always a key
-    and the (B, S) 0/1 `key_mask` masks the rest."""
-    b, d = key_mask.shape[0], row.shape[-1]
-    head = ad.add(ad.reshape(row, (1, 1, d)), np.zeros((b, 1, d)))
-    x = ad.concat([head, *parts], axis=1)
-    return x, attention_bias(np.concatenate([np.ones((b, 1)), key_mask], axis=1))
+def run_stack(params, cfg, n_blocks, parts, key_mask, head=None, causal=False,
+              rows=None):
+    """Run one stack over the (B, S_i, d) `parts`, concatenated along S.
+
+    The learned (d,) row `params[head]`, if named, goes first and is always
+    a key; the (B, S) 0/1 `key_mask` masks the rest. A `pos` table in
+    `params` adds its first rows to the whole input once, head included.
+    `causal` and `rows` are those of `attention_bias` and `run_blocks`.
+    """
+    b = key_mask.shape[0]
+    if head is not None:
+        row = ad.reshape(params[head], (1, 1, cfg.d))
+        parts = [ad.add(row, np.zeros((b, 1, cfg.d))), *parts]
+        key_mask = np.concatenate([np.ones((b, 1)), key_mask], axis=1)
+    x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+    if "pos" in params:
+        x = ad.add(x, ad.getitem(params["pos"], slice(0, x.shape[1])))
+    return run_blocks(params, n_blocks, x, attention_bias(key_mask, causal),
+                      cfg.n_heads, rows)
 
 
 def encode_text(params, cfg, token_ids, pad_mask):
@@ -192,11 +189,8 @@ def encode_text(params, cfg, token_ids, pad_mask):
     p = token_ids.shape[1]
     if p > cfg.p_max:
         raise ValueError(f"token length {p} exceeds p_max={cfg.p_max}")
-    emb = ad.add(ad.getitem(params["tok_emb"], token_ids),
-                 ad.getitem(params["pos"], slice(1, p + 1)))
-    cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
-    x, bias = _prepend_row(cls, [emb], pad_mask)
-    x = run_blocks(params, cfg.text_blocks, x, bias, cfg.n_heads)
+    x = run_stack(params, cfg, cfg.text_blocks,
+                  [ad.getitem(params["tok_emb"], token_ids)], pad_mask, head="cls")
     return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
 
@@ -207,11 +201,9 @@ def encode_vision(params, cfg, patches):
         raise ValueError(
             f"patches must be (B, {cfg.q}, {cfg.patch_dim}), got {patches.shape}"
         )
-    emb = ad.add(ad.linear(patches, params["proj_w"], params["proj_b"]),
-                 ad.getitem(params["pos"], slice(1, cfg.q + 1)))
-    cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
-    x, bias = _prepend_row(cls, [emb], np.ones(patches.shape[:2]))
-    x = run_blocks(params, cfg.vision_blocks, x, bias, cfg.n_heads)
+    x = run_stack(params, cfg, cfg.vision_blocks,
+                  [ad.linear(patches, params["proj_w"], params["proj_b"])],
+                  np.ones(patches.shape[:2]), head="cls")
     return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
 
@@ -221,6 +213,32 @@ def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
         raise ValueError("fusion inputs must have hidden dimension d")
     key_mask = np.concatenate([np.asarray(text_mask, dtype=np.float64),
                                np.ones(vision_hiddens.shape[:2])], axis=1)
-    x, bias = _prepend_row(params["mm_cls"], [text_hiddens, vision_hiddens], key_mask)
-    rows = np.zeros(key_mask.shape[0], dtype=np.int64)
-    return run_blocks(params, cfg.fusion_blocks, x, bias, cfg.n_heads, rows)
+    rows = np.zeros(len(key_mask), dtype=np.int64)
+    return run_stack(params, cfg, cfg.fusion_blocks, [text_hiddens, vision_hiddens],
+                     key_mask, head="mm_cls", rows=rows)
+
+
+def encode_sequence(params, cfg, item_reps, seq_mask, last=False):
+    """Run causally masked self-attention over (B, L, d) item representations.
+
+    Position l attends only to positions <= l; padded positions are masked
+    as keys. Returns per-position hiddens (B, L, d); values at padded
+    positions are meaningless and must stay masked downstream.
+
+    With `last=True` only each row's last real position (mask sum - 1;
+    real positions must come first) is computed through the final block,
+    whose keys and values still span all positions, and the result is
+    (B, d).
+    """
+    if item_reps.shape[-1] != cfg.d:
+        raise ValueError(
+            f"item representations must have dimension d={cfg.d}, "
+            f"got {item_reps.shape[-1]}"
+        )
+    length = item_reps.shape[1]
+    if length > cfg.L_max:
+        raise ValueError(f"sequence length {length} exceeds L_max={cfg.L_max}")
+    seq_mask = np.asarray(seq_mask, dtype=np.float64)
+    rows = seq_mask.sum(axis=1).astype(np.int64) - 1 if last else None
+    return run_stack(params, cfg, cfg.user_blocks, [item_reps], seq_mask, causal=True,
+                     rows=rows)

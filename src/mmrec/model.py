@@ -6,7 +6,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoders as enc
-from . import user_encoder as ue
 from .encoders import ModelConfig
 
 NID_CLASSES = 3
@@ -29,15 +28,22 @@ class RecModel:
     def init(cls, cfg: ModelConfig, seed: int):
         rng = np.random.default_rng(seed)
         groups = {}
+        d = cfg.d
         if cfg.modality in ("both", "text"):
-            groups["text_encoder"] = enc.init_text_encoder(rng, cfg)
+            groups["text_encoder"] = enc.init_stack(
+                rng, cfg, cfg.text_blocks, tok_emb=(cfg.vocab_size, d),
+                pos=(cfg.p_max + 1, d), cls=(d,))
         if cfg.modality in ("both", "vision"):
-            groups["vision_encoder"] = enc.init_vision_encoder(rng, cfg)
+            groups["vision_encoder"] = enc.init_stack(
+                rng, cfg, cfg.vision_blocks, proj_w=(cfg.patch_dim, d),
+                pos=(cfg.q + 1, d), cls=(d,))
+            groups["vision_encoder"]["proj_b"] = enc._zeros((d,))
         if cfg.modality == "both":
-            groups["fusion"] = enc.init_fusion(rng, cfg)
-        groups["user_encoder"] = ue.init_user_encoder(rng, cfg)
+            groups["fusion"] = enc.init_stack(rng, cfg, cfg.fusion_blocks, mm_cls=(d,))
+        groups["user_encoder"] = enc.init_stack(rng, cfg, cfg.user_blocks,
+                                                pos=(cfg.L_max, d))
         groups["nid_head"] = {
-            "W": enc._gauss(rng, (cfg.d, NID_CLASSES)),
+            "W": enc._gauss(rng, (d, NID_CLASSES)),
             "b": enc._zeros((NID_CLASSES,)),
         }
         return cls(cfg, groups)
@@ -111,8 +117,8 @@ class RecModel:
                         vision_hiddens, text_mask)
 
     def encode_sequence(self, item_reps, seq_mask, last=False):
-        return ue.encode_sequence(self.groups["user_encoder"], self.cfg,
-                                  item_reps, seq_mask, last)
+        return enc.encode_sequence(self.groups["user_encoder"], self.cfg,
+                                   item_reps, seq_mask, last)
 
     def item_embeddings(self, token_ids, pad_mask, patches):
         """Encode a batch of items into their modality embeddings.

@@ -1,5 +1,6 @@
 """Optimizer and the pre-training / fine-tuning loops with early stopping."""
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,16 +28,19 @@ class TrainConfig:
     trainable_top_blocks: object = "all"
 
     def __post_init__(self):
-        # `not x >= 0` also rejects NaN
+        # `not 0 <= x < inf` also rejects NaN
         for name in ("learning_rate", "weight_decay", "adam_eps", "max_epochs",
                      "grad_clip"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name}={getattr(self, name)} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name}={getattr(self, name)} must be finite and non-negative")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name}={getattr(self, name)} must lie in [0, 1)")
         if not self.patience >= 1:
             raise ValueError(f"patience={self.patience} must be >= 1")
+        if not self.B >= 2:  # in-batch negatives need a second sequence
+            raise ValueError(f"batch size B={self.B} must be >= 2")
 
 
 class NonFiniteGradient(RuntimeError):

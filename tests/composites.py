@@ -3,12 +3,14 @@
 The elementwise nodes here (`exp`, `log`, `power`, `softmax`, `tmean`, `sub`)
 have no caller in the library; the composites written with them are the
 oracles that the one-node `layer_norm`, `l2_normalize` and `softmax_xent` and
-the objectives built on them are checked against.
+the objectives built on them are checked against. `item_embeddings` is the
+per-part stack assembly that `encoders.run_stack` replaced.
 """
 
 import numpy as np
 
 from mmrec import autodiff as ad
+from mmrec.encoders import attention_bias, run_blocks
 
 
 def _node(x, data, grad_of):
@@ -96,3 +98,46 @@ def softmax_xent(z, weights, positives):
     zp = ad.getitem(z, (rows, pos))
     return tmean(sub(masked_logsumexp(z, weights, axis=1),
                      masked_logsumexp(zp, np.ones(pos.shape), axis=1)))
+
+
+def _prepend(row, parts, key_mask):
+    """The learned (d,) `row` in front of the (B, S_i, d) `parts`, with a bias
+    in which the row is always a key."""
+    b, d = key_mask.shape[0], row.shape[-1]
+    head = ad.add(ad.reshape(row, (1, 1, d)), np.zeros((b, 1, d)))
+    return (ad.concat([head, *parts], axis=1),
+            attention_bias(np.concatenate([np.ones((b, 1)), key_mask], axis=1)))
+
+
+def item_embeddings(model, token_ids, pad_mask, patches):
+    """`RecModel.item_embeddings` with positions added to each part before
+    the stack input is assembled: `tok_emb[ids] + pos[1:]` and
+    `proj(patches) + pos[1:]`, with `cls + pos[0]` prepended."""
+    cfg, groups = model.cfg, model.groups
+    pad_mask = np.asarray(pad_mask, dtype=np.float64)
+
+    def encode(params, emb, key_mask, n_blocks):
+        emb = ad.add(emb, ad.getitem(params["pos"], slice(1, emb.shape[1] + 1)))
+        cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
+        x, bias = _prepend(cls, [emb], key_mask)
+        x = run_blocks(params, n_blocks, x, bias, cfg.n_heads)
+        return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
+
+    out = {}
+    if cfg.modality in ("both", "text"):
+        p = groups["text_encoder"]
+        out["t_cls"], t_hid = encode(p, ad.getitem(p["tok_emb"], token_ids), pad_mask,
+                                     cfg.text_blocks)
+    if cfg.modality in ("both", "vision"):
+        p = groups["vision_encoder"]
+        out["v_cls"], v_hid = encode(p, ad.linear(patches, p["proj_w"], p["proj_b"]),
+                                     np.ones(patches.shape[:2]), cfg.vision_blocks)
+    if cfg.modality == "both":
+        p = groups["fusion"]
+        x, bias = _prepend(p["mm_cls"], [t_hid, v_hid],
+                           np.concatenate([pad_mask, np.ones(v_hid.shape[:2])], axis=1))
+        out["e_cls"] = run_blocks(p, cfg.fusion_blocks, x, bias, cfg.n_heads,
+                                  np.zeros(len(pad_mask), dtype=np.int64))
+    else:
+        out["e_cls"] = out["t_cls" if cfg.modality == "text" else "v_cls"]
+    return out

@@ -367,6 +367,7 @@ def test_non_positive_model_size_exits_1(workdir, tmp_path, capsys, pair):
     "learning_rate=-1", "weight_decay=-0.01", "beta1=1.5", "beta2=1.0",
     "beta1=-0.1", "adam_eps=-1e-8", "max_epochs=-3", "patience=0",
     "grad_clip=-1", "learning_rate=nan", "shuffle_rate=1.5", "replace_rate=-0.1",
+    "learning_rate=inf", "weight_decay=inf", "adam_eps=inf", "grad_clip=inf",
 ])
 def test_bad_training_value_exits_1_before_training(workdir, tmp_path, capsys,
                                                    monkeypatch, pair):
@@ -382,3 +383,27 @@ def test_bad_training_value_exits_1_before_training(workdir, tmp_path, capsys,
     assert code == 1
     assert pair.split("=")[0] in capsys.readouterr().err
     assert not runs and not (out / "pretrained.bundle").exists()
+
+
+@pytest.mark.parametrize("pair, command, message", [
+    ("cold_threshold=-4", ["evaluate", "--phase", "all"], "cold threshold=-4"),
+    ("objectives=", ["pretrain"], "objectives: enable at least one"),
+    ("batch_size=1", ["pretrain"], "batch size B=1"),
+], ids=["cold_threshold=-4", "objectives=", "batch_size=1"])
+def test_config_value_rejected_before_any_work(workdir, tmp_path, capsys, monkeypatch,
+                                               pair, command, message):
+    # no dataset is read, nothing is printed and no output is written
+    from mmrec import data as data_mod
+
+    loads = []
+    load = data_mod.load_dataset
+    monkeypatch.setattr(data_mod, "load_dataset", lambda *a: loads.append(a) or load(*a))
+    _, data, pre = workdir
+    out = tmp_path / "o"
+    if command[0] == "evaluate":
+        command = command + ["--bundle", os.path.join(pre, "pretrained.bundle")]
+    code = main(tiny_args(["-o", pair, *command, "--data", data, "--out", str(out)]))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err
+    assert captured.out == "" and not loads and not out.exists()

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,38 @@ def test_final_fusion_block_attends_with_one_query_row(monkeypatch):
     e_cls = model.fuse(t_hid, v_hid, np.ones((3, 4)))
     assert e_cls.shape == (3, 8)
     assert query_shapes == [(3, 10, 8), (3, 1, 8)]
+
+
+@pytest.mark.parametrize("modality", ["both", "text", "vision"])
+def test_item_embeddings_match_per_part_assembly(modality):
+    # one `pos` addition over the assembled input, head row included, is
+    # bitwise the per-part additions it replaced, forward and backward
+    from .composites import item_embeddings
+
+    cfg = ModelConfig(d=8, n_heads=2, ffn_mult=2, vocab_size=20, p_max=5, q=4,
+                      patch_dim=3, text_blocks=2, vision_blocks=1, fusion_blocks=1,
+                      user_blocks=1, L_max=6, modality=modality)
+    model = RecModel.init(cfg, seed=3)
+    rng = np.random.default_rng(4)
+    for _, t in model.named_parameters():  # move gains and biases off 1/0
+        t.data = t.data + rng.normal(size=t.shape) * 0.1
+    ids = rng.integers(0, 20, size=(4, 4))
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=float)
+    patches = rng.normal(size=(4, 4, 3))
+    weights = {k: rng.normal(size=(4, 8)) for k in ("t_cls", "v_cls", "e_cls")}
+    runs = []
+    for embed in (model.item_embeddings, lambda *a: item_embeddings(model, *a)):
+        model.zero_grad()
+        out = embed(ids, mask, patches)
+        readout = [ad.tsum(ad.mul(out[k], weights[k])) for k in sorted(out)]
+        functools.reduce(ad.add, readout).backward()
+        runs.append(({k: v.data for k, v in out.items()},
+                     {n: t.grad for n, t in model.named_parameters()}))
+    (got, got_g), (want, want_g) = runs
+    assert got.keys() == want.keys() and got_g.keys() == want_g.keys()
+    for k, w in want.items():
+        np.testing.assert_array_equal(got[k], w, err_msg=k)
+    for name, w in want_g.items():
+        assert (got_g[name] is None) == (w is None), name
+        if w is not None:
+            np.testing.assert_array_equal(got_g[name], w, err_msg=name)

@@ -3,8 +3,10 @@
 Every operation is its output plus a vector-Jacobian product (vjp): `_make`
 records the parents and the vjp on the output tensor, and `backward()` runs
 a topological sweep from a scalar loss that adds each returned gradient into
-its parent. All math is double precision and single-threaded, so results are
-bit-reproducible.
+its parent. The sweep frees each interior node's gradient and vjp (and with
+it every forward array the vjp kept) once the vjp has run, so a graph can be
+backpropagated only once. All math is double precision and single-threaded,
+so results are bit-reproducible.
 """
 
 import math
@@ -33,7 +35,8 @@ def grad_enabled():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -58,15 +61,23 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Add d(self)/d(leaf) into the `grad` of every tracked leaf. Each
+        interior node's `grad` and vjp are set to None once its vjp has run;
+        its `_parents` stay, so the graph's shape can still be walked."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward() requires a scalar terminal, got shape {self.shape}"
             )
         order = _toposort(self)
+        if any(node._parents and node._backward is None for node in order):
+            raise RuntimeError(
+                "backward() over a graph that has already been backpropagated: "
+                "its vjps are freed; build the loss again")
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
                 grads = node._backward(node.grad)
+                node.grad = node._backward = None
                 for parent, g in zip(node._parents, grads, strict=True):
                     if g is not None and parent.requires_grad:
                         parent._accum(g)

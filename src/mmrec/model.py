@@ -1,10 +1,7 @@
 """Model container: parameter groups, initialization, and batched forwards."""
 
-import copy
-
 import numpy as np
 
-from . import autodiff as ad
 from . import encoders as enc
 from .encoders import ModelConfig
 
@@ -94,15 +91,6 @@ class RecModel:
     def load_snapshot(self, snap):
         for n, t in self.named_parameters():
             t.data = snap[n].copy()
-
-    def clone(self):
-        m = RecModel(copy.deepcopy(self.cfg), {})
-        for gname, group in self.groups.items():
-            m.groups[gname] = {}
-            for pname, t in group.items():
-                nt = ad.Tensor(t.data.copy(), requires_grad=t.requires_grad)
-                m.groups[gname][pname] = nt
-        return m
 
     # -- forwards -----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from mmrec.training import TrainConfig, finetune, pretrain
 from mmrec.transfer import (TRANSFER_MODES, BundleError, load_bundle,
                             load_components, model_from_bundle,
                             predict_scores, save_bundle)
-from tests.conftest import ACCEPTANCE_LINES, encoded_context
+from tests.conftest import ACCEPTANCE_LINES, clone, encoded_context
 
 
 def record(n, name, detail):
@@ -245,7 +245,7 @@ def test_criterion_07_versatility(transfer_runs, tmp_path):
         assert rep.count == len(tgt_split.train), mode
     # text_only predictions ignore serialized vision/fusion parameters
     base = model_from_bundle(bundle)
-    other = base.clone()
+    other = clone(base)
     rng = np.random.default_rng(0)
     for g in ("vision_encoder", "fusion"):
         for t in other.groups[g].values():

@@ -624,3 +624,37 @@ def test_getitem_adds_into_a_held_gradient_in_place():
     want = prior.copy()
     np.add.at(want, index, readout)
     assert x.grad.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a graph is backpropagated once
+# ---------------------------------------------------------------------------
+
+def _gelu_layer(rng):
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    return w, b, ad.gelu(ad.linear(rng.normal(size=(5, 3)), w, b))
+
+
+def _assert_raises_and_keeps(loss, params):
+    held = [p.grad for p in params]
+    want = [g.tobytes() for g in held]
+    with pytest.raises(RuntimeError, match="already been backpropagated"):
+        loss.backward()
+    assert all(p.grad is g for p, g in zip(params, held))
+    assert [g.tobytes() for g in held] == want
+
+
+def test_second_backward_raises_and_leaves_gradients_unchanged():
+    w, b, h = _gelu_layer(np.random.default_rng(30))
+    loss = ad.tsum(h)
+    loss.backward()
+    _assert_raises_and_keeps(loss, [w, b])
+
+
+def test_backward_through_a_freed_node_raises():
+    # a new loss over a node of a backpropagated graph reaches freed vjps,
+    # and would otherwise give gradients from its new nodes alone
+    w, b, h = _gelu_layer(np.random.default_rng(31))
+    ad.tsum(h).backward()
+    _assert_raises_and_keeps(ad.tsum(ad.mul(h, h)), [w, b])

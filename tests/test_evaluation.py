@@ -16,7 +16,7 @@ from mmrec.evaluation import (MetricsReport, evaluate, evaluate_cold_start,
 from mmrec.gradcheck import small_config
 from mmrec.model import RecModel
 
-from .conftest import with_l_max
+from .conftest import clone, with_l_max
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def test_index_rebuilt_after_unsignalled_writes(monkeypatch):
     built = count_builds(monkeypatch)
 
     def assert_matches_clone():
-        twin = model.clone()
+        twin = clone(model)
         for phase in ("valid", "test"):
             assert report_key(evaluate(model, split, phase=phase)) == \
                 report_key(evaluate(twin, split, phase=phase))
@@ -406,7 +406,7 @@ def test_clone_does_not_share_the_index(monkeypatch):
     split = tiny_split()
     model = RecModel.init(small_config(), 0)
     index = transfer.item_index(model, split.items)
-    twin = model.clone()
+    twin = clone(model)
     assert twin.index_cache is None
     built = count_builds(monkeypatch)
     assert transfer.item_index(twin, split.items) is not index

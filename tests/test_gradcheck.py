@@ -9,6 +9,8 @@ from mmrec.gradcheck import CHECK_LOSSES, random_batch, small_config
 from mmrec.model import RecModel
 from mmrec.objectives import ObjectiveConfig
 
+from .conftest import clone
+
 
 def model_and_batch(seed=0, **small):
     cfg = small_config(**small)
@@ -91,7 +93,7 @@ def test_reused_stages_give_the_values_of_a_fresh_model():
     def recorded():
         # corruption is a function of the batch alone, so a fresh
         # `total_loss` draws the one the closure keeps
-        fresh = obj.total_loss(model.clone(), batch, ObjectiveConfig())[0]
+        fresh = obj.total_loss(clone(model), batch, ObjectiveConfig())[0]
         out = loss_fn()
         pairs.append((out.data.tobytes(), fresh.data.tobytes()))
         return out
@@ -121,7 +123,7 @@ def test_item_encoders_rerun_only_when_a_probe_reaches_them(monkeypatch):
 
 def test_grad_mode_after_probes_matches_a_fresh_model():
     model, batch = model_and_batch(d=2, p=2, q=2)
-    fresh = model.clone()
+    fresh = clone(model)
     loss_fn = gradcheck._loss_fn(model, batch, "total")
     flat = model.groups["user_encoder"]["pos"].data.reshape(-1)
     ad.central_difference(loss_fn, flat[:2])  # fills every stage's memo

@@ -1,7 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mmrec import objectives, training
 from mmrec.autodiff import Tensor
 from mmrec.data import (DataError, SyntheticConfig, filter_and_split,
                         generate_synthetic)
@@ -11,7 +18,7 @@ from mmrec.model import RecModel
 from mmrec.training import (AdamW, NonFiniteGradient, TrainConfig, finetune,
                             pretrain, should_stop)
 
-from .conftest import with_l_max
+from .conftest import clone, with_l_max
 
 
 def opt_for(params, **kw):
@@ -190,7 +197,7 @@ def test_validation_reads_the_models_l_max_not_the_batches():
         n_users=40, n_items=30, L_min=5, L_max=6, vocab_size=12, p_min=2,
         p_max=4, q=4, patch_dim=4, seed=0))
     split = filter_and_split(source, min_interactions=2)
-    initial = model.clone()
+    initial = clone(model)
     hr10 = evaluate(initial, split, phase="valid", ks=(10,)).hr[10] / 100
     assert hr10 != evaluate(with_l_max(initial, 2), split, phase="valid",
                             ks=(10,)).hr[10] / 100
@@ -296,3 +303,68 @@ def test_early_stopping_truncates_run():
     assert log[-1]["epoch"] < 50
     hrs = [e["val_hr10"] for e in log]
     assert len(hrs) - 1 - int(np.argmax(hrs)) >= 1
+
+
+def test_no_loss_graph_outlives_its_step(monkeypatch):
+    """Every earlier loss is dead when a step's `total_loss` starts and when
+    a validation starts, so a step holds at most one graph."""
+    model, split = tiny_setup()
+    losses, alive = [], []
+    total_loss, validation_hr = objectives.total_loss, training._validation_hr
+
+    def check():
+        alive.append(sum(ref() is not None for ref in losses))
+
+    def tracked_total_loss(*args, **kwargs):
+        check()
+        loss, parts = total_loss(*args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss, parts
+
+    def tracked_validation_hr(*args):
+        check()
+        return validation_hr(*args)
+
+    monkeypatch.setattr(objectives, "total_loss", tracked_total_loss)
+    monkeypatch.setattr(training, "_validation_hr", tracked_validation_hr)
+    pretrain(model, split, tcfg(max_epochs=2))
+    assert len(losses) >= 4 and len(alive) == len(losses) + 3
+    assert not any(alive)
+
+
+_FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from mmrec import data, objectives, training
+from mmrec.encoders import ModelConfig
+from mmrec.model import RecModel
+
+cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8, q=4,
+                  patch_dim=6, text_blocks=1, vision_blocks=1, fusion_blocks=1,
+                  user_blocks=1, L_max=12)
+source, _ = data.generate_synthetic(data.SyntheticConfig(
+    n_users=600, n_items=100, L_min=8, L_max=12, n_latent_styles=4, seed=0))
+faults, total_loss = [], objectives.total_loss
+
+def counted(*args, **kwargs):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return total_loss(*args, **kwargs)
+
+objectives.total_loss = counted
+training.pretrain(RecModel.init(cfg, 0), data.filter_and_split(source, 5),
+                  training.TrainConfig(max_epochs=1, B=64, L_max=12))
+print(int(np.median(np.diff(faults)[2:])))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's heap trimming")
+def test_steady_train_steps_fault_in_no_new_memory():
+    """Backward frees each step's graph, and training keeps that memory
+    mapped for the next step: with glibc's default thresholds a step on
+    the transfer config page-faults about 3900 pages back in."""
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 100

@@ -18,7 +18,7 @@ from mmrec.transfer import (LOADED_GROUPS, MODE_MODALITY, TRANSFER_MODES,
                             load_bundle, load_components, model_from_bundle,
                             predict_scores, save_bundle)
 
-from .conftest import with_l_max
+from .conftest import clone, with_l_max
 
 
 @pytest.fixture
@@ -296,7 +296,7 @@ def test_text_only_ignores_vision_bytes(model, items, tmp_path):
     # from either bundle must behave identically
     p1, p2 = tmp_path / "a.bundle", tmp_path / "b.bundle"
     save_bundle(model, p1)
-    other = model.clone()
+    other = clone(model)
     rng = np.random.default_rng(1)
     for g in ("vision_encoder", "fusion"):
         for t in other.groups[g].values():
@@ -394,7 +394,7 @@ def test_index_rebuilt_after_parameter_update(model, items):
     rebuilt = tr.item_index(model, items)
     assert rebuilt is not index
     assert not np.array_equal(rebuilt.reps, index.reps)
-    fresh = predict_scores(model.clone(), [0, 1], items)  # a clone starts uncached
+    fresh = predict_scores(clone(model), [0, 1], items)  # a clone starts uncached
     np.testing.assert_array_equal(scores, fresh)
 
 

@@ -11,7 +11,9 @@ from . import data as data_mod
 from . import transfer
 
 DEFAULT_KS = (10, 20, 50)
-_RANK_CHUNK = 128  # most score rows per block in _rank_pairs: 2 MB at 2000 items
+_RANK_CHUNK = 128  # most score rows per exact-pass block: 2 MB at 2000 items
+_SCREEN_ROWS = 1024  # most rows screened at once
+_SCREEN_COLS = 256  # items per screen block (uint16 counts): 1024 x 256 scores is 2 MB
 
 
 @dataclass
@@ -80,25 +82,98 @@ def _aggregate(ranks, ks, dataset, phase):
                          dataset=dataset, phase=phase)
 
 
-def _rank_pairs(model, pairs, items, ks, dataset, phase):
-    """Score and rank the pairs, each prefix cut to the model's `L_max`, in
-    blocks of at most `_RANK_CHUNK` rows, so no (pairs, catalog) matrix is
-    built. No block has one row unless there is one pair: NumPy computes a
-    one-row product with gemv, which rounds differently from the GEMM that
-    gives larger blocks the full product's bits."""
-    if not pairs:
+def _screen(states, targets, reps, cap):
+    """`(ranks, exact)`: `min(rank, cap)` for every row the screen settles,
+    and the sorted indices of the rows it leaves to the exact pass, with a
+    neighbour added to a lone such row among several so that no exact
+    product has one row.
+
+    Each row's target score t is a row-wise dot product. The row is then
+    scored against `_SCREEN_COLS` items at a time. Against a rounding
+    margin m, an item scored above t + m is above the target in any
+    summation order of the same products, and one scored below t - m is
+    below it. One plus the count above is therefore a lower bound on the
+    rank, and a row leaves with rank `cap` once that bound reaches `cap`. A
+    row that stays to the last item with only its target inside
+    [t - m, t + m] has exactly that rank. The rest, whose ranks turn on how
+    near-ties round, go to the exact pass. m = 8 * gamma_K * |s_i| *
+    max_j |r_j| with gamma_K = K u / (1 - K u) for K = d and unit roundoff
+    u (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.1): each of the four scores compared, screened or full, item
+    or target, is within gamma_K * |s_i| * |r_j| of the exact dot product,
+    and the factor 2 on top absorbs the rounding of the norms, the margin
+    and the thresholds. An exact tie with the target is never counted
+    above it, a non-finite state or item leaves its row to the exact pass,
+    and the bound assumes no product underflows or overflows. Rows are
+    screened `_SCREEN_ROWS` at a time, so no screen buffer is larger than
+    one exact-pass block."""
+    u = np.finfo(np.float64).eps / 2
+    K = reps.shape[1]
+    scale = 8 * (K * u / (1 - K * u)) * np.linalg.norm(reps, axis=1).max()
+    ranks = np.full(len(states), cap, dtype=np.int64)
+    exact = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(states), _SCREEN_ROWS):
+        s = states[start : start + _SCREEN_ROWS]
+        score = np.einsum("ij,ij->i", s, reps[targets[start : start + _SCREEN_ROWS]])
+        margin = scale * np.linalg.norm(s, axis=1)
+        hi, lo = score + margin, score - margin
+        above = np.zeros(len(s), dtype=np.int64)  # items scored above hi
+        reach = np.zeros(len(s), dtype=np.int64)  # items scored at or above lo
+        active = np.flatnonzero(above + 1 < cap)
+        for c in range(0, len(reps), _SCREEN_COLS):
+            if not len(active):
+                break
+            # (items, rows): each row's counts are sums down a column
+            scores = reps[c : c + _SCREEN_COLS] @ s[active].T
+            above[active] += (scores > hi[active]).sum(axis=0, dtype=np.uint16)
+            reach[active] += (scores >= lo[active]).sum(axis=0, dtype=np.uint16)
+            active = active[above[active] + 1 < cap]
+        settled = (reach[active] == above[active] + 1) & np.isfinite(
+            hi[active]) & np.isfinite(lo[active])  # only the target is near
+        ranks[start + active[settled]] = above[active[settled]] + 1
+        exact.append(start + active[~settled])
+    exact = np.concatenate(exact)
+    if len(exact) == 1 and len(states) > 1:
+        i = int(exact[0])
+        exact = np.array([i - 1, i] if i else [0, 1])
+    return ranks, exact
+
+
+def capped_ranks(states, targets, reps, cap):
+    """`min(rank, cap)` of item row `targets[i]` for the user state
+    `states[i]` against the catalog `reps`, where rank is what
+    `ranks_of_targets(states @ reps.T, targets)` gives.
+
+    `_screen` settles every row whose rank is surely at least `cap` or has
+    no near-tie with its target; the rest are ranked exactly by
+    `ranks_of_targets` over full-row products in blocks of at most
+    `_RANK_CHUNK` rows. No block has one row unless there is one state:
+    NumPy computes a one-row product with gemv, which rounds differently
+    from the GEMM that gives larger blocks the full product's bits."""
+    ranks, exact = _screen(states, targets, reps, cap)
+    if len(exact):
+        n_blocks = max(1, min(math.ceil(len(exact) / _RANK_CHUNK), len(exact) // 2))
+        for rows in np.array_split(exact, n_blocks):
+            ranks[rows] = np.minimum(
+                ranks_of_targets(states[rows] @ reps.T, targets[rows]), cap)
+    return ranks
+
+
+def _rank_pairs(model, prefixes, targets, items, ks, dataset, phase):
+    """Score and rank each target after its prefix, cut to the model's
+    `L_max`. Ranks are read only through `rank <= k`, so each is capped at
+    `max(ks) + 1` (`capped_ranks`) and no (pairs, catalog) matrix is built."""
+    if not len(prefixes):
         return _aggregate([], ks, dataset, phase)
     index = transfer.item_index(model, items)
-    states = transfer.encode_prefixes(model, [p for p, _ in pairs], items, index,
-                                      model.cfg.L_max)
-    targets = np.fromiter((index.row_of[t] for _, t in pairs), dtype=np.int64,
-                          count=len(pairs))
-    n_blocks = max(1, min(math.ceil(len(pairs) / _RANK_CHUNK), len(pairs) // 2))
-    ranks = np.concatenate([
-        ranks_of_targets(block @ index.reps.T, rows)
-        for block, rows in zip(np.array_split(states, n_blocks),
-                               np.array_split(targets, n_blocks))])
+    states = transfer.encode_prefixes(model, prefixes, items, index, model.cfg.L_max)
+    rows = index.rows(targets, "target")
+    ranks = capped_ranks(states, rows, index.reps, max(ks, default=0) + 1)
     return _aggregate(ranks, ks, dataset, phase)
+
+
+def _unzip(pairs):
+    return [p for p, _ in pairs], [t for _, t in pairs]
 
 
 def evaluate(model, split, phase="test", ks=DEFAULT_KS, dataset=""):
@@ -108,24 +183,20 @@ def evaluate(model, split, phase="test", ks=DEFAULT_KS, dataset=""):
     phase "test" appends the validation item to the prefix and scores the
     test target.
     """
-    if phase not in ("valid", "test"):
+    if phase == "valid":
+        prefixes, targets = split.train, split.valid
+    elif phase == "test":
+        prefixes = [list(seq) + [v] for seq, v in zip(split.train, split.valid)]
+        targets = split.test
+    else:
         raise ValueError(f"unknown phase {phase!r}")
-    pairs = []
-    for u, seq in enumerate(split.train):
-        if phase == "valid":
-            pairs.append((list(seq), split.valid[u]))
-        else:
-            pairs.append((list(seq) + [split.valid[u]], split.test[u]))
-    return _rank_pairs(model, pairs, split.items, ks, dataset, phase)
+    return _rank_pairs(model, prefixes, targets, split.items, ks, dataset, phase)
 
 
 def evaluate_train(model, split, ks=(10,)):
     """HR/NDCG over all training-set transitions (overfit diagnostics)."""
-    pairs = []
-    for seq in split.train:
-        for pos in range(1, len(seq)):
-            pairs.append((seq[:pos], seq[pos]))
-    return _rank_pairs(model, pairs, split.items, ks, "", "train")
+    pairs = [(seq[:pos], seq[pos]) for seq in split.train for pos in range(1, len(seq))]
+    return _rank_pairs(model, *_unzip(pairs), split.items, ks, "", "train")
 
 
 def evaluate_cold_start(model, split, threshold=10, ks=DEFAULT_KS, dataset=""):
@@ -134,4 +205,4 @@ def evaluate_cold_start(model, split, threshold=10, ks=DEFAULT_KS, dataset=""):
     An empty cold set yields an all-zero report with count 0.
     """
     pairs = data_mod.cold_item_subsequences(split, threshold)
-    return _rank_pairs(model, pairs, split.items, ks, dataset, "cold")
+    return _rank_pairs(model, *_unzip(pairs), split.items, ks, dataset, "cold")

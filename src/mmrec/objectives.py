@@ -62,7 +62,8 @@ class BatchContext:
     """Everything the losses read that depends on the batch alone:
     occurrence bookkeeping, the unique items' packed features, per-user
     negative weights, transitions and, when nid or rcl is on, the
-    corruption. `total_loss` sets `emb`, the unique items' embeddings."""
+    corruption. `total_loss` sets `emb`, the unique items' embeddings, for
+    the length of its call."""
 
     def __init__(self, cfg, batch):
         self.batch = batch
@@ -306,5 +307,6 @@ def total_loss(model, batch, cfg, ctx=None):
             terms["rcl"] = rcl_loss(hiddens, corr_hiddens, batch.mask, cfg)
     if not terms:
         raise ValueError("no objectives enabled")
+    ctx.emb = None  # a caller's context must not pin this graph
     total = functools.reduce(ad.add, terms.values())
     return total, {name: t.item() for name, t in terms.items()}

@@ -207,7 +207,19 @@ class ItemIndex:
     def __init__(self, order, reps):
         self.order = order  # catalog indices, sorted
         self.reps = reps  # (n_items, d)
-        self.row_of = {c: r for r, c in enumerate(order)}
+        self.row_of = {c: r for r, c in enumerate(order)}  # for bench/ and tests
+        self._sorted = np.asarray(order, dtype=np.int64)
+
+    def rows(self, ids, kind):
+        """The index rows of the catalog indices `ids`, in their shape; an id
+        outside the catalog is a ValueError naming it as a `kind` item."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self._sorted, ids).clip(max=len(self._sorted) - 1)
+        missing = self._sorted[rows] != ids
+        if missing.any():
+            raise ValueError(f"{kind} item {int(ids[missing][0])!r} "
+                             "is not in the catalog")
+        return rows
 
 
 def build_item_index(model, items):
@@ -250,17 +262,12 @@ def encode_prefixes(model, prefixes, items, index, L_max):
     if L_max > model.cfg.L_max:
         raise ValueError(f"L_max={L_max} exceeds the model's "
                          f"L_max={model.cfg.L_max}")
-    order = np.asarray(index.order)
     out = np.zeros((len(prefixes), model.cfg.d))
     with ad.no_grad():
         for start in range(0, len(prefixes), PREFIX_CHUNK):
             part = [p[-L_max:] for p in prefixes[start : start + PREFIX_CHUNK]]
-            ids, mask = data.pad(part, order[0])  # padding maps to row 0
-            rows = np.searchsorted(order, ids).clip(max=len(order) - 1)
-            missing = order[rows] != ids
-            if missing.any():
-                raise ValueError(f"prefix item {int(ids[missing][0])!r} "
-                                 "is not in the catalog")
+            ids, mask = data.pad(part, index.order[0])  # padding maps to row 0
+            rows = index.rows(ids, "prefix")
             h = model.encode_sequence(ad.Tensor(index.reps[rows]), mask, last=True)
             out[start : start + len(part)] = h.data
     return out

@@ -10,9 +10,9 @@ from mmrec import evaluation, transfer
 from mmrec.data import (ItemRecord, SplitDataset, SyntheticConfig,
                         cold_item_subsequences, filter_and_split,
                         generate_synthetic)
-from mmrec.evaluation import (MetricsReport, evaluate, evaluate_cold_start,
-                              evaluate_train, rank_of_target, ranking_metrics,
-                              ranks_of_targets)
+from mmrec.evaluation import (MetricsReport, capped_ranks, evaluate,
+                              evaluate_cold_start, evaluate_train, rank_of_target,
+                              ranking_metrics, ranks_of_targets)
 from mmrec.gradcheck import small_config
 from mmrec.model import RecModel
 
@@ -198,22 +198,30 @@ def test_evaluate_train_counts_all_transitions():
 # blocked scoring: bounded memory, the full matrix's ranks
 # ---------------------------------------------------------------------------
 
-def full_matrix_report(model, pairs, items, like):
-    """The report, shaped as `like`, that one unblocked (pairs, catalog)
-    score matrix gives."""
+def full_matrix_ranks(model, pairs, items):
+    """The ranks that one unblocked (pairs, catalog) score matrix gives."""
     index = transfer.build_item_index(model, items)
     states = transfer.encode_prefixes(model, [p for p, _ in pairs], items, index,
                                       model.cfg.L_max)
     scores = states @ index.reps.T
-    ranks = [int((s >= s[index.row_of[t]]).sum()) for s, (_, t) in zip(scores, pairs)]
-    return evaluation._aggregate(ranks, like.ks, like.dataset, like.phase)
+    return [int((s >= s[index.row_of[t]]).sum()) for s, (_, t) in zip(scores, pairs)]
+
+
+def full_matrix_report(model, pairs, items, like):
+    """The report, shaped as `like`, that the full matrix's ranks give."""
+    return evaluation._aggregate(full_matrix_ranks(model, pairs, items), like.ks,
+                                 like.dataset, like.phase)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 128])
 def test_rank_pairs_blocks_match_full_matrix(chunk, monkeypatch):
     """Blocked scoring reports exactly what one full score matrix reports, for
-    pair counts of 1 (mod chunk) and for a single pair. No block has one row
-    unless the call has one pair, and none has more than max(chunk, 3)."""
+    pair counts of 1 (mod chunk) and for a single pair, screened out or
+    tied with a twin of its target. The exact blocks sum to the count of
+    rows the screen leaves to them, every pair screened out ranks below
+    max(ks) in the full matrix and every pair it settles has that matrix's
+    rank, no block has one row unless the call has one pair, and none has
+    more than max(chunk, 3)."""
     source, _ = generate_synthetic(SyntheticConfig(
         n_users=420, n_items=120, L_min=5, L_max=8, vocab_size=12, p_min=2,
         p_max=4, q=4, patch_dim=4, seed=3))
@@ -232,23 +240,47 @@ def test_rank_pairs_blocks_match_full_matrix(chunk, monkeypatch):
     blocks, rank = [], evaluation.ranks_of_targets
     monkeypatch.setattr(evaluation, "ranks_of_targets",
                         lambda s, t: blocks.append(len(s)) or rank(s, t))
+    screened, screen = [], evaluation._screen
+    monkeypatch.setattr(evaluation, "_screen",
+                        lambda *a: screened.append(screen(*a)) or screened[-1])
+    # a single pair whose target has a twin in the catalog: the tie leaves
+    # it to the exact pass, which computes its one-row product
+    valid_ranks = full_matrix_ranks(model, leave_one_out_pairs(split, "valid"),
+                                    split.items)
+    best = int(np.argmin(valid_ranks))
+    twin, target = max(whole.items) + 1, whole.items[whole.valid[best]]
+    tied = SplitDataset(items={**whole.items, twin: ItemRecord(
+                            twin, target.tokens, target.patches)},
+                        train=[whole.train[best]], valid=[whole.valid[best]],
+                        test=[whole.test[best]])
     cases = [(evaluate, s, {"phase": phase}, leave_one_out_pairs(s, phase))
-             for s in (split, first_users(1)) for phase in ("valid", "test")]
+             for s in (split, first_users(1), tied) for phase in ("valid", "test")]
     cases.append((evaluate_cold_start, split, {}, cold))
+    one_row_blocks = 0
     for fn, s, kw, pairs in cases:
         blocks.clear()
+        screened.clear()
         report = fn(model, s, **kw)
-        assert sum(blocks) == len(pairs) == report.count
-        assert min(blocks) >= min(2, len(pairs))
-        assert max(blocks) <= max(chunk, 3)
+        assert len(pairs) == report.count
+        ranks, exact = screened[0]
+        assert sum(blocks) == len(exact)
+        full = np.array(full_matrix_ranks(model, pairs, s.items))
+        cap = max(report.ks) + 1
+        settled = np.setdiff1d(np.arange(len(pairs)), exact)
+        assert (full[settled][ranks[settled] == cap] > max(report.ks)).all()
+        assert ranks[settled].tolist() == np.minimum(full[settled], cap).tolist()
+        assert all(b >= min(2, len(pairs)) for b in blocks)
+        assert all(b <= max(chunk, 3) for b in blocks)
+        one_row_blocks += blocks == [1]
         want = full_matrix_report(model, pairs, s.items, report)
         assert report_key(report) == report_key(want)  # HR and NDCG exact
+    assert one_row_blocks >= 1  # the single pair's one-row product ran
 
 
-def test_rank_pairs_peak_memory_is_a_fraction_of_the_score_matrix(monkeypatch):
-    """NumPy reports its buffers to tracemalloc: ranking 1000 pairs against
-    1500 items peaks below a quarter of one (pairs, catalog) float64 matrix."""
-    n_pairs, n_items = 1000, 1500
+def rank_pairs_peak(n_pairs, n_items, monkeypatch):
+    """The tracemalloc peak of `_rank_pairs` in `evaluate(valid)` of
+    `n_pairs` random users over `n_items` items; NumPy reports its buffers
+    to tracemalloc."""
     rng = np.random.default_rng(0)
     items = {i: ItemRecord(i, rng.integers(1, 12, size=3).tolist(),
                            rng.normal(size=(4, 4))) for i in range(n_items)}
@@ -272,7 +304,150 @@ def test_rank_pairs_peak_memory_is_a_fraction_of_the_score_matrix(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_rank_pairs", traced)
     assert evaluate(model, split, phase="valid").count == n_pairs
-    assert peaks[0] < n_pairs * n_items * 8 / 4
+    return peaks[0]
+
+
+def test_rank_pairs_peak_memory_is_a_fraction_of_the_score_matrix(monkeypatch):
+    """Ranking 1000 pairs against 1500 items peaks below a quarter of one
+    (pairs, catalog) float64 matrix."""
+    assert rank_pairs_peak(1000, 1500, monkeypatch) < 1000 * 1500 * 8 / 4
+
+
+def test_rank_pairs_peak_memory_stays_flat_at_four_times_the_pairs(monkeypatch):
+    """4000 pairs against 1500 items peak below an eighth of the score
+    matrix, 6 MB, which a screen of all rows at once breaks: its (256, 4000)
+    scores alone are 8 MB."""
+    assert rank_pairs_peak(4000, 1500, monkeypatch) < 4000 * 1500 * 8 / 8
+
+
+# ---------------------------------------------------------------------------
+# capped ranks: min(rank, cap) from a screen and an exact pass
+# ---------------------------------------------------------------------------
+
+def near_tie_catalog(cap, n_rows=300, d=32, n_items=704, seed=0):
+    """States and a shuffled catalog in which every row's target has
+    `n_above` items clearly above it and `n_near` copies of it with every
+    coordinate moved by one to four ulps, whose scores lie within a few
+    ulps of the target's either way. Each row's rank then turns on how its
+    dot products round and straddles `cap`. The other items lie clearly
+    below."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=d)
+    states = base + rng.normal(size=(n_rows, d))
+    up = base / np.linalg.norm(base)  # every state scores clearly along it
+    target = rng.normal(size=d)
+    n_near = min(30, 2 * (cap - 1))
+    n_above = cap - 1 - n_near // 2
+    ulps = rng.integers(1, 5, size=(n_near, d)) * rng.choice([-1, 1], size=(n_near, d))
+    near = target + ulps * np.spacing(target)
+    steps = rng.uniform(0.5, 2.0, size=(n_items - 1 - n_near, 1))
+    steps[n_above:] *= -1
+    reps = np.concatenate([target[None], near, target + steps * up])
+    perm = rng.permutation(n_items)
+    return states, np.full(n_rows, np.argsort(perm)[0]), reps[perm]
+
+
+def full_capped(states, targets, reps, cap):
+    return np.minimum(ranks_of_targets(states @ reps.T, targets), cap)
+
+
+@pytest.mark.parametrize("screen_rows", [7, 1024])
+@pytest.mark.parametrize("ks", [(1,), (10,), (10, 20, 50), (10, 100)])
+def test_capped_ranks_match_the_full_product_on_near_ties(ks, screen_rows,
+                                                          monkeypatch):
+    """min(rank, max(ks) + 1) equals the full product's on rows whose
+    near-ties fall on both sides of the cap, and so does every report."""
+    monkeypatch.setattr(evaluation, "_SCREEN_ROWS", screen_rows)
+    cap = max(ks) + 1
+    states, targets, reps = near_tie_catalog(cap)
+    full = ranks_of_targets(states @ reps.T, targets)
+    assert (full < cap).any() and (full >= cap).any()
+    assert len(set(full.tolist())) >= 3  # the near-ties order differently by row
+    got = capped_ranks(states, targets, reps, cap)
+    assert got.tolist() == np.minimum(full, cap).tolist()
+    want = evaluation._aggregate(full, ks, "", "valid")
+    assert report_key(evaluation._aggregate(got, ks, "", "valid")) == report_key(want)
+
+
+def test_capped_rank_of_a_single_state():
+    """One state is ranked by the one-row product when it survives, and an
+    exact tie is never counted by the screen: a zero state ties its target
+    with every item, so in a catalog of max(ks) items it ranks max(ks).
+    No state gives no rank."""
+    states, targets, reps = near_tie_catalog(51)
+    got = [capped_ranks(states[i:i + 1], targets[i:i + 1], reps, 51)[0]
+           for i in range(40)]
+    want = [full_capped(states[i:i + 1], targets[i:i + 1], reps, 51)[0]
+            for i in range(40)]
+    assert got == want and min(want) < 51
+    reps = np.random.default_rng(1).normal(size=(10, 4))
+    assert capped_ranks(np.zeros((1, 4)), np.array([3]), reps, 11).tolist() == [10]
+    assert capped_ranks(np.zeros((2, 4)), np.array([3, 0]), reps, 11).tolist() == [10, 10]
+    assert capped_ranks(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), reps, 11).size == 0
+
+
+def test_capped_ranks_with_no_row_and_with_every_row_surviving(monkeypatch):
+    states, targets, reps = near_tie_catalog(51)
+    scores = states @ reps.T
+    full = ranks_of_targets(scores, targets)
+    blocks, rank = [], evaluation.ranks_of_targets
+    monkeypatch.setattr(evaluation, "ranks_of_targets",
+                        lambda s, t: blocks.append(len(s)) or rank(s, t))
+    # every target the row's lowest-scoring item: no exact pass at all
+    lowest = np.argmin(scores, axis=1)
+    assert capped_ranks(states, lowest, reps, 51).tolist() == [51] * len(states)
+    assert blocks == []
+    # the rows that rank below the cap all survive; their near-ties leave
+    # every one to the exact pass
+    hit = np.flatnonzero(full < 51)
+    assert 1 < len(hit) < len(states)
+    _, exact = evaluation._screen(states[hit], targets[hit], reps, 51)
+    assert exact.tolist() == list(range(len(hit)))
+    assert capped_ranks(states[hit], targets[hit], reps, 51).tolist() == \
+        full[hit].tolist()
+    # a cap above the catalog keeps every row and every rank
+    assert capped_ranks(states, targets, reps, len(reps) + 1).tolist() == \
+        full.tolist()
+
+
+def test_screen_settles_rows_without_near_ties(monkeypatch):
+    """With no score near any target's, the screen ranks every row itself:
+    nothing reaches the exact pass, and every rank is the full product's."""
+    rng = np.random.default_rng(2)
+    states, reps = rng.normal(size=(60, 8)), rng.normal(size=(600, 8))
+    targets = rng.integers(0, 600, size=60)
+    full = ranks_of_targets(states @ reps.T, targets)
+    blocks, rank = [], evaluation.ranks_of_targets
+    monkeypatch.setattr(evaluation, "ranks_of_targets",
+                        lambda s, t: blocks.append(len(s)) or rank(s, t))
+    for cap in (11, 51, 601):
+        assert capped_ranks(states, targets, reps, cap).tolist() == \
+            np.minimum(full, cap).tolist()
+    assert blocks == [] and full.min() < 11 and full.max() > 51
+
+
+def test_evaluate_rejects_a_non_finite_user_state():
+    """A NaN state ranks 0 in `ranks_of_targets`, which the metrics reject;
+    the screen never drops it, even with a cap below the catalog size."""
+
+    class NanState(OracleModel):
+        def encode_sequence(self, reps, mask, last=False):
+            h = _states(np.roll(reps.data, 1, axis=-1), mask, last).data
+            h[0] = np.nan
+            return ad.Tensor(h)
+
+    with pytest.raises(ValueError, match="ranks are 1-based"):
+        evaluate(NanState(6), oracle_split(), phase="valid", ks=(1,))
+
+
+def test_evaluate_names_a_target_outside_the_catalog():
+    split = tiny_split()
+    model = RecModel.init(small_config(), 0)
+    missing = max(split.items) + 7
+    bad = SplitDataset(items=split.items, train=split.train,
+                       valid=split.valid[:-1] + [missing], test=split.test)
+    with pytest.raises(ValueError, match=f"target item {missing} is not in the catalog"):
+        evaluate(model, bad, phase="valid")
 
 
 # ---------------------------------------------------------------------------

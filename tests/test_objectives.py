@@ -768,6 +768,26 @@ def test_backward_frees_every_interior_node():
     assert all(p.grad is not None for _, p in model.trainable_parameters())
 
 
+def test_a_held_context_keeps_no_node_of_its_last_graph():
+    """After `backward` and `del loss`, a context the caller still holds,
+    as the gradient check does, keeps no interior node of the graph alive."""
+    import gc
+    import weakref
+
+    from mmrec.autodiff import _toposort
+
+    cfg = small_config()
+    model = RecModel.init(cfg, 16)
+    batch = random_batch(cfg, np.random.default_rng(16), B=3)
+    ctx = obj.BatchContext(OCFG, batch)
+    total, _ = obj.total_loss(model, batch, OCFG, ctx)
+    interior = [weakref.ref(n) for n in _toposort(total) if n._parents]
+    total.backward()
+    del total
+    gc.collect()
+    assert interior and not [ref for ref in interior if ref() is not None]
+
+
 def test_backward_on_a_transfer_batch_peaks_near_the_forward_graph():
     """NumPy reports its buffers to tracemalloc. Backward frees each node's
     gradient and forward intermediates as it passes, so it peaks little

@@ -156,24 +156,6 @@ def mul(a, b):
                             _unbroadcast(g * a.data, b.shape)))
 
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def vjp(g):
-        if b.data.ndim == 1:
-            ga = np.outer(g, b.data) if a.data.ndim == 2 else g * b.data
-        else:
-            ga = g @ b.data.swapaxes(-1, -2)
-        if a.data.ndim == 1:
-            gb = np.outer(a.data, g) if b.data.ndim == 2 else g * a.data
-        else:
-            gb = a.data.swapaxes(-1, -2) @ g
-        return (_unbroadcast(np.asarray(ga), a.shape),
-                _unbroadcast(np.asarray(gb), b.shape))
-
-    return _make(a.data @ b.data, (a, b), vjp)
-
-
 def relu(x):
     x = as_tensor(x)
     return _make(np.maximum(x.data, 0.0), (x,),

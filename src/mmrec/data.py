@@ -120,6 +120,11 @@ def load_dataset(items_path, interactions_path):
                 raise DataError(f"{items_path}:{lineno}: duplicate catalog index {idx}")
             if not tokens:
                 raise DataError(f"{items_path}:{lineno}: item has no tokens")
+            if min(tokens) < 1:
+                raise DataError(f"{items_path}:{lineno}: token id {min(tokens)} is below 1 "
+                                f"({PAD_TOKEN} is the padding id)")
+            if not np.isfinite(vals).all():
+                raise DataError(f"{items_path}:{lineno}: patch values must be finite")
             items[idx] = ItemRecord(idx, tokens, vals.reshape(q, pd))
     users = []
     with _open(interactions_path) as f:

@@ -62,8 +62,7 @@ class BatchContext:
     """Everything the losses read that depends on the batch alone:
     occurrence bookkeeping, the unique items' packed features, per-user
     negative weights, transitions and, when nid or rcl is on, the
-    corruption. `total_loss` sets `emb`, the unique items' embeddings, for
-    the length of its call."""
+    corruption."""
 
     def __init__(self, cfg, batch):
         self.batch = batch
@@ -98,15 +97,15 @@ class BatchContext:
 # DAP
 # ---------------------------------------------------------------------------
 
-def dap_loss(ctx, hiddens):
-    """Next-item cross-entropy over in-batch negatives, averaged over all
-    real transitions. Each unique item is scored once and weighted by its
-    count of legal negative occurrences (`BatchContext.neg_weight`); the
-    next item's column, which is never a negative, gets weight 1."""
+def dap_loss(ctx, e, hiddens):
+    """Next-item cross-entropy of `hiddens` against `e`, the unique items'
+    embeddings, averaged over all real transitions. Each unique item is
+    scored once and weighted by its count of legal negative occurrences
+    (`BatchContext.neg_weight`); the next item's column gets weight 1."""
     if len(ctx.tr_u) == 0:
         raise ValueError("batch has no valid transitions")
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))  # (T, d)
-    z = ad.matmul(h, ad.transpose(ctx.emb["e_cls"], (1, 0)))  # (T, U)
+    z = ad.linear(h, ad.transpose(e, (1, 0)))  # (T, U)
     nxt = ctx.rows_at(ctx.tr_u, ctx.tr_l + 1)
     w = ctx.neg_weight[ctx.tr_u]
     w[np.arange(len(nxt)), nxt] += 1
@@ -117,8 +116,8 @@ def dap_loss(ctx, hiddens):
 # contrastive family
 # ---------------------------------------------------------------------------
 
-def contrastive_loss(ctx, variant):
-    """Cross-modal contrast between normalized text/vision embeddings.
+def contrastive_loss(ctx, emb, variant):
+    """Cross-modal contrast between normalized `emb["t_cls"]` and `emb["v_cls"]`.
 
     "vcl" uses inter-modality negatives only, "icl" adds intra-modality
     negatives, "nicl" further adds the next item's embeddings (both
@@ -130,7 +129,7 @@ def contrastive_loss(ctx, variant):
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"unknown contrastive variant {variant!r}")
-    if "t_cls" not in ctx.emb or "v_cls" not in ctx.emb:
+    if "t_cls" not in emb or "v_cls" not in emb:
         raise ValueError("contrastive objectives need both modalities")
     if variant == "nicl" and len(ctx.tr_u) == 0:
         raise ValueError("nicl needs sequences of length >= 2")
@@ -140,11 +139,11 @@ def contrastive_loss(ctx, variant):
         a_u, a_l = ctx.occ_u, ctx.occ_l
     n_items = len(ctx.unique)
     # rows 0..U-1 hold the text embeddings, rows U..2U-1 the vision ones
-    table = ad.l2_normalize(ad.concat([ctx.emb["t_cls"], ctx.emb["v_cls"]]))
+    table = ad.l2_normalize(ad.concat([emb["t_cls"], emb["v_cls"]]))
     t_rows = ctx.rows_at(a_u, a_l)
     anchors = np.concatenate([t_rows, t_rows + n_items])  # text, then vision
     other = np.concatenate([t_rows + n_items, t_rows])  # same item, other modality
-    z = ad.matmul(ad.getitem(table, anchors), ad.transpose(table, (1, 0)))
+    z = ad.linear(ad.getitem(table, anchors), ad.transpose(table, (1, 0)))
     neg = ctx.neg_weight[a_u]
     intra = np.zeros_like(neg) if variant == "vcl" else neg
     w = np.block([[intra, neg], [neg, intra]])
@@ -260,15 +259,15 @@ def _pool(hiddens, mask, how):
     return ad.getitem(hiddens, (np.arange(mask.shape[0]), last))
 
 
-def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, cfg):
+def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, pooling):
     """Contrast each user's pooled sequence against its corrupted twin,
-    with other users' corrupted sequences as negatives."""
+    with other users' corrupted sequences as negatives ("mean" or "last" pooling)."""
     b = seq_mask.shape[0]
     if b < 1:
         raise ValueError("rcl needs at least one sequence")
-    hu = _pool(original_hiddens, seq_mask, cfg.rcl_pooling)
-    hc = _pool(corrupted_hiddens, seq_mask, cfg.rcl_pooling)
-    scores = ad.matmul(hu, ad.transpose(hc, (1, 0)))
+    hu = _pool(original_hiddens, seq_mask, pooling)
+    hc = _pool(corrupted_hiddens, seq_mask, pooling)
+    scores = ad.linear(hu, ad.transpose(hc, (1, 0)))
     return ad.softmax_xent(scores, np.ones((b, b)), np.arange(b)[:, None])
 
 
@@ -290,23 +289,22 @@ def total_loss(model, batch, cfg, ctx=None):
     """
     if ctx is None:
         ctx = BatchContext(cfg, batch)
-    ctx.emb = model.item_embeddings(*ctx.features)
-    e = ctx.emb["e_cls"]
+    emb = model.item_embeddings(*ctx.features)
+    e = emb["e_cls"]
     if cfg.dap or cfg.rcl:
         hiddens = model.encode_sequence(ad.getitem(e, ctx.pos_to_row), batch.mask)
     terms = {}
     if cfg.dap:
-        terms["dap"] = dap_loss(ctx, hiddens)
+        terms["dap"] = dap_loss(ctx, e, hiddens)
     if cfg.contrastive is not None:
-        terms[cfg.contrastive] = contrastive_loss(ctx, cfg.contrastive)
+        terms[cfg.contrastive] = contrastive_loss(ctx, emb, cfg.contrastive)
     if cfg.nid or cfg.rcl:
         corr_hiddens = model.encode_sequence(ad.getitem(e, ctx.corr_rows), batch.mask)
         if cfg.nid:
             terms["nid"] = nid_loss(corr_hiddens, ctx.labels, model.groups["nid_head"])
         if cfg.rcl:
-            terms["rcl"] = rcl_loss(hiddens, corr_hiddens, batch.mask, cfg)
+            terms["rcl"] = rcl_loss(hiddens, corr_hiddens, batch.mask, cfg.rcl_pooling)
     if not terms:
         raise ValueError("no objectives enabled")
-    ctx.emb = None  # a caller's context must not pin this graph
     total = functools.reduce(ad.add, terms.values())
     return total, {name: t.item() for name, t in terms.items()}

@@ -134,18 +134,6 @@ def load_bundle(path):
     return config, groups
 
 
-def describe(path):
-    cfg, groups = load_bundle(path)
-    lines = [f"format_version={FORMAT_VERSION}  d={cfg['d']}  modality={cfg['modality']}"]
-    for g in sorted(groups):
-        n = sum(a.size for a in groups[g].values())
-        lines.append(f"  {g}: {len(groups[g])} arrays, {n} parameters")
-        for p in sorted(groups[g]):
-            sha = hashlib.sha256(groups[g][p].tobytes()).hexdigest()[:12]
-            lines.append(f"    {p}  shape={tuple(groups[g][p].shape)}  sha={sha}")
-    return "\n".join(lines)
-
-
 def load_components(path, mode, fresh_init_seed):
     """Build a model from a bundle according to the transfer mode.
 
@@ -163,8 +151,7 @@ def load_components(path, mode, fresh_init_seed):
     for gname in LOADED_GROUPS[mode]:
         if gname not in groups:
             raise BundleError(f"bundle lacks required group {gname!r} for mode {mode!r}")
-        if gname in model.groups:
-            _load_group(model.groups[gname], gname, groups[gname])
+        _load_group(model.groups[gname], gname, groups[gname])
     return model
 
 

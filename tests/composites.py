@@ -1,10 +1,11 @@
 """Reference versions of the fused autodiff nodes, built from small nodes.
 
-The elementwise nodes here (`exp`, `log`, `power`, `softmax`, `tmean`, `sub`)
+The nodes here (`exp`, `log`, `power`, `softmax`, `tmean`, `sub`, `matmul`)
 have no caller in the library; the composites written with them are the
-oracles that the one-node `layer_norm`, `l2_normalize` and `softmax_xent` and
-the objectives built on them are checked against. `item_embeddings` is the
-per-part stack assembly that `encoders.run_stack` replaced.
+oracles that the one-node `layer_norm`, `l2_normalize`, `softmax_xent` and
+`linear` and the objectives built on them are checked against.
+`item_embeddings` is the per-part stack assembly that `encoders.run_stack`
+replaced.
 """
 
 import numpy as np
@@ -41,6 +42,26 @@ def softmax(x, axis=-1):
     data = e / e.sum(axis=axis, keepdims=True)
     return _node(x, data,
                  lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
+
+
+def matmul(a, b):
+    """`a @ b` for 1-D, 2-D and batched operands; the library's products all
+    go through `linear`."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+
+    def vjp(g):
+        if b.data.ndim == 1:
+            ga = np.outer(g, b.data) if a.data.ndim == 2 else g * b.data
+        else:
+            ga = g @ b.data.swapaxes(-1, -2)
+        if a.data.ndim == 1:
+            gb = np.outer(a.data, g) if b.data.ndim == 2 else g * a.data
+        else:
+            gb = a.data.swapaxes(-1, -2) @ g
+        return (ad._unbroadcast(np.asarray(ga), a.shape),
+                ad._unbroadcast(np.asarray(gb), b.shape))
+
+    return ad._make(a.data @ b.data, (a, b), vjp)
 
 
 def sub(a, b):

@@ -8,12 +8,12 @@ ACCEPTANCE_LINES = []
 
 
 def encoded_context(model, batch, cfg=None):
-    """`BatchContext(cfg, batch)` with the item embeddings `total_loss`
-    would set. The default config has nid and rcl off, so no corruption is
-    drawn; tests of one loss reach that loss's own checks."""
+    """`BatchContext(cfg, batch)` and the unique items' embeddings that
+    `total_loss` would pass to the losses. The default config has nid and
+    rcl off, so no corruption is drawn; tests of one loss reach that loss's
+    own checks."""
     ctx = objectives.BatchContext(cfg or objectives.dap_only(), batch)
-    ctx.emb = model.item_embeddings(*ctx.features)
-    return ctx
+    return ctx, model.item_embeddings(*ctx.features)
 
 
 def clone(model):

@@ -114,17 +114,19 @@ def test_criterion_02_closed_form_losses():
     from tests.test_objectives import OCFG, const_ctx
 
     h1 = ad.Tensor(np.ones((1, 3, 4)))
-    assert abs(obj.dap_loss(const_ctx(1, 3), h1).item()) < 1e-12
-    assert abs(obj.contrastive_loss(const_ctx(1, 3), "vcl").item()) < 1e-12
-    assert abs(obj.rcl_loss(h1, h1, np.ones((1, 3)), OCFG).item()) < 1e-12
-    nicl = obj.contrastive_loss(const_ctx(1, 3), "nicl").item()
+    ctx1, emb1 = const_ctx(1, 3)
+    assert abs(obj.dap_loss(ctx1, emb1["e_cls"], h1).item()) < 1e-12
+    assert abs(obj.contrastive_loss(ctx1, emb1, "vcl").item()) < 1e-12
+    assert abs(obj.rcl_loss(h1, h1, np.ones((1, 3)), OCFG.rcl_pooling).item()) < 1e-12
+    nicl = obj.contrastive_loss(ctx1, emb1, "nicl").item()
     assert abs(nicl - (-math.log(3))) < 1e-9
     head = {"W": ad.Tensor(np.zeros((3, 3))), "b": ad.Tensor(np.zeros(3))}
     nid = obj.nid_loss(ad.Tensor(np.ones((2, 3, 3))),
                        np.zeros((2, 3), dtype=np.int64), head).item()
     assert abs(nid - math.log(3)) < 1e-9
     h2 = ad.Tensor(np.ones((2, 3, 4)))
-    dap = obj.dap_loss(const_ctx(2, 3), h2).item()  # |N| = 3 per anchor
+    ctx2, emb2 = const_ctx(2, 3)
+    dap = obj.dap_loss(ctx2, emb2["e_cls"], h2).item()  # |N| = 3 per anchor
     assert abs(dap - math.log(4)) < 1e-9
     record(2, "closed-form losses",
            "B=1 DAP/VCL/RCL = 0, NICL = -ln3, NID = ln3, DAP = ln(|N|+1)")
@@ -183,7 +185,7 @@ def test_criterion_04_corruption_statistics():
     for seed in range(50):
         batch = random_batch(small_config(), np.random.default_rng(seed),
                              B=3, L=4, n_items=10)
-        ctx = encoded_context(model, batch)
+        ctx, _ = encoded_context(model, batch)
         rows, labels = obj.corrupt_batch(ctx, obj.ObjectiveConfig())
         for u in range(3):
             own = {int(i) for i in batch.idx[u]}

@@ -124,9 +124,9 @@ def test_forward_backward_random_graph_matches_finite_differences():
     rng = np.random.default_rng(7)
 
     def program(a, w1, w2, w3):
-        h = ad.gelu(ad.matmul(a, w1))
-        h = ad.relu(ad.matmul(h, w2))
-        h = C.softmax(ad.matmul(h, w3), axis=-1)
+        h = ad.gelu(C.matmul(a, w1))
+        h = ad.relu(C.matmul(h, w2))
+        h = C.softmax(C.matmul(h, w3), axis=-1)
         return ad.tsum(ad.mul(h, C.log(ad.add(ad.mul(h, h), 0.1))))
 
     point = [rand(rng, 3, 8), rand(rng, 8, 8), rand(rng, 8, 8), rand(rng, 8, 8)]
@@ -143,7 +143,7 @@ def test_forward_backward_rejects_non_scalar():
 def test_gradient_check_linear_map_exact():
     w = np.arange(6.0).reshape(2, 3)
     report = gradient_check(
-        lambda x: ad.tsum(ad.matmul(x, w)),
+        lambda x: ad.tsum(C.matmul(x, w)),
         [Tensor(np.ones(2), requires_grad=True)])
     assert report["max_rel_error"] < 1e-10
 
@@ -168,7 +168,7 @@ def test_forward_backward_deterministic():
     a = rng.normal(size=(4, 4))
 
     def program(x):
-        return ad.tsum(C.softmax(ad.matmul(x, x), axis=-1))
+        return ad.tsum(C.softmax(C.matmul(x, x), axis=-1))
 
     v1, g1 = forward_backward(program, [Tensor(a.copy(), requires_grad=True)])
     v2, g2 = forward_backward(program, [Tensor(a.copy(), requires_grad=True)])
@@ -293,8 +293,18 @@ def test_gradient_check_linear(x_shape):
 def test_linear_matches_matmul_plus_bias():
     rng = np.random.default_rng(14)
     arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)]
-    _assert_parity(ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b),
+    _assert_parity(ad.linear, lambda x, w, b: ad.add(C.matmul(x, w), b),
                    arrays, (2, 3, 3))
+    # the losses' score products: 2-D, no bias, a transposed view as weight,
+    # bitwise equal in the forward and in both gradients
+    x, y = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
+    results = []
+    for product in (ad.linear, C.matmul):
+        program = _readout(lambda a, b: product(a, ad.transpose(b, (1, 0))), (5, 6))
+        out, grads = forward_backward(program, [Tensor(x.copy()), Tensor(y.copy())])
+        scores = product(Tensor(x), ad.transpose(Tensor(y), (1, 0))).data
+        results.append([a.tobytes() for a in (scores, out.data, *grads)])
+    assert results[0] == results[1]
 
 
 def test_gradient_check_layer_norm():
@@ -545,7 +555,7 @@ def test_gelu_matches_cube_closed_form():
 PRIMITIVES = {
     "add": (ad.add, [(3, 4), (4,)]),
     "mul": (ad.mul, [(3, 4), (3, 1)]),
-    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "matmul": (C.matmul, [(3, 4), (4, 2)]),
     "relu": (ad.relu, [(3, 4)]),
     "gelu": (ad.gelu, [(3, 4)]),
     "tsum": (lambda x: ad.tsum(x, axis=1), [(3, 4)]),

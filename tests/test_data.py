@@ -64,6 +64,11 @@ def test_load_rejects_malformed_with_line_numbers(tmp_path):
         (good_head + "0\t\t0.0 0.0\n", "no tokens"),
         ("0\t1 2\t0.0 0.0\n", "#meta"),
         (good_head + "0\tx y\t0.0 0.0\n", "2"),
+        (good_head + "0\t1 0\t0.0 0.0\n", "i.tsv:2: token id 0 is below 1"),
+        (good_head + "0\t-2 1\t0.0 0.0\n", "i.tsv:2: token id -2 is below 1"),
+        (good_head + "0\t1 2\t0.0 nan\n", "i.tsv:2: patch values must be finite"),
+        (good_head + "0\t1 2\tinf 0.0\n", "i.tsv:2: patch values must be finite"),
+        (good_head + "0\t1 2\t0.0 -inf\n", "i.tsv:2: patch values must be finite"),
     ]
     for text, needle in cases:
         ip = write(tmp_path / "i.tsv", text)
@@ -82,6 +87,17 @@ def test_malformed_meta_header_exits_1_naming_path_and_line(tmp_path, capsys, he
     assert main(["stats", "--data", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert f"{os.path.join(tmp_path, 'source_items.tsv')}:1: #meta header" in err
+
+
+def test_pretrain_on_a_padding_token_exits_1_naming_path_and_line(tmp_path, capsys):
+    from mmrec.cli import main
+
+    write(tmp_path / "source_items.tsv", "#meta q=1 patch_dim=2\n0\t0 1\t0.0 0.0\n")
+    write(tmp_path / "source_interactions.tsv", "0\t0\n")
+    assert main(["pretrain", "--data", str(tmp_path), "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{os.path.join(tmp_path, 'source_items.tsv')}:2: token id 0" in err
 
 
 def test_load_rejects_dangling_interaction_index(tmp_path):

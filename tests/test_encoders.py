@@ -8,6 +8,8 @@ from mmrec import encoders as enc
 from mmrec.encoders import ModelConfig
 from mmrec.model import RecModel
 
+from . import composites as C
+
 
 @pytest.fixture
 def model():
@@ -70,7 +72,7 @@ def test_text_cls_gradient_matches_finite_differences(model):
 
     def loss():
         cls, _hid = model.encode_text(ids, mask)
-        return ad.tsum(ad.matmul(cls, readout))
+        return ad.tsum(C.matmul(cls, readout))
 
     fd_check_param(model, model.groups["text_encoder"]["tok_emb"], loss)
 
@@ -140,7 +142,7 @@ def test_fusion_gradient_wrt_mm_cls(model):
 
     def loss():
         e = model.fuse(t_hid, v_hid, mask)
-        return ad.tsum(ad.matmul(e, readout))
+        return ad.tsum(C.matmul(e, readout))
 
     fd_check_param(model, model.groups["fusion"]["mm_cls"], loss)
 
@@ -211,7 +213,7 @@ def _composite_block(params, prefix, x, bias, n_heads):
     dh = d // n_heads
 
     def proj(t, w, bb=None):
-        out = ad.matmul(t, params[prefix + w])
+        out = C.matmul(t, params[prefix + w])
         return out if bb is None else ad.add(out, params[prefix + bb])
 
     def heads(t):
@@ -219,9 +221,9 @@ def _composite_block(params, prefix, x, bias, n_heads):
 
     q, k, v = (heads(proj(x, "wq", "bq")), heads(proj(x, "wk")),
                heads(proj(x, "wv", "bv")))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    scores = ad.mul(C.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = softmax(ad.add(scores, bias), axis=-1)
-    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
+    ctx = ad.reshape(ad.transpose(C.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
     x = layer_norm(ad.add(x, proj(ctx, "wo", "bo")),
                    params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     ff = proj(ad.gelu(proj(x, "w1", "b1")), "w2", "b2")

@@ -49,32 +49,32 @@ OCFG = ObjectiveConfig()
 # ---------------------------------------------------------------------------
 
 def test_dap_b1_is_zero():
-    ctx = const_ctx(1, 3)
+    ctx, emb = const_ctx(1, 3)
     h = ad.Tensor(np.ones((1, 3, 4)))
-    assert obj.dap_loss(ctx, h).item() == pytest.approx(0.0, abs=1e-12)
+    assert obj.dap_loss(ctx, emb["e_cls"], h).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dap_all_equal_is_log_negatives_plus_one():
-    ctx = const_ctx(2, 3)
+    ctx, emb = const_ctx(2, 3)
     h = ad.Tensor(np.ones((2, 3, 4)))
     # each anchor sees the 3 items of the other user as negatives
-    assert obj.dap_loss(ctx, h).item() == pytest.approx(math.log(4), abs=1e-9)
+    assert obj.dap_loss(ctx, emb["e_cls"], h).item() == pytest.approx(math.log(4), abs=1e-9)
 
 
 def test_dap_rejects_empty_transitions():
-    ctx = const_ctx(2, 1)
+    ctx, emb = const_ctx(2, 1)
     with pytest.raises(ValueError, match="transitions"):
-        obj.dap_loss(ctx, ad.Tensor(np.ones((2, 1, 4))))
+        obj.dap_loss(ctx, emb["e_cls"], ad.Tensor(np.ones((2, 1, 4))))
 
 
 def test_vcl_b1_is_zero():
-    ctx = const_ctx(1, 3)
-    assert obj.contrastive_loss(ctx, "vcl").item() == pytest.approx(0.0, abs=1e-12)
+    ctx, emb = const_ctx(1, 3)
+    assert obj.contrastive_loss(ctx, emb, "vcl").item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nicl_b1_all_equal_is_minus_log3():
-    ctx = const_ctx(1, 3)
-    loss = obj.contrastive_loss(ctx, "nicl").item()
+    ctx, emb = const_ctx(1, 3)
+    loss = obj.contrastive_loss(ctx, emb, "nicl").item()
     assert loss == pytest.approx(-math.log(3), abs=1e-9)
 
 
@@ -85,14 +85,14 @@ def test_nicl_b1_never_positive():
         rng = np.random.default_rng(seed)
         model = RecModel.init(cfg, seed)
         batch = random_batch(cfg, rng, B=1, L=4)
-        ctx = encoded_context(model, batch)
-        assert obj.contrastive_loss(ctx, "nicl").item() <= 1e-12
+        ctx, emb = encoded_context(model, batch)
+        assert obj.contrastive_loss(ctx, emb, "nicl").item() <= 1e-12
 
 
 def test_nicl_rejects_short_sequences():
-    ctx = const_ctx(2, 1)
+    ctx, emb = const_ctx(2, 1)
     with pytest.raises(ValueError, match="length"):
-        obj.contrastive_loss(ctx, "nicl")
+        obj.contrastive_loss(ctx, emb, "nicl")
 
 
 def test_nid_zero_head_is_log3():
@@ -115,12 +115,12 @@ def test_nid_perfect_head_loss_near_zero():
 
 def test_rcl_b1_is_zero():
     h = ad.Tensor(np.random.default_rng(0).normal(size=(1, 3, 4)))
-    assert obj.rcl_loss(h, h, np.ones((1, 3)), OCFG).item() == pytest.approx(0.0, abs=1e-12)
+    assert obj.rcl_loss(h, h, np.ones((1, 3)), "mean").item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rcl_identical_users_is_log_b():
     h = ad.Tensor(np.ones((3, 2, 4)))
-    loss = obj.rcl_loss(h, h, np.ones((3, 2)), OCFG).item()
+    loss = obj.rcl_loss(h, h, np.ones((3, 2)), "mean").item()
     assert loss == pytest.approx(math.log(3), abs=1e-9)
 
 
@@ -132,8 +132,8 @@ def test_rcl_last_pooling_is_mean_over_the_last_rows():
     h, hc = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 4, 5))
     full = [ad.Tensor(x, requires_grad=True) for x in (h, hc)]
     rows = [ad.Tensor(x[users, last][:, None], requires_grad=True) for x in (h, hc)]
-    got = obj.rcl_loss(*full, mask, ObjectiveConfig(rcl_pooling="last"))
-    want = obj.rcl_loss(*rows, np.ones((3, 1)), OCFG)
+    got = obj.rcl_loss(*full, mask, "last")
+    want = obj.rcl_loss(*rows, np.ones((3, 1)), "mean")
     assert got.item() == want.item()
     got.backward()
     want.backward()
@@ -153,10 +153,10 @@ def pipeline():
     rng = np.random.default_rng(42)
     model = RecModel.init(cfg, 42)
     batch = random_batch(cfg, rng, B=2, L=3, n_items=6)
-    ctx = encoded_context(model, batch)
-    reps = ad.getitem(ctx.emb["e_cls"], ctx.pos_to_row)
+    ctx, emb = encoded_context(model, batch)
+    reps = ad.getitem(emb["e_cls"], ctx.pos_to_row)
     hiddens = model.encode_sequence(reps, batch.mask)
-    return model, batch, ctx, hiddens
+    return model, batch, ctx, emb, hiddens
 
 
 def occurrence_list(batch):
@@ -174,8 +174,8 @@ def negatives_for(batch, u):
 
 
 def test_dap_matches_scalar_enumeration(pipeline):
-    model, batch, ctx, hiddens = pipeline
-    e = {int(c): ctx.emb["e_cls"].data[r] for r, c in enumerate(ctx.unique)}
+    model, batch, ctx, emb, hiddens = pipeline
+    e = {int(c): emb["e_cls"].data[r] for r, c in enumerate(ctx.unique)}
     h = hiddens.data
     total, count = 0.0, 0
     for u in range(2):
@@ -187,18 +187,18 @@ def test_dap_matches_scalar_enumeration(pipeline):
             total += -math.log(pos / den)
             count += 1
     expected = total / count
-    assert obj.dap_loss(ctx, hiddens).item() == pytest.approx(expected, rel=1e-10)
+    assert obj.dap_loss(ctx, emb["e_cls"], hiddens).item() == pytest.approx(expected, rel=1e-10)
 
 
-def _normalized(ctx, key):
-    arr = ctx.emb[key].data
+def _normalized(ctx, emb, key):
+    arr = emb[key].data
     return {int(c): arr[r] / np.linalg.norm(arr[r]) for r, c in enumerate(ctx.unique)}
 
 
 def test_nicl_matches_scalar_enumeration(pipeline):
-    model, batch, ctx, _ = pipeline
-    t = _normalized(ctx, "t_cls")
-    v = _normalized(ctx, "v_cls")
+    model, batch, ctx, emb, _ = pipeline
+    t = _normalized(ctx, emb, "t_cls")
+    v = _normalized(ctx, emb, "v_cls")
 
     def delta(a, b):
         return math.exp(float(a @ b))
@@ -218,14 +218,14 @@ def test_nicl_matches_scalar_enumeration(pipeline):
             total += (-math.log(num_tv / den_tv) - math.log(num_vt / den_vt)) / 2.0
             count += 1
     expected = total / count
-    got = obj.contrastive_loss(ctx, "nicl").item()
+    got = obj.contrastive_loss(ctx, emb, "nicl").item()
     assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_vcl_icl_match_scalar_enumeration(pipeline):
-    model, batch, ctx, _ = pipeline
-    t = _normalized(ctx, "t_cls")
-    v = _normalized(ctx, "v_cls")
+    model, batch, ctx, emb, _ = pipeline
+    t = _normalized(ctx, emb, "t_cls")
+    v = _normalized(ctx, emb, "v_cls")
 
     def delta(a, b):
         return math.exp(float(a @ b))
@@ -245,14 +245,14 @@ def test_vcl_icl_match_scalar_enumeration(pipeline):
                           - math.log(delta(v[cur], t[cur]) / den_vt)) / 2.0
                 count += 1
         expected = total / count
-        got = obj.contrastive_loss(ctx, variant).item()
+        got = obj.contrastive_loss(ctx, emb, variant).item()
         assert got == pytest.approx(expected, rel=1e-10), variant
 
 
 def test_nid_matches_scalar_enumeration(pipeline):
-    model, batch, ctx, _ = pipeline
+    model, batch, ctx, emb, _ = pipeline
     corr_rows, labels = obj.corrupt_batch(ctx, OCFG)
-    corr_reps = ad.getitem(ctx.emb["e_cls"], corr_rows)
+    corr_reps = ad.getitem(emb["e_cls"], corr_rows)
     corr_h = model.encode_sequence(corr_reps, batch.mask)
     W = model.groups["nid_head"]["W"].data
     b = model.groups["nid_head"]["b"].data
@@ -282,7 +282,7 @@ def test_rcl_matches_scalar_enumeration():
         den = sum(math.exp(float(pooled[u] @ pooled_c[k])) for k in range(3))
         total += -math.log(pos / den)
     expected = total / 3
-    got = obj.rcl_loss(ad.Tensor(h), ad.Tensor(hc), mask, OCFG).item()
+    got = obj.rcl_loss(ad.Tensor(h), ad.Tensor(hc), mask, "mean").item()
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -340,7 +340,7 @@ def test_corrupt_batch_reproducible_and_order_invariant():
     model = RecModel.init(cfg, 3)
     rng = np.random.default_rng(3)
     batch = random_batch(cfg, rng, B=3, L=4, n_items=12)
-    ctx = encoded_context(model, batch)
+    ctx, _ = encoded_context(model, batch)
     rows1, labels1 = obj.corrupt_batch(ctx, OCFG)
     rows2, labels2 = obj.corrupt_batch(ctx, OCFG)
     np.testing.assert_array_equal(rows1, rows2)
@@ -348,7 +348,7 @@ def test_corrupt_batch_reproducible_and_order_invariant():
     perm = [2, 0, 1]
     pbatch = Batch(idx=batch.idx[perm], mask=batch.mask[perm],
                    items=batch.items, rng_seed=batch.rng_seed)
-    pctx = encoded_context(model, pbatch)
+    pctx, _ = encoded_context(model, pbatch)
     prows, plabels = obj.corrupt_batch(pctx, OCFG)
     np.testing.assert_array_equal(plabels, labels1[perm])
     np.testing.assert_array_equal(prows, rows1[perm])  # same unique-item table
@@ -375,7 +375,7 @@ def test_replaced_items_never_from_anchor_user():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         batch = random_batch(cfg, rng, B=3, L=4, n_items=12)
-        ctx = encoded_context(model, batch)
+        ctx, _ = encoded_context(model, batch)
         rows, labels = obj.corrupt_batch(ctx, OCFG)
         unique = ctx.unique
         for u in range(3):
@@ -396,7 +396,7 @@ def test_negative_set_exclusion_exhaustive():
         rng = np.random.default_rng(seed)
         # overlapping items across users to exercise the exclusion rule
         batch = random_batch(cfg, rng, B=3, L=4, n_items=5)
-        ctx = encoded_context(model, batch)
+        ctx, _ = encoded_context(model, batch)
         unique = [int(c) for c in ctx.unique]
         assert unique == sorted({int(i) for i in batch.idx.reshape(-1)})
         for u in range(3):
@@ -430,24 +430,23 @@ def occurrence_negatives(ctx):
     return allowed, ctx.pos_to_row[ctx.occ_u, ctx.occ_l]
 
 
-def occurrence_dap_loss(ctx, hiddens):
+def occurrence_dap_loss(ctx, e, hiddens):
     allowed, occ_row = occurrence_negatives(ctx)
-    e = ctx.emb["e_cls"]
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))
     pos = ad.getitem(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
     e_occ = ad.getitem(e, occ_row)
     pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
-    neg_scores = ad.matmul(h, ad.transpose(e_occ, (1, 0)))
+    neg_scores = C.matmul(h, ad.transpose(e_occ, (1, 0)))
     z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
     m = np.concatenate([np.ones((len(ctx.tr_u), 1)), allowed[ctx.tr_u]], axis=1)
     lse = C.masked_logsumexp(z, m, axis=1)
     return C.tmean(C.sub(lse, pos_score))
 
 
-def occurrence_contrastive_loss(ctx, variant):
+def occurrence_contrastive_loss(ctx, emb, variant):
     all_allowed, occ_row = occurrence_negatives(ctx)
-    tn = C.l2_normalize(ctx.emb["t_cls"])
-    vn = C.l2_normalize(ctx.emb["v_cls"])
+    tn = C.l2_normalize(emb["t_cls"])
+    vn = C.l2_normalize(emb["v_cls"])
     t_occ = ad.getitem(tn, occ_row)
     v_occ = ad.getitem(vn, occ_row)
     if variant == "nicl":
@@ -462,11 +461,11 @@ def occurrence_contrastive_loss(ctx, variant):
         a = ad.getitem(anchor_tab, rows)
         pos = ad.tsum(ad.mul(a, ad.getitem(other_tab, rows)), axis=-1)
         pos = ad.reshape(pos, (-1, 1))
-        inter = ad.matmul(a, ad.transpose(other_occ, (1, 0)))
+        inter = C.matmul(a, ad.transpose(other_occ, (1, 0)))
         cols = [pos, inter]
         masks = [np.ones((n_anchor, 1)), allowed]
         if variant in ("icl", "nicl"):
-            intra = ad.matmul(a, ad.transpose(same_occ, (1, 0)))
+            intra = C.matmul(a, ad.transpose(same_occ, (1, 0)))
             cols.append(intra)
             masks.append(allowed)
         den = C.masked_logsumexp(ad.concat(cols, axis=1),
@@ -529,7 +528,7 @@ def parity_case(kind, seed):
 
 def loss_and_grads(model, batch, loss_of):
     model.zero_grad()
-    loss = loss_of(encoded_context(model, batch))
+    loss = loss_of(*encoded_context(model, batch))
     loss.backward()
     return loss.item(), {n: t.grad.copy() for n, t in model.named_parameters()
                          if t.grad is not None}
@@ -544,16 +543,16 @@ PARITY_CASES = [(kind, seed) for kind in ("random", "duplicates", "holds_all")
 def test_unique_item_losses_match_occurrence_oracle(kind, seed, name):
     model, batch = parity_case(kind, seed)
 
-    def hiddens(ctx):
-        reps = ad.getitem(ctx.emb["e_cls"], ctx.pos_to_row)
+    def hiddens(ctx, emb):
+        reps = ad.getitem(emb["e_cls"], ctx.pos_to_row)
         return model.encode_sequence(reps, batch.mask)
 
     if name == "dap":
-        new = lambda ctx: obj.dap_loss(ctx, hiddens(ctx))
-        old = lambda ctx: occurrence_dap_loss(ctx, hiddens(ctx))
+        new = lambda ctx, emb: obj.dap_loss(ctx, emb["e_cls"], hiddens(ctx, emb))
+        old = lambda ctx, emb: occurrence_dap_loss(ctx, emb["e_cls"], hiddens(ctx, emb))
     else:
-        new = lambda ctx: obj.contrastive_loss(ctx, name)
-        old = lambda ctx: occurrence_contrastive_loss(ctx, name)
+        new = lambda ctx, emb: obj.contrastive_loss(ctx, emb, name)
+        old = lambda ctx, emb: occurrence_contrastive_loss(ctx, emb, name)
     got, got_g = loss_and_grads(model, batch, new)
     want, want_g = loss_and_grads(model, batch, old)
     assert got == pytest.approx(want, rel=0, abs=1e-12)
@@ -570,7 +569,7 @@ def test_unique_item_losses_match_occurrence_oracle(kind, seed, name):
 @pytest.mark.parametrize("kind, seed", PARITY_CASES)
 def test_corrupt_batch_matches_occurrence_oracle(kind, seed, monkeypatch):
     model, batch = parity_case(kind, seed)
-    ctx = encoded_context(model, batch)
+    ctx, _ = encoded_context(model, batch)
     want_rows, want_labels, want_pools = occurrence_corrupt_batch(ctx, OCFG)
     pools, corrupt_sequence = [], obj.corrupt_sequence
 
@@ -710,18 +709,18 @@ def test_objective_is_one_xent_node_over_few_nodes(name, nodes):
     cfg = small_config()
     model = RecModel.init(cfg, 15)
     batch = random_batch(cfg, np.random.default_rng(15), B=3, L=4)
-    ctx = encoded_context(model, batch)
-    ctx.emb = {k: ad.Tensor(t.data, requires_grad=True) for k, t in ctx.emb.items()}
+    ctx, emb = encoded_context(model, batch)
+    emb = {k: ad.Tensor(t.data, requires_grad=True) for k, t in emb.items()}
     h, hc = (ad.Tensor(np.ones((3, 4, cfg.d)), requires_grad=True) for _ in range(2))
     if name == "dap":
-        loss = obj.dap_loss(ctx, h)
+        loss = obj.dap_loss(ctx, emb["e_cls"], h)
     elif name == "nid":
         _, labels = obj.corrupt_batch(ctx, OCFG)
         loss = obj.nid_loss(hc, labels, model.groups["nid_head"])
     elif name == "rcl":
-        loss = obj.rcl_loss(h, hc, batch.mask, OCFG)
+        loss = obj.rcl_loss(h, hc, batch.mask, "mean")
     else:
-        loss = obj.contrastive_loss(ctx, name)
+        loss = obj.contrastive_loss(ctx, emb, name)
     assert loss._backward.__qualname__.startswith("softmax_xent.")
     assert len(_inner_nodes(loss)) == nodes
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -238,14 +239,6 @@ def test_exact_reload_names_missing_parameter(model, tmp_path):
         model_from_bundle(tmp_path / "bad.bundle")
 
 
-def test_describe_lists_groups(model, tmp_path):
-    path = tmp_path / "m.bundle"
-    save_bundle(model, path)
-    text = tr.describe(path)
-    for g in model.groups:
-        assert g in text
-
-
 # ---------------------------------------------------------------------------
 # transfer modes
 # ---------------------------------------------------------------------------
@@ -257,6 +250,10 @@ def test_mode_tables_are_consistent():
     assert LOADED_GROUPS["user_encoder"] == ("user_encoder",)
     assert "vision_encoder" not in LOADED_GROUPS["text_only"]
     assert "text_encoder" not in LOADED_GROUPS["vision_only"]
+    # load_components copies each loaded group into the model it builds
+    for mode in TRANSFER_MODES:
+        cfg = dataclasses.replace(small_config(), modality=MODE_MODALITY[mode])
+        assert set(LOADED_GROUPS[mode]) <= set(RecModel.init(cfg, 0).groups), mode
 
 
 def test_unknown_mode_rejected(model, tmp_path):

@@ -2,6 +2,7 @@
 evaluation, gradient checking, and dataset stats."""
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -190,8 +191,13 @@ def _dataset_paths(data_dir, which):
 
 
 def _load_split(cfg, data_dir, which):
-    dataset = data_mod.load_dataset(*_dataset_paths(data_dir, which))
-    return data_mod.filter_and_split(dataset, cfg["min_interactions"])
+    items_path, interactions_path = _dataset_paths(data_dir, which)
+    dataset = data_mod.load_dataset(items_path, interactions_path)
+    split = data_mod.filter_and_split(dataset, cfg["min_interactions"])
+    if not split.train:
+        raise DataError(f"{interactions_path}: no user keeps 3 or more interactions "
+                        f"after filtering with min_interactions={cfg['min_interactions']}")
+    return split
 
 
 def _write_log(log, out_dir):
@@ -361,7 +367,36 @@ def run(argv):
     return COMMANDS[args.command](cfg, args)
 
 
+def _pin_blas_to_one_thread():
+    """Set the loaded OpenBLAS to one thread: at two or more, long inner
+    dimensions of a product are split across threads and its last bits
+    depend on the thread count. Returns False if no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f
+                           if "openblas" in line and ".so" in line})
+    except OSError:
+        return False
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(dll, sym, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return True
+    return False
+
+
 def main(argv=None):
+    if not _pin_blas_to_one_thread():
+        print("warning: no OpenBLAS found to pin to one thread; results may "
+              "depend on the BLAS thread count", file=sys.stderr)
     try:
         return run(sys.argv[1:] if argv is None else argv)
     except (ConfigError, DataError, BundleError, ValueError) as e:

@@ -67,7 +67,7 @@ class BatchContext:
     def __init__(self, cfg, batch):
         self.batch = batch
         idx, mask = batch.idx, batch.mask
-        self.B, self.L = idx.shape
+        self.B = len(idx)
         real = mask > 0
         # occurrences: every real (u, l) slot, in row-major order
         self.occ_u, self.occ_l = np.nonzero(real)
@@ -89,9 +89,6 @@ class BatchContext:
         if cfg.nid or cfg.rcl:
             self.corr_rows, self.labels = corrupt_batch(self, cfg)
 
-    def rows_at(self, users, positions):
-        return self.pos_to_row[users, positions]
-
 
 # ---------------------------------------------------------------------------
 # DAP
@@ -106,7 +103,7 @@ def dap_loss(ctx, e, hiddens):
         raise ValueError("batch has no valid transitions")
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))  # (T, d)
     z = ad.linear(h, ad.transpose(e, (1, 0)))  # (T, U)
-    nxt = ctx.rows_at(ctx.tr_u, ctx.tr_l + 1)
+    nxt = ctx.pos_to_row[ctx.tr_u, ctx.tr_l + 1]
     w = ctx.neg_weight[ctx.tr_u]
     w[np.arange(len(nxt)), nxt] += 1
     return ad.softmax_xent(z, w, nxt[:, None])
@@ -140,7 +137,7 @@ def contrastive_loss(ctx, emb, variant):
     n_items = len(ctx.unique)
     # rows 0..U-1 hold the text embeddings, rows U..2U-1 the vision ones
     table = ad.l2_normalize(ad.concat([emb["t_cls"], emb["v_cls"]]))
-    t_rows = ctx.rows_at(a_u, a_l)
+    t_rows = ctx.pos_to_row[a_u, a_l]
     anchors = np.concatenate([t_rows, t_rows + n_items])  # text, then vision
     other = np.concatenate([t_rows + n_items, t_rows])  # same item, other modality
     z = ad.linear(ad.getitem(table, anchors), ad.transpose(table, (1, 0)))
@@ -149,7 +146,7 @@ def contrastive_loss(ctx, emb, variant):
     w = np.block([[intra, neg], [neg, intra]])
     w[np.arange(len(anchors)), other] += 1
     if variant == "nicl":
-        t_next = ctx.rows_at(a_u, a_l + 1)
+        t_next = ctx.pos_to_row[a_u, a_l + 1]
         v_next = t_next + n_items
         pos = np.stack([other, np.concatenate([v_next, t_next]),
                         np.concatenate([t_next, v_next])], axis=1)
@@ -176,8 +173,6 @@ def corruption_counts(length, shuffle_rate, replace_rate):
     if n_sh == 1:
         n_sh = 2 if length >= 2 else 0
     n_rep = min(n_rep, max(0, length - n_sh))
-    if n_sh > length:
-        n_sh = length if length >= 2 else 0
     return n_sh, n_rep
 
 
@@ -226,18 +221,16 @@ def corrupt_batch(ctx, cfg):
     batch = ctx.batch
     corr_rows = ctx.pos_to_row.copy()
     labels = np.full(batch.idx.shape, LABEL_PAD, dtype=np.int64)
-    for u in range(ctx.B):
-        length = int(batch.mask[u].sum())
-        seq = [int(i) for i in batch.idx[u, :length]]
-        # each other user's item as often as it occurs, sorted; the pool and
-        # the rng are keyed by the user's own sequence, so the corruption is
-        # invariant to the ordering of users in the batch
-        pool = np.repeat(ctx.unique, ctx.neg_weight[u])
-        rng = np.random.default_rng(np.random.SeedSequence([batch.rng_seed] + seq))
-        corrupted, labs = corrupt_sequence(
-            seq, cfg.shuffle_rate, cfg.replace_rate, rng, pool)
-        corr_rows[u, :length] = np.searchsorted(ctx.unique, corrupted)
-        labels[u, :length] = labs
+    rows = np.arange(len(ctx.unique))
+    for u, length in enumerate(batch.mask.sum(axis=1).astype(np.int64)):
+        # each other user's item as often as it occurs, as sorted rows; the
+        # pool and the rng are keyed by the user's own sequence, so the
+        # corruption is invariant to the ordering of users in the batch
+        pool = np.repeat(rows, ctx.neg_weight[u])
+        seed = [batch.rng_seed] + batch.idx[u, :length].tolist()
+        corr_rows[u, :length], labels[u, :length] = corrupt_sequence(
+            ctx.pos_to_row[u, :length], cfg.shuffle_rate, cfg.replace_rate,
+            np.random.default_rng(np.random.SeedSequence(seed)), pool)
     return corr_rows, labels
 
 

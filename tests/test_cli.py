@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mmrec
 from mmrec.cli import (SCHEMA, ConfigError, dump_config, main,
                        objective_config, parse_config)
 
@@ -130,6 +133,38 @@ def test_pretrain_deterministic(workdir, tmp_path):
     with open(os.path.join(pre, "pretrained.bundle"), "rb") as a, \
             open(os.path.join(again, "pretrained.bundle"), "rb") as b:
         assert a.read() == b.read()
+
+
+def test_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits the long inner dimension of a weight gradient across
+    # threads, which moves its last bits; the CLI pins one thread
+    threads = min(2, os.cpu_count() or 1)
+    if threads < 2:
+        pytest.skip("one CPU core: OpenBLAS runs one thread here, so a "
+                    "thread-count dependence cannot show")
+    src = os.path.dirname(os.path.dirname(mmrec.__file__))
+    config = []
+    for kv in ("n_users=300", "n_items=80", "d=32", "batch_size=64",
+               "max_epochs=3", "seed=3"):
+        config += ["-o", kv]
+    bundles = []
+    for n in (1, threads):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(n))
+        data, pre = str(tmp_path / f"data{n}"), tmp_path / f"pre{n}"
+        for command in (["gen-data", "--out", data],
+                        ["pretrain", "--data", data, "--out", str(pre)]):
+            subprocess.run([sys.executable, "-m", "mmrec.cli", *config, *command],
+                           env=env, capture_output=True, check=True)
+        bundles.append((pre / "pretrained.bundle").read_bytes())
+    assert bundles[0] == bundles[1]
+
+
+def test_missing_openblas_is_reported(monkeypatch, capsys, tmp_path):
+    from mmrec import cli
+
+    monkeypatch.setattr(cli, "_pin_blas_to_one_thread", lambda: False)
+    main(["stats", "--data", str(tmp_path)])
+    assert "no OpenBLAS found" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["full", "text_only"])
@@ -326,6 +361,21 @@ def test_missing_bundle_exits_1(workdir, tmp_path, capsys):
                            str(tmp_path / "absent.bundle")]))
     assert code == 1
     assert "cannot read bundle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, which", [("pretrain", "source"),
+                                            ("finetune", "target")])
+def test_empty_split_exits_1_naming_file_and_threshold(tmp_path, capsys, command, which):
+    # one item and one one-item user: filtering leaves no user to train on
+    for name, text in (("items", "#meta q=1 patch_dim=2\n0\t1 2\t0.0 0.0\n"),
+                       ("interactions", "0\t0\n")):
+        (tmp_path / f"{which}_{name}.tsv").write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--data", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{os.path.join(tmp_path, f'{which}_interactions.tsv')}:" in err
+    assert "min_interactions=5" in err
+    assert not out.exists()
 
 
 def test_stats_without_datasets_exits_1(tmp_path, capsys):

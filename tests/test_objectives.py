@@ -433,7 +433,7 @@ def occurrence_negatives(ctx):
 def occurrence_dap_loss(ctx, e, hiddens):
     allowed, occ_row = occurrence_negatives(ctx)
     h = ad.getitem(hiddens, (ctx.tr_u, ctx.tr_l))
-    pos = ad.getitem(e, ctx.rows_at(ctx.tr_u, ctx.tr_l + 1))
+    pos = ad.getitem(e, ctx.pos_to_row[ctx.tr_u, ctx.tr_l + 1])
     e_occ = ad.getitem(e, occ_row)
     pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
     neg_scores = C.matmul(h, ad.transpose(e_occ, (1, 0)))
@@ -453,7 +453,7 @@ def occurrence_contrastive_loss(ctx, emb, variant):
         a_u, a_l = ctx.tr_u, ctx.tr_l
     else:
         a_u, a_l = ctx.occ_u, ctx.occ_l
-    rows = ctx.rows_at(a_u, a_l)
+    rows = ctx.pos_to_row[a_u, a_l]
     n_anchor = len(a_u)
     allowed = all_allowed[a_u]
 
@@ -471,7 +471,7 @@ def occurrence_contrastive_loss(ctx, emb, variant):
         den = C.masked_logsumexp(ad.concat(cols, axis=1),
                                  np.concatenate(masks, axis=1), axis=1)
         if variant == "nicl":
-            nrows = ctx.rows_at(a_u, a_l + 1)
+            nrows = ctx.pos_to_row[a_u, a_l + 1]
             nxt_other = ad.tsum(ad.mul(a, ad.getitem(other_tab, nrows)), axis=-1)
             nxt_same = ad.tsum(ad.mul(a, ad.getitem(anchor_tab, nrows)), axis=-1)
             numz = ad.concat([pos, ad.reshape(nxt_other, (-1, 1)),
@@ -570,21 +570,28 @@ def test_unique_item_losses_match_occurrence_oracle(kind, seed, name):
 def test_corrupt_batch_matches_occurrence_oracle(kind, seed, monkeypatch):
     model, batch = parity_case(kind, seed)
     ctx, _ = encoded_context(model, batch)
-    want_rows, want_labels, want_pools = occurrence_corrupt_batch(ctx, OCFG)
     pools, corrupt_sequence = [], obj.corrupt_sequence
 
     def recording(seq, shuffle_rate, replace_rate, rng, pool):
         pools.append(pool)
         return corrupt_sequence(seq, shuffle_rate, replace_rate, rng, pool)
 
-    monkeypatch.setattr(obj, "corrupt_sequence", recording)
-    rows, labels = obj.corrupt_batch(ctx, OCFG)
-    np.testing.assert_array_equal(rows, want_rows)
-    np.testing.assert_array_equal(labels, want_labels)
-    assert len(pools) == len(want_pools)
-    for pool, want in zip(pools, want_pools):
-        assert pool.dtype == np.int64
-        np.testing.assert_array_equal(pool, np.array(want, dtype=np.int64))
+    for ocfg in (OCFG, ObjectiveConfig(shuffle_rate=0.5, replace_rate=0.3),
+                 ObjectiveConfig(shuffle_rate=1.0, replace_rate=1.0)):
+        want_rows, want_labels, want_pools = occurrence_corrupt_batch(ctx, ocfg)
+        pools.clear()
+        with monkeypatch.context() as m:
+            m.setattr(obj, "corrupt_sequence", recording)
+            rows, labels = obj.corrupt_batch(ctx, ocfg)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert len(pools) == len(want_pools)
+        for pool, want in zip(pools, want_pools):
+            # the pools hold rows of the unique-item table; the oracle's
+            # hold catalog ids
+            assert pool.dtype == np.int64
+            np.testing.assert_array_equal(ctx.unique[pool],
+                                          np.array(want, dtype=np.int64))
 
 
 def test_total_is_sum_of_components():

@@ -1,0 +1,156 @@
+"""Byte-parity digests of one checkout, and their comparison.
+
+    python tools/parity.py SRC OUT.json
+    python tools/parity.py --compare A.json B.json
+
+The first form imports `mmrec` from SRC/src with OpenBLAS pinned to one
+thread and writes the sha256 of:
+- `corr_rows` and `labels` of `corrupt_batch` on benchmark-config batches
+  (B=64, L=12) at three shuffle/replace rate settings;
+- the `total_loss` value, its parts and every parameter gradient on three
+  transfer-config batches;
+- the CLI pipeline gen-data -> pretrain -> finetune --mode full ->
+  evaluate --phase all: both bundles, both metrics files and both
+  `log.jsonl` files with `seconds` left out.
+
+The second form prints every entry whose digest differs or is missing on
+one side, and exits 1 if there is any.
+"""
+
+import contextlib
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
+
+RATES = ((0.15, 0.05), (0.5, 0.3), (1.0, 1.0))
+CORRUPTION_SEED, CORRUPTION_USERS, CORRUPTION_ITEMS = 7301, 1300, 200
+LOSS_SEEDS = (7311, 7312, 7313)
+CLI_CONFIG = ("n_users=300", "n_users_target=60", "n_items=40", "max_epochs=3",
+              "batch_size=32", "seed=7321")
+
+
+def digest(data):
+    if not isinstance(data, bytes):
+        data = repr((data.dtype.str, data.shape)).encode() + data.tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def source_split(data, seed, n_users, n_items):
+    source, _ = data.generate_synthetic(data.SyntheticConfig(
+        n_users=n_users, n_users_target=max(2, n_users // 10), n_items=n_items,
+        n_latent_styles=4, n_slots=4, transition_noise=0.1, L_min=8, L_max=12,
+        vocab_size=100, p_min=4, p_max=8, q=4, patch_dim=6, seed=seed))
+    return data.filter_and_split(source, min_interactions=5)
+
+
+def corruption_digests():
+    from mmrec import data, objectives
+    split = source_split(data, CORRUPTION_SEED, CORRUPTION_USERS, CORRUPTION_ITEMS)
+    out = {}
+    for shuffle_rate, replace_rate in RATES:
+        cfg = objectives.ObjectiveConfig(shuffle_rate=shuffle_rate,
+                                         replace_rate=replace_rate)
+        for b, batch in enumerate(data.make_batches(split, 64, 12, CORRUPTION_SEED)):
+            ctx = objectives.BatchContext(cfg, batch)
+            key = f"corrupt/{shuffle_rate}-{replace_rate}/{b}"
+            out[key + "/corr_rows"] = digest(ctx.corr_rows)
+            out[key + "/labels"] = digest(ctx.labels)
+    return out
+
+
+def loss_digests():
+    import numpy as np
+    from mmrec import data, objectives
+    from mmrec.encoders import ModelConfig
+    from mmrec.model import RecModel
+    cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8, q=4,
+                      patch_dim=6, text_blocks=1, vision_blocks=1, fusion_blocks=1,
+                      user_blocks=1, L_max=12)
+    out = {}
+    for seed in LOSS_SEEDS:
+        model = RecModel.init(cfg, seed)
+        batch = data.make_batches(source_split(data, seed, 500, 100), 64, 12, seed)[0]
+        loss, parts = objectives.total_loss(model, batch, objectives.ObjectiveConfig())
+        loss.backward()
+        out[f"loss/{seed}/total"] = digest(np.float64(loss.item()))
+        for name, value in parts.items():
+            out[f"loss/{seed}/{name}"] = digest(np.float64(value))
+        for name, t in model.named_parameters():
+            if t.grad is not None:
+                out[f"grad/{seed}/{name}"] = digest(t.grad)
+    return out
+
+
+def cli_digests():
+    from mmrec import cli
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        data, pre, ft, ev = (os.path.join(tmp, d) for d in ("data", "pre", "ft", "ev"))
+        config = [arg for kv in CLI_CONFIG for arg in ("-o", kv)]
+        for command in (["gen-data", "--out", data],
+                        ["pretrain", "--data", data, "--out", pre],
+                        ["finetune", "--data", data, "--out", ft, "--mode", "full",
+                         "--bundle", os.path.join(pre, "pretrained.bundle")],
+                        ["evaluate", "--data", data, "--phase", "all", "--out", ev,
+                         "--bundle", os.path.join(ft, "finetuned.bundle")]):
+            with contextlib.redirect_stdout(sys.stderr):
+                if cli.main(config + command) != 0:
+                    raise SystemExit(f"mmrec {command[0]} failed")
+        for path in (os.path.join(pre, "pretrained.bundle"),
+                     os.path.join(ft, "finetuned.bundle"),
+                     os.path.join(ev, "metrics.jsonl"),
+                     os.path.join(ev, "cold_metrics.jsonl")):
+            with open(path, "rb") as f:
+                out["cli/" + os.path.relpath(path, tmp)] = digest(f.read())
+        for run in (pre, ft):
+            with open(os.path.join(run, "log.jsonl")) as f:
+                entries = [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+                           for line in f]
+            out[f"cli/{os.path.basename(run)}/log.jsonl"] = digest(
+                json.dumps(entries, sort_keys=True).encode())
+    return out
+
+
+def write_digests(src, out_path):
+    sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
+    import mmrec
+    out = {}
+    for part in (corruption_digests, loss_digests, cli_digests):
+        out.update(part())
+    with open(out_path, "w") as f:
+        json.dump({"mmrec": os.path.dirname(mmrec.__file__), "digests": out},
+                  f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"{len(out)} digests of {src} written to {out_path}")
+    return 0
+
+
+def load_digests(path):
+    with open(path) as f:
+        return json.load(f)["digests"]
+
+
+def compare(a_path, b_path):
+    a, b = (load_digests(p) for p in (a_path, b_path))
+    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    for key in differ:
+        print(f"differs: {key}  {a.get(key, 'missing')}  {b.get(key, 'missing')}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} digests differ")
+    return 1 if differ else 0
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    if len(argv) == 2 and not argv[0].startswith("-"):
+        return write_digests(*argv)
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

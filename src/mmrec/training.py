@@ -165,6 +165,13 @@ def pretrain(model, source_split, tcfg, ocfg=None):
     """Multi-task pre-training; returns the per-epoch log. The model ends
     at its best-validation snapshot."""
     ocfg = ocfg or ObjectiveConfig()
+    if ocfg.nid or ocfg.rcl:  # both read a corrupted copy of every sequence
+        for u, seq in enumerate(source_split.train):
+            if len(seq) < 2:
+                raise ValueError(
+                    f"training user {u} has a sequence of length {len(seq)}, but nid "
+                    "and rcl corrupt sequences of length >= 2; filtering with "
+                    "min_interactions >= 4 leaves every user at least 2 items")
     return _run_training(model, source_split, tcfg, ocfg, "pretrain")
 
 

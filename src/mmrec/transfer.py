@@ -189,20 +189,36 @@ def _load_group(group, gname, arrays):
 # ---------------------------------------------------------------------------
 
 class ItemIndex:
-    """Cached per-item representations for full-catalog scoring."""
+    """Cached per-item representations for full-catalog scoring.
+
+    `rows` maps catalog ids to index rows through a table over
+    [min id, max id] with -1 in each gap. The table is built only when its
+    span is at most `reps.size`, so it never outgrows the representations;
+    a catalog with sparser ids is mapped by `np.searchsorted` over the
+    sorted ids instead."""
 
     def __init__(self, order, reps):
         self.order = order  # catalog indices, sorted
         self.reps = reps  # (n_items, d)
         self.row_of = {c: r for r, c in enumerate(order)}  # for bench/ and tests
         self._sorted = np.asarray(order, dtype=np.int64)
+        self._table = None
+        if len(order) and order[-1] - order[0] < reps.size:
+            self._table = np.full(order[-1] - order[0] + 1, -1, dtype=np.int64)
+            self._table[self._sorted - order[0]] = np.arange(len(order))
 
     def rows(self, ids, kind):
         """The index rows of the catalog indices `ids`, in their shape; an id
         outside the catalog is a ValueError naming it as a `kind` item."""
         ids = np.asarray(ids, dtype=np.int64)
-        rows = np.searchsorted(self._sorted, ids).clip(max=len(self._sorted) - 1)
-        missing = self._sorted[rows] != ids
+        if self._table is None:
+            rows = np.searchsorted(self._sorted, ids).clip(max=len(self._sorted) - 1)
+            missing = self._sorted[rows] != ids
+        else:
+            offset = ids - self.order[0]
+            # an offset outside the table is clipped onto an end, then flagged
+            rows = self._table.take(offset, mode="clip")
+            missing = (rows < 0) | (offset < 0) | (offset >= len(self._table))
         if missing.any():
             raise ValueError(f"{kind} item {int(ids[missing][0])!r} "
                              "is not in the catalog")
@@ -249,14 +265,20 @@ def encode_prefixes(model, prefixes, items, index, L_max):
     if L_max > model.cfg.L_max:
         raise ValueError(f"L_max={L_max} exceeds the model's "
                          f"L_max={model.cfg.L_max}")
+    part = [p if len(p) <= L_max else p[-L_max:] for p in prefixes]
+    ids, mask = data.pad(part, index.order[0])  # padding maps to row 0
+    rows = index.rows(ids, "prefix")
+    lengths = np.fromiter(map(len, part), dtype=np.int64, count=len(part))
     out = np.zeros((len(prefixes), model.cfg.d))
     with ad.no_grad():
         for start in range(0, len(prefixes), PREFIX_CHUNK):
-            part = [p[-L_max:] for p in prefixes[start : start + PREFIX_CHUNK]]
-            ids, mask = data.pad(part, index.order[0])  # padding maps to row 0
-            rows = index.rows(ids, "prefix")
-            h = model.encode_sequence(ad.Tensor(index.reps[rows]), mask, last=True)
-            out[start : start + len(part)] = h.data
+            stop = start + PREFIX_CHUNK
+            # each chunk keeps only its own width: the attention sums over
+            # keys round differently at other widths
+            width = lengths[start:stop].max()
+            h = model.encode_sequence(ad.Tensor(index.reps[rows[start:stop, :width]]),
+                                      mask[start:stop, :width], last=True)
+            out[start:stop] = h.data
     return out
 
 

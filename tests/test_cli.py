@@ -378,6 +378,28 @@ def test_empty_split_exits_1_naming_file_and_threshold(tmp_path, capsys, command
     assert not out.exists()
 
 
+def test_one_item_training_sequence_exits_1_naming_min_interactions(tmp_path, capsys):
+    # four 5-item users and one 3-item user, whose training sequence is one
+    # item long: every item keeps 3 or more interactions at min_interactions=3
+    patches = " ".join(["0.5"] * 16)
+    (tmp_path / "source_items.tsv").write_text(
+        "#meta q=4 patch_dim=4\n"
+        + "".join(f"{i}\t{i + 1} {i + 2}\t{patches}\n" for i in range(5)))
+    (tmp_path / "source_interactions.tsv").write_text(
+        "0\t0 1 2 3 4\n1\t4 3 2 1 0\n2\t1 0 3 2 4\n3\t2 4 0 1 3\n4\t0 1 2\n")
+    out = tmp_path / "o"
+    args = tiny_args(["-o", "min_interactions=3", "pretrain", "--data", str(tmp_path),
+                      "--out", str(out)])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "training user 4 has a sequence of length 1" in err
+    assert "min_interactions" in err
+    assert not out.exists()
+    # dap alone corrupts nothing, so the same split trains
+    assert main(["-o", "objectives=dap"] + args) == 0
+    assert (out / "pretrained.bundle").exists()
+
+
 def test_stats_without_datasets_exits_1(tmp_path, capsys):
     assert main(["stats", "--data", str(tmp_path)]) == 1
     assert "no source or target dataset" in capsys.readouterr().err

@@ -182,6 +182,23 @@ def test_l_max_above_the_models_is_rejected_before_epoch_zero(monkeypatch):
         pretrain(model, split, tcfg(L_max=7))
 
 
+@pytest.mark.parametrize("objectives_on", ["dap,nid", "dap,rcl"])
+def test_one_item_sequence_is_rejected_before_epoch_zero(monkeypatch, objectives_on):
+    model, split = tiny_setup()
+    split.train[3] = split.train[3][:1]
+    ocfg = objectives.ObjectiveConfig(contrastive=None, nid="nid" in objectives_on,
+                                      rcl="rcl" in objectives_on)
+    validated = []
+    monkeypatch.setattr(training, "_validation_hr",
+                        lambda *a: validated.append(1) or (0.0, 0.0))
+    with pytest.raises(ValueError, match="training user 3 has a sequence of length 1"):
+        pretrain(model, split, tcfg(), ocfg)
+    assert not validated
+    # without nid and rcl nothing is corrupted, so the split trains
+    assert len(pretrain(model, split, tcfg(), objectives.dap_only())) == 3
+    assert len(validated) == 3
+
+
 def test_l_max_below_one_is_rejected():
     model, split = tiny_setup()
     with pytest.raises(DataError, match="L_max=0"):

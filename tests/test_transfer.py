@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmrec import autodiff as ad
 from mmrec import transfer as tr
-from mmrec.data import ItemRecord
+from mmrec.data import ItemRecord, pad
 from mmrec.encoders import ModelConfig
 from mmrec.gradcheck import random_batch, small_config
 from mmrec.model import RecModel
@@ -445,6 +445,85 @@ def test_out_of_catalog_prefix_item_named(model, items):
     gap = {i: rec for i, rec in items.items() if i != 3}  # 3 lies inside the range
     with pytest.raises(ValueError, match="3 is not in the catalog"):
         predict_scores(model, [2, 3, 4], gap)
+
+
+def searchsorted_rows(order, ids, kind):
+    """The index rows of `ids` by a search of the sorted catalog, the one
+    mapping `ItemIndex.rows` had before its id table."""
+    ids = np.asarray(ids, dtype=np.int64)
+    ordered = np.asarray(order, dtype=np.int64)
+    rows = np.searchsorted(ordered, ids).clip(max=len(ordered) - 1)
+    missing = ordered[rows] != ids
+    if missing.any():
+        raise ValueError(f"{kind} item {int(ids[missing][0])!r} is not in the catalog")
+    return rows
+
+
+@pytest.mark.parametrize("order, d, table", [
+    ([0, 1, 2, 4, 5, 9, 10, 13], 2, True),  # dense with gaps
+    ([-7, -3, -2, 0, 4], 4, True),  # negative ids
+    ([0, 5], 3, True),  # span 6 = reps.size: the largest table
+    ([0, 6], 3, False),  # span 7 > reps.size
+    ([-10**12, -4, 3, 5, 10**12], 4, False),  # sparse ids
+])
+def test_item_index_rows_match_a_sorted_search(order, d, table):
+    index = ItemIndex(order, np.zeros((len(order), d)))
+    assert (index._table is not None) == table  # the path this case runs
+    rng = np.random.default_rng(len(order))
+    ids = rng.choice(order, size=(6, 7))
+    got = index.rows(ids, "prefix")
+    assert got.dtype == np.int64 and got.shape == ids.shape
+    np.testing.assert_array_equal(got, searchsorted_rows(order, ids, "prefix"))
+    np.testing.assert_array_equal(index.rows(list(order), "target"), np.arange(len(order)))
+    info = np.iinfo(np.int64)
+    # each catalog id's neighbours and each gap's midpoint that are not ids,
+    # which include the ids just below the minimum and above the maximum
+    near = {o + s for o in order for s in (-1, 1)}
+    near |= {(a + b) // 2 for a, b in zip(order, order[1:])}
+    for bad in [info.min, info.max, *sorted(near - set(order))]:
+        ids[2, 3] = bad
+        message = f"target item {bad} is not in the catalog"
+        with pytest.raises(ValueError, match=message):
+            searchsorted_rows(order, ids, "target")
+        with pytest.raises(ValueError, match=message):
+            index.rows(ids, "target")
+
+
+def per_chunk_states(model, prefixes, index, L_max, chunk):
+    """`encode_prefixes` as a loop that cuts, pads and maps each chunk of
+    `chunk` prefixes on its own, to that chunk's longest prefix."""
+    out = np.zeros((len(prefixes), model.cfg.d))
+    with ad.no_grad():
+        for start in range(0, len(prefixes), chunk):
+            part = [p[-L_max:] for p in prefixes[start : start + chunk]]
+            ids, mask = pad(part, index.order[0])
+            rows = searchsorted_rows(index.order, ids, "prefix")
+            h = model.encode_sequence(ad.Tensor(index.reps[rows]), mask, last=True)
+            out[start : start + len(part)] = h.data
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 128])
+def test_encode_prefixes_matches_the_per_chunk_loop_bitwise(chunk, monkeypatch):
+    """Each chunk keeps the width of its own longest prefix: padding a chunk
+    of short prefixes to the widest moves the last bits of its states,
+    because the attention sums over keys group their terms differently
+    below and above 8 keys."""
+    cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8,
+                      q=4, patch_dim=6, text_blocks=1, vision_blocks=1,
+                      fusion_blocks=1, user_blocks=1, L_max=12)
+    model = RecModel.init(cfg, seed=5)
+    rng = np.random.default_rng(5)
+    items = {i: ItemRecord(i, rng.integers(1, 100, size=4).tolist(),
+                           rng.normal(size=(4, 6))) for i in range(0, 80, 2)}
+    index = build_item_index(model, items)
+    # the first 129 prefixes hold at most 7 items, the rest up to 15
+    prefixes = [rng.choice(index.order, size=rng.integers(1, 8 if n < 129 else 16)).tolist()
+                for n in range(300)]
+    monkeypatch.setattr(tr, "PREFIX_CHUNK", chunk)
+    got = tr.encode_prefixes(model, prefixes, items, index, cfg.L_max)
+    want = per_chunk_states(model, prefixes, index, cfg.L_max, chunk)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_encode_prefixes_matches_full_path_at_transfer_scale():

@@ -9,6 +9,11 @@ thread and writes the sha256 of:
   (B=64, L=12) at three shuffle/replace rate settings;
 - the `total_loss` value, its parts and every parameter gradient on three
   transfer-config batches;
+- the `encode_prefixes` states and the `evaluate` reports of the valid,
+  test and cold prefixes on a split shaped like the benchmark's rank
+  workload (5000 users, 2000 items), and on a copy of it whose catalog ids
+  are spread far apart, so that the item index maps them by a sorted
+  search and not by its id table;
 - the CLI pipeline gen-data -> pretrain -> finetune --mode full ->
   evaluate --phase all: both bundles, both metrics files and both
   `log.jsonl` files with `seconds` left out.
@@ -29,6 +34,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 RATES = ((0.15, 0.05), (0.5, 0.3), (1.0, 1.0))
 CORRUPTION_SEED, CORRUPTION_USERS, CORRUPTION_ITEMS = 7301, 1300, 200
 LOSS_SEEDS = (7311, 7312, 7313)
+RANK_SEED, RANK_USERS, RANK_ITEMS, COLD_THRESHOLD = 7331, 5000, 2000, 10
 CLI_CONFIG = ("n_users=300", "n_users_target=60", "n_items=40", "max_epochs=3",
               "batch_size=32", "seed=7321")
 
@@ -62,17 +68,20 @@ def corruption_digests():
     return out
 
 
+def transfer_config():
+    from mmrec.encoders import ModelConfig
+    return ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8, q=4,
+                       patch_dim=6, text_blocks=1, vision_blocks=1, fusion_blocks=1,
+                       user_blocks=1, L_max=12)
+
+
 def loss_digests():
     import numpy as np
     from mmrec import data, objectives
-    from mmrec.encoders import ModelConfig
     from mmrec.model import RecModel
-    cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8, q=4,
-                      patch_dim=6, text_blocks=1, vision_blocks=1, fusion_blocks=1,
-                      user_blocks=1, L_max=12)
     out = {}
     for seed in LOSS_SEEDS:
-        model = RecModel.init(cfg, seed)
+        model = RecModel.init(transfer_config(), seed)
         batch = data.make_batches(source_split(data, seed, 500, 100), 64, 12, seed)[0]
         loss, parts = objectives.total_loss(model, batch, objectives.ObjectiveConfig())
         loss.backward()
@@ -82,6 +91,42 @@ def loss_digests():
         for name, t in model.named_parameters():
             if t.grad is not None:
                 out[f"grad/{seed}/{name}"] = digest(t.grad)
+    return out
+
+
+def spread_ids(data, split):
+    """`split` with catalog id i renamed 1000003 * i - 10**9: the same order,
+    spanning far more ids than the item index holds values."""
+    def spread(i):
+        return 1000003 * i - 10**9
+    return data.SplitDataset(
+        items={spread(i): data.ItemRecord(spread(i), rec.tokens, rec.patches)
+               for i, rec in split.items.items()},
+        train=[[spread(i) for i in seq] for seq in split.train],
+        valid=[spread(i) for i in split.valid], test=[spread(i) for i in split.test])
+
+
+def prefix_digests():
+    from mmrec import data, evaluation, transfer
+    from mmrec.model import RecModel
+    model = RecModel.init(transfer_config(), RANK_SEED)
+    dense = source_split(data, RANK_SEED, RANK_USERS, RANK_ITEMS)
+    out = {}
+    for name, split in (("dense", dense), ("spread", spread_ids(data, dense))):
+        index = transfer.build_item_index(model, split.items)
+        cold = data.cold_item_subsequences(split, COLD_THRESHOLD)
+        prefixes = {
+            "valid": split.train,
+            "test": [list(seq) + [v] for seq, v in zip(split.train, split.valid)],
+            "cold": [p for p, _ in cold]}
+        for kind, part in prefixes.items():
+            states = transfer.encode_prefixes(model, part, split.items, index,
+                                              model.cfg.L_max)
+            out[f"prefixes/{name}/{kind}"] = digest(states)
+        reports = [evaluation.evaluate(model, split, phase=kind) for kind in ("valid", "test")]
+        reports.append(evaluation.evaluate_cold_start(model, split, COLD_THRESHOLD))
+        for report in reports:
+            out[f"rank/{name}/{report.phase}"] = digest(report.to_json().encode())
     return out
 
 
@@ -119,7 +164,7 @@ def write_digests(src, out_path):
     sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
     import mmrec
     out = {}
-    for part in (corruption_digests, loss_digests, cli_digests):
+    for part in (corruption_digests, loss_digests, prefix_digests, cli_digests):
         out.update(part())
     with open(out_path, "w") as f:
         json.dump({"mmrec": os.path.dirname(mmrec.__file__), "digests": out},

@@ -5,8 +5,11 @@ records the parents and the vjp on the output tensor, and `backward()` runs
 a topological sweep from a scalar loss that adds each returned gradient into
 its parent. The sweep frees each interior node's gradient and vjp (and with
 it every forward array the vjp kept) once the vjp has run, so a graph can be
-backpropagated only once. All math is double precision and single-threaded,
-so results are bit-reproducible.
+backpropagated only once. The transformer block's math (`linear`,
+`attention`, `layer_norm`, `gelu`) is in pure-numpy forward/backward pairs,
+which the `linear` node and the block node (`encoders.transformer_block`)
+share. All math is double precision and single-threaded, so results are
+bit-reproducible.
 """
 
 import math
@@ -140,6 +143,134 @@ def _unbroadcast(g, shape):
 
 
 # ---------------------------------------------------------------------------
+# forward/backward pairs: pure numpy, shared by `linear` and the transformer
+# block node (`encoders.transformer_block`); each forward returns what its
+# backward reads besides its inputs. The backwards sum with `np.einsum`,
+# which over short rows is 3-4x faster than `ndarray.sum` and, unlike a BLAS
+# product with ones, does not depend on the BLAS thread count.
+# ---------------------------------------------------------------------------
+
+def _sum_rows(a, b=None):
+    """sum(a * b) (or sum(a)) over the last axis, keeping it as size 1."""
+    return (np.einsum("...i->...", a) if b is None else
+            np.einsum("...i,...i->...", a, b))[..., None]
+
+
+def linear_forward(x, w, b=None):
+    """`x @ w + b` over the last axis of x: one GEMM over all leading axes.
+
+    Whether a row's output has the same bits however many rows share the
+    call depends on the widths. Measured with OpenBLAS 0.3.31 at one and two
+    threads, over 2 to 1536 rows from 32- and 64-wide inputs: output widths
+    16, 24, 32, 40, 48 and 64 keep them; 3, 9, 36 and 44 do not, nor 12 and
+    20 from a 64-wide input. A one-row call takes another kernel."""
+    out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], -1)
+    if b is not None:
+        out += b
+    return out
+
+
+def linear_backward(g, x, w, bias=True):
+    """Gradients of `linear_forward` for x, w and, with `bias`, b: each one
+    2-D product or column sum over all leading axes."""
+    g2 = g.reshape(-1, g.shape[-1])
+    grads = ((g2 @ w.T).reshape(x.shape), x.reshape(-1, x.shape[-1]).T @ g2)
+    return (*grads, np.einsum("ij->j", g2)) if bias else grads
+
+
+def _heads(t, n_heads):  # (B, S, d) -> (B, h, S, dh)
+    b, s, d = t.shape
+    return t.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge(t):  # (B, h, S, dh) -> (B, S, d)
+    b, h, s, dh = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+
+
+def attention_forward(q, k, v, bias, n_heads):
+    """Multi-head scaled dot-product attention of (B, Sq, d) queries over
+    (B, S, d) keys and values; Sq may be smaller than S. `bias` is an
+    additive mask broadcastable to (B, n_heads, Sq, S). Returns the output
+    and the softmax probabilities P."""
+    qh, kh, vh = (_heads(t, n_heads) for t in (q, k, v))
+    z = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(qh.shape[-1])) + bias
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return _merge(p @ vh), p
+
+
+def attention_backward(g, q, k, v, p, n_heads):
+    """Gradients of `attention_forward` for q, k and v, through the
+    softmax-Jacobian identity dS = P * (dP - rowsum(dP * P))."""
+    qh, kh, vh, gh = (_heads(t, n_heads) for t in (q, k, v, g))
+    ds = gh @ vh.transpose(0, 1, 3, 2)  # dP, made dS in place
+    ds -= _sum_rows(ds, p)
+    ds *= p
+    ds *= 1.0 / math.sqrt(qh.shape[-1])
+    return (_merge(ds @ kh),
+            _merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)),
+            _merge(p.transpose(0, 1, 3, 2) @ gh))
+
+
+def layer_norm_forward(x, residual, gain, bias):
+    """Layer norm of `x + residual` over the last axis, to zero mean and unit
+    variance (eps 1e-5), then `* gain + bias`. Returns the output and
+    (xhat, inv), the normalized input and its inverse standard deviation."""
+    s = x + residual
+    inv_n = 1.0 / s.shape[-1]
+    xc = s - s.sum(axis=-1, keepdims=True) * inv_n
+    inv = ((xc * xc).sum(axis=-1, keepdims=True) * inv_n + 1e-5) ** -0.5
+    xhat = xc * inv
+    return xhat * gain + bias, (xhat, inv)
+
+
+def layer_norm_backward(g, gain, xhat, inv):
+    """Gradients of `layer_norm_forward` for `x + residual` (and so for each
+    of the two), gain and bias: dxc = inv * (dxhat - xhat * mean(dxhat * xhat)),
+    dx = dxc - mean(dxc)."""
+    d = xhat.shape[-1]
+    inv_n = 1.0 / d
+    dxhat = g * gain
+    dxc = xhat * (_sum_rows(dxhat, xhat) * inv_n)
+    np.subtract(dxhat, dxc, out=dxc)
+    dxc *= inv
+    dxc -= _sum_rows(dxc) * inv_n
+    g2 = g.reshape(-1, d)
+    return dxc, np.einsum("ij,ij->j", g2, xhat.reshape(-1, d)), np.einsum("ij->j", g2)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu_forward(v):
+    """GELU, tanh approximation. Returns the output and the tanh t, which
+    the backward reads with v."""
+    # float `v**3` has no fast path in numpy and is ~100x slower than v*v*v
+    t = np.tanh(_GELU_C * (v + 0.044715 * ((v * v) * v)))
+    return 0.5 * v * (1.0 + t), t
+
+
+def gelu_backward(g, v, t):
+    """Gradient of `gelu_forward` for v:
+    g * (0.5 * (1 + t) + 0.5 * v * (1 - t * t) * c * (1 + 3 * 0.044715 * v * v)),
+    computed in place in that order."""
+    dinner = v * v
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _GELU_C
+    dt = t * t
+    np.subtract(1.0, dt, out=dt)
+    dt *= 0.5 * v
+    dt *= dinner
+    out = t + 1.0
+    out *= 0.5
+    out += dt
+    out *= g
+    return out
+
+
+# ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
@@ -162,24 +293,6 @@ def relu(x):
                  lambda g: (g * (x.data > 0.0).astype(np.float64),))
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(x):
-    """GELU, tanh approximation."""
-    x = as_tensor(x)
-    v = x.data
-    v2 = v * v  # float `v**3` has no fast path in numpy and is ~100x slower
-    inner = _GELU_C * (v + 0.044715 * (v2 * v))
-    t = np.tanh(inner)
-
-    def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * v2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner),)
-
-    return _make(0.5 * v * (1.0 + t), (x,), vjp)
-
-
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
 
@@ -191,87 +304,16 @@ def tsum(x, axis=None, keepdims=False):
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    One node. The backward is the derivative of the computed forward:
-    dxc = inv * (dxhat - xhat * mean(dxhat * xhat)), dx = dxc - mean(dxc).
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    inv_n = 1.0 / x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
-    inv = (var + eps) ** -0.5
-    xhat = xc * inv
-
-    def vjp(g):
-        dxhat = g * gain.data
-        dxc = inv * (dxhat - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True)
-                                     * inv_n))
-        return (dxc - dxc.sum(axis=-1, keepdims=True) * inv_n,
-                _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
-
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), vjp)
-
-
 def linear(x, w, b=None):
-    """`x @ w + b` over the last axis of x, as one node. w is (d_in, d_out)
-    and b, when given, is (d_out,). The forward and the weight gradient are
-    each a single GEMM over all leading axes of x, so a row's output does not
-    depend on how many rows share the call (a batched one-row matmul rounds
-    differently)."""
+    """`x @ w + b` over the last axis of x as one node over `linear_forward`
+    and `linear_backward`. w is (d_in, d_out) and b, when given, is (d_out,)."""
     x, w = as_tensor(x), as_tensor(w)
-    data = (x.data.reshape(-1, x.shape[-1]) @ w.data).reshape(*x.shape[:-1], -1)
-    parents = (x, w)
-    if b is not None:
-        b = as_tensor(b)
-        data += b.data
-        parents += (b,)
-
-    def vjp(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        grads = (g @ w.data.T, x.data.reshape(-1, x.shape[-1]).T @ g2)
-        return grads if b is None else grads + (g2.sum(axis=0),)
-
-    return _make(data, parents, vjp)
-
-
-def attention(q, k, v, bias, n_heads):
-    """Multi-head scaled dot-product attention of (B, Sq, d) queries over
-    (B, S, d) keys and values; Sq may be smaller than S.
-
-    `bias` is a constant additive mask broadcastable to (B, n_heads, Sq, S).
-    Head split, scaling, softmax, `@ v` and head merge are one node; the
-    backward uses the softmax-Jacobian identity
-    dS = P * (dP - rowsum(dP * P)).
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    b, _, d = q.shape
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def heads(t):  # (B, S, d) -> (B, h, S, dh)
-        return t.reshape(b, t.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(t):  # (B, h, S, dh) -> (B, S, d)
-        return t.transpose(0, 2, 1, 3).reshape(b, t.shape[2], d)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    z = (qh @ kh.transpose(0, 1, 3, 2)) * scale + bias
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        gh = heads(g)
-        dp = gh @ vh.transpose(0, 1, 3, 2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        ds *= scale
-        return (merge(ds @ kh),
-                merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)),
-                merge(p.transpose(0, 1, 3, 2) @ gh))
-
-    return _make(merge(p @ vh), (q, k, v), vjp)
+    if b is None:
+        return _make(linear_forward(x.data, w.data), (x, w),
+                     lambda g: linear_backward(g, x.data, w.data, bias=False))
+    b = as_tensor(b)
+    return _make(linear_forward(x.data, w.data, b.data), (x, w, b),
+                 lambda g: linear_backward(g, x.data, w.data))
 
 
 def concat(tensors, axis=0):
@@ -294,13 +336,31 @@ def transpose(x, axes):
 
 def getitem(x, index):
     """Basic slicing / integer-array indexing with scatter-add gradient. The
-    scatter adds into `x.grad` in place, in index order, and returns None."""
+    scatter adds into `x.grad` in place, in index order, with the bits of
+    `np.add.at`, and returns None. A basic index (ints and slices) adds into
+    its one view of the gradient; an index of integer arrays alone, into a
+    gradient not yet written, is one `np.bincount` over the flat positions;
+    any other index, or one into a held gradient, uses `np.add.at`."""
     x = as_tensor(x)
 
     def vjp(g):
+        parts = index if isinstance(index, tuple) else (index,)
+        if x.grad is None and all(isinstance(i, np.ndarray) and i.dtype.kind in "iu"
+                                  for i in parts):
+            # the forward bounds-checked the index, so wrapping only maps the
+            # negative entries, as numpy indexing does
+            rows = np.ravel_multi_index(parts, x.shape[:len(parts)], mode="wrap")
+            width = math.prod(x.shape[len(parts):])
+            flat = (rows.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            x.grad = np.bincount(flat, weights=g.reshape(-1),
+                                 minlength=x.data.size).reshape(x.shape)
+            return (None,)
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, index, g)
+        if any(isinstance(i, (np.ndarray, list)) for i in parts):
+            np.add.at(x.grad, index, g)
+        else:
+            x.grad[index] += g
         return (None,)
 
     return _make(x.data[index], (x,), vjp)

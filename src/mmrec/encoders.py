@@ -95,59 +95,98 @@ def init_stack(rng, cfg, n_blocks, **tables):
     return p
 
 
-def attention_bias(key_mask, causal=False):
+def attention_bias(key_mask, causal=False, rows=None):
     """Additive attention bias from a (B, S) 0/1 key mask.
 
-    Returns (B, 1, 1, S), or (B, 1, S, S) with the causal triangle applied.
+    Returns (B, 1, 1, S), or with `causal` (B, 1, S, S) with the causal
+    triangle applied. `rows`, one query position per sequence, keeps only
+    that position's row of the triangle: (B, 1, 1, S).
     """
     key_mask = np.asarray(key_mask, dtype=np.float64)
     bias = (key_mask[:, None, None, :] - 1.0) * 1e9
     if causal:
         s = key_mask.shape[1]
-        tri = np.triu(np.ones((s, s)), k=1) * -1e9
-        bias = bias + tri[None, None, :, :]
+        if rows is None:
+            tri = (np.triu(np.ones((s, s)), k=1) * -1e9)[None, None, :, :]
+        else:  # the triangle's rows, with its -1e9 above and -0.0 elsewhere
+            tri = ((np.arange(s) > rows[:, None]) * -1e9)[:, None, None, :]
+        bias = bias + tri
     return bias
+
+
+# a block's parameters, in the order of the block node's parents
+BLOCK_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
+                "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
 
 
 def transformer_block(params, prefix, x, bias, n_heads, query=None):
     """Post-LN transformer layer: x = LN(x + MHA(x)); x = LN(x + FFN(x)).
 
-    `query`, a (B, Sq, d) subset of the rows of x, restricts the output to
-    those rows: keys and values still come from all of x, and `bias` must
-    then be broadcastable to (B, n_heads, Sq, S).
+    One autodiff node over the forward/backward pairs of `autodiff`; it
+    keeps only the arrays its backward reads. `query`, a (B, Sq, d) subset
+    of the rows of x, restricts the output to those rows: keys and values
+    still come from all of x, and `bias` must then be broadcastable to
+    (B, n_heads, Sq, S).
     """
-    def p(name):
-        return params[prefix + name]
+    weights = [params[prefix + name] for name in BLOCK_PARAMS]
+    w = {name: t.data for name, t in zip(BLOCK_PARAMS, weights)}
+    xs = x.data
+    qs = xs if query is None else query.data
+    q = ad.linear_forward(qs, w["wq"], w["bq"])
+    k, v = ad.linear_forward(xs, w["wk"]), ad.linear_forward(xs, w["wv"], w["bv"])
+    a, p = ad.attention_forward(q, k, v, bias, n_heads)
+    h, ln1 = ad.layer_norm_forward(qs, ad.linear_forward(a, w["wo"], w["bo"]),
+                                   w["ln1_g"], w["ln1_b"])
+    u = ad.linear_forward(h, w["w1"], w["b1"])
+    f, t = ad.gelu_forward(u)
+    out, ln2 = ad.layer_norm_forward(h, ad.linear_forward(f, w["w2"], w["b2"]),
+                                     w["ln2_g"], w["ln2_b"])
 
-    if query is None:
-        query = x
-    q = ad.linear(query, p("wq"), p("bq"))
-    k, v = ad.linear(x, p("wk")), ad.linear(x, p("wv"), p("bv"))
-    ctx = ad.linear(ad.attention(q, k, v, bias, n_heads), p("wo"), p("bo"))
-    x = ad.layer_norm(ad.add(query, ctx), p("ln1_g"), p("ln1_b"))
-    ff = ad.linear(ad.gelu(ad.linear(x, p("w1"), p("b1"))), p("w2"), p("b2"))
-    return ad.layer_norm(ad.add(x, ff), p("ln2_g"), p("ln2_b"))
+    def vjp(g):
+        dr2, dln2_g, dln2_b = ad.layer_norm_backward(g, w["ln2_g"], *ln2)
+        df, dw2, db2 = ad.linear_backward(dr2, f, w["w2"])
+        dh, dw1, db1 = ad.linear_backward(ad.gelu_backward(df, u, t), h, w["w1"])
+        dh += dr2
+        dr1, dln1_g, dln1_b = ad.layer_norm_backward(dh, w["ln1_g"], *ln1)
+        da, dwo, dbo = ad.linear_backward(dr1, a, w["wo"])
+        dq, dk, dv = ad.attention_backward(da, q, k, v, p, n_heads)
+        dqs, dwq, dbq = ad.linear_backward(dq, qs, w["wq"])
+        dxs, dwk = ad.linear_backward(dk, xs, w["wk"], bias=False)
+        dxv, dwv, dbv = ad.linear_backward(dv, xs, w["wv"])
+        dqs += dr1
+        dxs += dxv
+        if query is None:
+            dxs += dqs
+        inputs = (dxs,) if query is None else (dxs, dqs)
+        return inputs + (dwq, dbq, dwk, dwv, dbv, dwo, dbo, dln1_g, dln1_b,
+                         dw1, db1, dw2, db2, dln2_g, dln2_b)
+
+    inputs = (x,) if query is None else (x, query)
+    return ad._make(out, (*inputs, *weights), vjp)
 
 
-def run_blocks(params, n_blocks, x, bias, n_heads, rows=None):
-    """Run blocks b0..b{n_blocks-1} over x (B, S, d).
+def run_blocks(params, n_blocks, x, key_mask, n_heads, causal=False, rows=None):
+    """Run blocks b0..b{n_blocks-1} over x (B, S, d), with the (B, S) 0/1
+    `key_mask` and `causal` of `attention_bias`.
 
     `rows`, one (B,) position per sequence, restricts the final block to
     those rows: its keys and values still span all of x, a causal bias is
-    cut to each query's row, and the result is (B, d), or those rows of x
-    when there are no blocks.
+    built for each query's row alone, and the result is (B, d), or those
+    rows of x when there are no blocks.
     """
-    for i in range(n_blocks if rows is None else n_blocks - 1):
-        x = transformer_block(params, f"b{i}.", x, bias, n_heads)
+    full = n_blocks if rows is None else n_blocks - 1
+    if full > 0:
+        bias = attention_bias(key_mask, causal)
+        for i in range(full):
+            x = transformer_block(params, f"b{i}.", x, bias, n_heads)
     if rows is None:
         return x
     b = np.arange(x.shape[0])
     if n_blocks == 0:
         return ad.getitem(x, (b, rows))
     query = ad.getitem(x, (b[:, None], rows[:, None]))  # (B, 1, d)
-    if bias.shape[2] > 1:  # causal: keep each query's own row of the triangle
-        bias = bias[b, :, rows][:, :, None]
-    h = transformer_block(params, f"b{n_blocks - 1}.", x, bias, n_heads, query=query)
+    h = transformer_block(params, f"b{n_blocks - 1}.", x,
+                          attention_bias(key_mask, causal, rows), n_heads, query=query)
     return ad.reshape(h, (x.shape[0], x.shape[2]))
 
 
@@ -168,8 +207,7 @@ def run_stack(params, cfg, n_blocks, parts, key_mask, head=None, causal=False,
     x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
     if "pos" in params:
         x = ad.add(x, ad.getitem(params["pos"], slice(0, x.shape[1])))
-    return run_blocks(params, n_blocks, x, attention_bias(key_mask, causal),
-                      cfg.n_heads, rows)
+    return run_blocks(params, n_blocks, x, key_mask, cfg.n_heads, causal, rows)
 
 
 def encode_text(params, cfg, token_ids, pad_mask):

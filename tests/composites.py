@@ -1,9 +1,10 @@
 """Reference versions of the fused autodiff nodes, built from small nodes.
 
-The nodes here (`exp`, `log`, `power`, `softmax`, `tmean`, `sub`, `matmul`)
-have no caller in the library; the composites written with them are the
-oracles that the one-node `layer_norm`, `l2_normalize`, `softmax_xent` and
-`linear` and the objectives built on them are checked against.
+The nodes here (`exp`, `log`, `power`, `tanh`, `softmax`, `tmean`, `sub`,
+`matmul`) have no caller in the library; the composites written with them
+are the oracles that the one-node `l2_normalize`, `softmax_xent` and
+`linear`, the transformer block's layer-norm and GELU pairs, and the
+objectives built on them are checked against.
 `item_embeddings` is the per-part stack assembly that `encoders.run_stack`
 replaced.
 """
@@ -11,7 +12,8 @@ replaced.
 import numpy as np
 
 from mmrec import autodiff as ad
-from mmrec.encoders import attention_bias, run_blocks
+from mmrec.autodiff import _GELU_C
+from mmrec.encoders import run_blocks
 
 
 def _node(x, data, grad_of):
@@ -33,6 +35,12 @@ def log(x):
 def power(x, p):
     x = ad.as_tensor(x)
     return _node(x, x.data**p, lambda g: g * p * x.data ** (p - 1))
+
+
+def tanh(x):
+    x = ad.as_tensor(x)
+    data = np.tanh(x.data)
+    return _node(x, data, lambda g: g * (1.0 - data * data))
 
 
 def softmax(x, axis=-1):
@@ -89,6 +97,15 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
 
 
+def gelu(x):
+    """GELU as seven nodes, with the ops of `autodiff.gelu_forward` in its
+    order, so its forward is bitwise the pair's."""
+    x = ad.as_tensor(x)
+    cube = ad.mul(ad.mul(x, x), x)
+    t = tanh(ad.mul(ad.add(x, ad.mul(cube, 0.044715)), _GELU_C))
+    return ad.mul(ad.mul(x, 0.5), ad.add(t, 1.0))
+
+
 def l2_normalize(x, eps=1e-12):
     """Row normalization as seven nodes."""
     x = ad.as_tensor(x)
@@ -122,12 +139,12 @@ def softmax_xent(z, weights, positives):
 
 
 def _prepend(row, parts, key_mask):
-    """The learned (d,) `row` in front of the (B, S_i, d) `parts`, with a bias
-    in which the row is always a key."""
+    """The learned (d,) `row` in front of the (B, S_i, d) `parts`, with a key
+    mask in which the row is always a key."""
     b, d = key_mask.shape[0], row.shape[-1]
     head = ad.add(ad.reshape(row, (1, 1, d)), np.zeros((b, 1, d)))
     return (ad.concat([head, *parts], axis=1),
-            attention_bias(np.concatenate([np.ones((b, 1)), key_mask], axis=1)))
+            np.concatenate([np.ones((b, 1)), key_mask], axis=1))
 
 
 def item_embeddings(model, token_ids, pad_mask, patches):
@@ -140,8 +157,8 @@ def item_embeddings(model, token_ids, pad_mask, patches):
     def encode(params, emb, key_mask, n_blocks):
         emb = ad.add(emb, ad.getitem(params["pos"], slice(1, emb.shape[1] + 1)))
         cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
-        x, bias = _prepend(cls, [emb], key_mask)
-        x = run_blocks(params, n_blocks, x, bias, cfg.n_heads)
+        x, mask = _prepend(cls, [emb], key_mask)
+        x = run_blocks(params, n_blocks, x, mask, cfg.n_heads)
         return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
     out = {}
@@ -155,10 +172,10 @@ def item_embeddings(model, token_ids, pad_mask, patches):
                                      np.ones(patches.shape[:2]), cfg.vision_blocks)
     if cfg.modality == "both":
         p = groups["fusion"]
-        x, bias = _prepend(p["mm_cls"], [t_hid, v_hid],
+        x, mask = _prepend(p["mm_cls"], [t_hid, v_hid],
                            np.concatenate([pad_mask, np.ones(v_hid.shape[:2])], axis=1))
-        out["e_cls"] = run_blocks(p, cfg.fusion_blocks, x, bias, cfg.n_heads,
-                                  np.zeros(len(pad_mask), dtype=np.int64))
+        out["e_cls"] = run_blocks(p, cfg.fusion_blocks, x, mask, cfg.n_heads,
+                                  rows=np.zeros(len(pad_mask), dtype=np.int64))
     else:
         out["e_cls"] = out["t_cls" if cfg.modality == "text" else "v_cls"]
     return out

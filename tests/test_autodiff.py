@@ -4,13 +4,41 @@ from hypothesis import given, strategies as st
 
 from mmrec import autodiff as ad
 from mmrec.autodiff import Tensor
-from mmrec.encoders import attention_bias
+from mmrec.encoders import BLOCK_PARAMS, attention_bias, transformer_block
 
 from . import composites as C
 
 
 def rand(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+# the transformer block's forward/backward pairs, each wrapped as one node so
+# that they are checked like the primitives
+
+def gelu(x):
+    x = ad.as_tensor(x)
+    out, t = ad.gelu_forward(x.data)
+    return ad._make(out, (x,), lambda g: (ad.gelu_backward(g, x.data, t),))
+
+
+def layer_norm(x, residual, gain, bias):
+    """The layer norm of x + residual."""
+    inputs = tuple(ad.as_tensor(t) for t in (x, residual, gain, bias))
+    out, saved = ad.layer_norm_forward(*(t.data for t in inputs))
+
+    def vjp(g):
+        ds, dgain, dbias = ad.layer_norm_backward(g, inputs[2].data, *saved)
+        return ds, ds, dgain, dbias
+
+    return ad._make(out, inputs, vjp)
+
+
+def attention(q, k, v, bias, n_heads):
+    q, k, v = (ad.as_tensor(t) for t in (q, k, v))
+    out, p = ad.attention_forward(q.data, k.data, v.data, bias, n_heads)
+    return ad._make(out, (q, k, v), lambda g: ad.attention_backward(
+        g, q.data, k.data, v.data, p, n_heads))
 
 
 def forward_backward(program, inputs):
@@ -67,7 +95,7 @@ def test_softmax_rows_normalized():
 
 def test_layer_norm_constant_row_is_zero():
     x = Tensor(np.full((3, 8), 4.2))
-    y = ad.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    y = layer_norm(x, np.zeros((3, 8)), Tensor(np.ones(8)), Tensor(np.zeros(8)))
     np.testing.assert_allclose(y.data, 0.0, atol=1e-12)
 
 
@@ -124,7 +152,7 @@ def test_forward_backward_random_graph_matches_finite_differences():
     rng = np.random.default_rng(7)
 
     def program(a, w1, w2, w3):
-        h = ad.gelu(C.matmul(a, w1))
+        h = gelu(C.matmul(a, w1))
         h = ad.relu(C.matmul(h, w2))
         h = C.softmax(C.matmul(h, w3), axis=-1)
         return ad.tsum(ad.mul(h, C.log(ad.add(ad.mul(h, h), 0.1))))
@@ -180,11 +208,11 @@ def test_primitive_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     cases = [
         lambda x: ad.tsum(ad.relu(x)),
-        lambda x: ad.tsum(ad.gelu(x)),
+        lambda x: ad.tsum(gelu(x)),
         lambda x: ad.tsum(C.exp(x)),
         lambda x: ad.tsum(C.log(ad.add(ad.mul(x, x), 1.0))),
         lambda x: ad.tsum(C.softmax(x, axis=-1)),
-        lambda x: ad.tsum(ad.layer_norm(x, np.ones(5), np.zeros(5))),
+        lambda x: ad.tsum(layer_norm(x, np.zeros((4, 5)), np.ones(5), np.zeros(5))),
         lambda x: ad.tsum(ad.l2_normalize(x)),
         lambda x: C.tmean(ad.mul(x, x), axis=0),
         lambda x: ad.softmax_xent(x, np.ones((4, 5)), [[0], [1], [4], [4]]),
@@ -221,7 +249,7 @@ def test_finite_difference_matches_reference_loop_bitwise(shape):
     rng = np.random.default_rng(5)
 
     def program(x, w):
-        return ad.tsum(ad.mul(ad.gelu(ad.mul(x, w)), C.softmax(ad.mul(x, x), axis=-1)))
+        return ad.tsum(ad.mul(gelu(ad.mul(x, w)), C.softmax(ad.mul(x, x), axis=-1)))
 
     inputs = [Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape))]
     before = [t.data.copy() for t in inputs]
@@ -309,15 +337,18 @@ def test_linear_matches_matmul_plus_bias():
 
 def test_gradient_check_layer_norm():
     rng = np.random.default_rng(15)
-    point = [rand(rng, 2, 3, 6), rand(rng, 6), rand(rng, 6)]
-    report = gradient_check(_readout(ad.layer_norm, (2, 3, 6)), point)
+    point = [rand(rng, 2, 3, 6), rand(rng, 2, 3, 6), rand(rng, 6), rand(rng, 6)]
+    report = gradient_check(_readout(layer_norm, (2, 3, 6)), point)
     assert report["passed"], report
 
 
 def test_layer_norm_matches_composite():
+    # the residual add folded into the pair is the composite's add node
     rng = np.random.default_rng(16)
-    arrays = [rng.normal(size=(3, 5, 8)) * 3 + 1, rng.normal(size=8), rng.normal(size=8)]
-    _assert_parity(ad.layer_norm, C.layer_norm, arrays, (3, 5, 8))
+    arrays = [rng.normal(size=(3, 5, 8)) * 3 + 1, rng.normal(size=(3, 5, 8)),
+              rng.normal(size=8), rng.normal(size=8)]
+    _assert_parity(layer_norm, lambda x, r, g, b: C.layer_norm(ad.add(x, r), g, b),
+                   arrays, (3, 5, 8))
 
 
 def _key_mask():
@@ -326,49 +357,41 @@ def _key_mask():
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_gradient_check_attention(causal):
-    from mmrec.encoders import attention_bias
-
     rng = np.random.default_rng(17)
     bias = attention_bias(_key_mask(), causal=causal)
     point = [rand(rng, 2, 4, 6) for _ in range(3)]
-    program = _readout(lambda q, k, v: ad.attention(q, k, v, bias, 2), (2, 4, 6))
+    program = _readout(lambda q, k, v: attention(q, k, v, bias, 2), (2, 4, 6))
     report = gradient_check(program, point)
     assert report["passed"], report
 
 
 def test_gradient_check_attention_one_query_row():
-    from mmrec.encoders import attention_bias
-
     rng = np.random.default_rng(21)
     key_mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
     last = np.array([3, 1])  # query positions; the causal row hides later keys
-    bias = attention_bias(key_mask, causal=True)[np.arange(2), :, last][:, :, None]
+    bias = attention_bias(key_mask, causal=True, rows=last)
     point = [rand(rng, 2, 1, 6), rand(rng, 2, 5, 6), rand(rng, 2, 5, 6)]
-    program = _readout(lambda q, k, v: ad.attention(q, k, v, bias, 2), (2, 1, 6))
+    program = _readout(lambda q, k, v: attention(q, k, v, bias, 2), (2, 1, 6))
     report = gradient_check(program, point)
     assert report["passed"], report
 
 
 def test_attention_query_rows_match_full_attention_rows():
-    from mmrec.encoders import attention_bias
-
     rng = np.random.default_rng(22)
     q, k, v = (rng.normal(size=(2, 5, 6)) for _ in range(3))
     key_mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
     bias = attention_bias(key_mask, causal=True)
     rows, pos = np.arange(2), np.array([3, 2])
-    full = ad.attention(q, k, v, bias, 2).data[rows, pos]
-    one = ad.attention(q[rows, pos][:, None], k, v, bias[rows, :, pos][:, :, None], 2)
+    full = attention(q, k, v, bias, 2).data[rows, pos]
+    one = attention(q[rows, pos][:, None], k, v, bias[rows, :, pos][:, :, None], 2)
     assert one.shape == (2, 1, 6)
     np.testing.assert_allclose(one.data[:, 0], full, rtol=0, atol=1e-14)
 
 
 def test_attention_ignores_masked_keys():
-    from mmrec.encoders import attention_bias
-
     rng = np.random.default_rng(18)
     q, k, v = (rand(rng, 2, 4, 6) for _ in range(3))
-    out = ad.attention(q, k, v, attention_bias(_key_mask()), 3)
+    out = attention(q, k, v, attention_bias(_key_mask()), 3)
     ad.tsum(ad.mul(out, rng.normal(size=(2, 4, 6)))).backward()
     # padded keys (user 0 slot 3, user 1 slots 2-3) get no gradient
     for grad in (k.grad, v.grad):
@@ -534,7 +557,7 @@ def test_gelu_matches_cube_closed_form():
     c = np.sqrt(2.0 / np.pi)
     v = np.random.default_rng(21).normal(size=2000) * 3
     x = Tensor(v.copy(), requires_grad=True)
-    y = ad.gelu(x)
+    y = gelu(x)
     ad.tsum(y).backward()
     t = np.tanh(c * (v + 0.044715 * v**3))
     value = 0.5 * v * (1.0 + t)
@@ -557,12 +580,16 @@ PRIMITIVES = {
     "mul": (ad.mul, [(3, 4), (3, 1)]),
     "matmul": (C.matmul, [(3, 4), (4, 2)]),
     "relu": (ad.relu, [(3, 4)]),
-    "gelu": (ad.gelu, [(3, 4)]),
+    "gelu": (gelu, [(3, 4)]),
     "tsum": (lambda x: ad.tsum(x, axis=1), [(3, 4)]),
-    "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)]),
+    "layer_norm": (layer_norm, [(3, 4), (3, 4), (4,), (4,)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 2), (2,)]),
-    "attention": (lambda q, k, v: ad.attention(q, k, v, attention_bias(_key_mask()), 2),
+    "attention": (lambda q, k, v: attention(q, k, v, attention_bias(_key_mask()), 2),
                   [(2, 4, 6)] * 3),
+    "transformer_block": (lambda x, *ws: transformer_block(
+        dict(zip(BLOCK_PARAMS, ws)), "", x, attention_bias(_key_mask(), causal=True), 2),
+        [(2, 4, 6), (6, 6), (6,), (6, 6), (6, 6), (6,), (6, 6), (6,), (6,), (6,),
+         (6, 12), (12,), (12, 6), (6,), (6,), (6,)]),
     "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)]),
     "reshape": (lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
     "transpose": (lambda x: ad.transpose(x, (1, 0)), [(3, 4)]),
@@ -636,6 +663,86 @@ def test_getitem_adds_into_a_held_gradient_in_place():
     assert x.grad.tobytes() == want.tobytes()
 
 
+# index into a (6, 4, 3) array -> how getitem's vjp scatters it
+SCATTER_INDICES = {
+    # integer arrays alone: one np.bincount into a gradient not yet written
+    "repeated_rows": (np.array([2, 0, 2, 2, 5, 2, 0, 2, 2, 2, 1, 2]), "bincount"),
+    "rows_2d": (np.array([[1, 1, 3], [1, 4, 1]]), "bincount"),
+    "pairs": ((np.array([0, 5, 0, 0, 2, 0]), np.array([3, 1, 3, 3, 0, 3])), "bincount"),
+    "broadcast": ((np.arange(6)[:, None], np.array([3, 0, 3, 1, 2, 3])[:, None]),
+                  "bincount"),
+    "negative": (np.array([-1, 5, -6, 0, -1, 3]), "bincount"),
+    "negative_pairs": ((np.array([-1, 5, -6, 0]), np.array([-4, 0, 3, -1])), "bincount"),
+    "unsigned": (np.array([4, 4, 1, 4], dtype=np.uint32), "bincount"),
+    # ints and slices: one view of the gradient
+    "slice": (slice(1, 5), "basic"),
+    "int_and_slice": ((slice(None), 2), "basic"),
+    "int": (3, "basic"),
+    "slices": ((slice(None), slice(1, None)), "basic"),
+    # an array mixed with a slice: np.add.at
+    "mixed": ((slice(None), np.array([0, 2, 2])), "add.at"),
+}
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["new", "held"])
+@pytest.mark.parametrize("name", sorted(SCATTER_INDICES))
+def test_getitem_scatter_matches_add_at_bitwise(name, held):
+    # every form of the scatter has the bits of np.add.at, into a gradient
+    # not yet written (zeros) and into one the parent already holds
+    index, _ = SCATTER_INDICES[name]
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.normal(size=(6, 4, 3)), requires_grad=True)
+    out = ad.getitem(x, index)
+    assert out.data.tobytes() == x.data[index].tobytes()
+    readout = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=out.shape)
+    readout.reshape(-1)[0] = -0.0
+    prior = rng.normal(size=x.shape) if held else np.zeros(x.shape)
+    if held:
+        x.grad = held_grad = prior.copy()
+    ad.tsum(ad.mul(out, readout)).backward()
+    want = prior.copy()
+    np.add.at(want, index, readout)
+    assert x.grad.tobytes() == want.tobytes()
+    assert not held or x.grad is held_grad
+
+
+def test_getitem_scatter_form_follows_the_index(monkeypatch):
+    # integer arrays into a new gradient never reach np.add.at, and basic
+    # indices never do; a mixed index does
+    calls = []
+
+    class RecordingAdd:
+        @staticmethod
+        def at(*args):
+            calls.append(1)
+            np.add.at(*args)
+
+    class Numpy:  # numpy as autodiff sees it, with np.add.at recorded
+        add = RecordingAdd
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(ad, "np", Numpy())
+    for name, (index, form) in SCATTER_INDICES.items():
+        calls.clear()
+        x = Tensor(np.ones((6, 4, 3)), requires_grad=True)
+        ad.tsum(ad.getitem(x, index)).backward()
+        assert bool(calls) == (form == "add.at"), name
+
+
+@pytest.mark.parametrize("d_in, d_out", [(32, 32), (32, 64), (64, 32)])
+def test_linear_row_bits_do_not_depend_on_the_row_count(d_in, d_out):
+    # the transfer config's widths (d = 32, ffn_mult = 2): the first m rows
+    # of a 1536-row product have the bits of an m-row product
+    rng = np.random.default_rng(d_in + d_out)
+    x, w, b = (rng.normal(size=s) for s in ((1536, d_in), (d_in, d_out), (d_out,)))
+    full = ad.linear_forward(x, w, b)
+    differ = [m for m in range(2, 1537)
+              if ad.linear_forward(x[:m], w, b).tobytes() != full[:m].tobytes()]
+    assert differ == []
+
+
 # ---------------------------------------------------------------------------
 # a graph is backpropagated once
 # ---------------------------------------------------------------------------
@@ -643,7 +750,7 @@ def test_getitem_adds_into_a_held_gradient_in_place():
 def _gelu_layer(rng):
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=4), requires_grad=True)
-    return w, b, ad.gelu(ad.linear(rng.normal(size=(5, 3)), w, b))
+    return w, b, gelu(ad.linear(rng.normal(size=(5, 3)), w, b))
 
 
 def _assert_raises_and_keeps(loss, params):

@@ -194,9 +194,9 @@ def test_config_zero_blocks_runs_forward_and_backward(field):
 
 def _composite_block(params, prefix, x, bias, n_heads):
     """The transformer layer written with one primitive per op (per-head
-    reshape/transpose, softmax, composite layer norm): the reference the
-    fused block must reproduce."""
-    from .composites import layer_norm, softmax
+    reshape/transpose, softmax, composite layer norm and GELU): the
+    reference the block node must reproduce."""
+    from .composites import gelu, layer_norm, softmax
 
     b, s, d = x.shape
     dh = d // n_heads
@@ -215,7 +215,7 @@ def _composite_block(params, prefix, x, bias, n_heads):
     ctx = ad.reshape(ad.transpose(C.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
     x = layer_norm(ad.add(x, proj(ctx, "wo", "bo")),
                    params[prefix + "ln1_g"], params[prefix + "ln1_b"])
-    ff = proj(ad.gelu(proj(x, "w1", "b1")), "w2", "b2")
+    ff = proj(gelu(proj(x, "w1", "b1")), "w2", "b2")
     return layer_norm(ad.add(x, ff), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
 
@@ -244,14 +244,60 @@ def test_transformer_block_matches_composite(causal):
                                    atol=1e-12 * np.abs(w).max(), err_msg=name)
 
 
-def test_block_is_twelve_nodes(model):
+def test_block_is_one_node(model):
     from mmrec.autodiff import _toposort
 
     x = ad.Tensor(np.zeros((2, 3, 8)), requires_grad=True)
     params = model.groups["user_encoder"]
     out = enc.transformer_block(params, "b0.", x, enc.attention_bias(np.ones((2, 3))), 2)
     inner = [n for n in _toposort(out) if n._backward is not None]
-    assert len(inner) == 12
+    assert inner == [out]
+    assert out._parents == (x, *(params["b0." + n] for n in enc.BLOCK_PARAMS))
+
+
+@pytest.mark.parametrize("query", [False, True], ids=["all_rows", "query_rows"])
+def test_gradient_check_block_node(query):
+    # padded keys and a causal bias; with `query`, the node over each
+    # sequence's last real row, its bias that row of the triangle
+    rng = np.random.default_rng(40)
+    params = enc.init_block(rng, 8, 2, "b0.")
+    for t in params.values():  # move gains and biases off their 1/0 init
+        t.data = t.data + rng.normal(size=t.shape) * 0.1
+    x = ad.Tensor(rng.normal(size=(3, 5, 8)), requires_grad=True)
+    key_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]])
+    last = key_mask.sum(axis=1) - 1
+    b = np.arange(3)
+    rows = last if query else None
+    bias = enc.attention_bias(key_mask, causal=True, rows=rows)
+    weights = rng.normal(size=(3, 1 if query else 5, 8))
+
+    def block():
+        q = ad.getitem(x, (b[:, None], last[:, None])) if query else None
+        return enc.transformer_block(params, "b0.", x, bias, 2, query=q)
+
+    def loss():
+        return ad.tsum(ad.mul(block(), weights))
+
+    assert len(block()._parents) == (17 if query else 16)
+    loss().backward()
+    for name, t in [("x", x), *params.items()]:
+        numeric = ad.central_difference(loss, t.data.reshape(-1))
+        assert ad.relative_error(t.grad.reshape(-1), numeric) <= 1e-4, name
+
+
+def test_row_bias_is_the_triangle_row_bitwise():
+    # each query's row built alone is the row gathered from the whole causal
+    # bias, -2e9 where the key mask and the triangle both apply
+    key_mask = np.array([[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0]])
+    b = np.arange(3)
+    for rows in (key_mask.sum(axis=1) - 1, np.array([0, 5, 3]), np.array([5, 0, 0])):
+        got = enc.attention_bias(key_mask, causal=True, rows=rows)
+        want = enc.attention_bias(key_mask, causal=True)[b, :, rows][:, :, None]
+        assert got.shape == (3, 1, 1, 6)
+        assert got.tobytes() == want.tobytes()
+        assert (got == -2e9).any()
+    plain = enc.attention_bias(key_mask)
+    assert enc.attention_bias(key_mask, rows=rows).tobytes() == plain.tobytes()
 
 
 def _full_row_fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
@@ -262,8 +308,7 @@ def _full_row_fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
     x = ad.concat([mm, text_hiddens, vision_hiddens], axis=1)
     key_mask = np.concatenate([np.ones((b, 1)), text_mask,
                                np.ones(vision_hiddens.shape[:2])], axis=1)
-    x = enc.run_blocks(params, cfg.fusion_blocks, x, enc.attention_bias(key_mask),
-                       cfg.n_heads)
+    x = enc.run_blocks(params, cfg.fusion_blocks, x, key_mask, cfg.n_heads)
     return ad.getitem(x, (slice(None), 0))
 
 
@@ -315,13 +360,13 @@ def test_fusion_final_block_matches_full_row_fusion(blocks):
 def test_final_fusion_block_attends_with_one_query_row(monkeypatch):
     model = _fusion_model(2)
     query_shapes = []
-    attention = ad.attention
+    attention_forward = ad.attention_forward
 
     def recording_attention(q, k, v, bias, n_heads):
         query_shapes.append(q.shape)
-        return attention(q, k, v, bias, n_heads)
+        return attention_forward(q, k, v, bias, n_heads)
 
-    monkeypatch.setattr(ad, "attention", recording_attention)
+    monkeypatch.setattr(ad, "attention_forward", recording_attention)
     rng = np.random.default_rng(7)
     t_hid = ad.Tensor(rng.normal(size=(3, 4, 8)))
     v_hid = ad.Tensor(rng.normal(size=(3, 5, 8)))

@@ -748,13 +748,14 @@ def _transfer_model_and_batch():
     return RecModel.init(cfg, 0), batch
 
 
-def test_total_loss_on_a_transfer_batch_is_at_most_192_nodes():
+def test_total_loss_on_a_transfer_batch_is_at_most_150_nodes():
     from mmrec.autodiff import _toposort
 
     total, _ = obj.total_loss(*_transfer_model_and_batch(), OCFG)
     # every node, parameters included (282 when each objective was composed
-    # from small nodes, 196 when each encoder added its own positions)
-    assert len(_toposort(total)) <= 192
+    # from small nodes, 196 when each encoder added its own positions, 192
+    # when a transformer block was twelve nodes; 137 with one node a block)
+    assert len(_toposort(total)) <= 150
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import mmrec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(mmrec.__file__)))
@@ -14,9 +17,16 @@ def parity(*args):
                           capture_output=True, text=True)
 
 
-def test_compare_passes_on_itself_and_fails_on_one_altered_digest(tmp_path):
-    out = tmp_path / "a.json"
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    """The tool's digests of this checkout, and the gradients beside them."""
+    out = tmp_path_factory.mktemp("parity") / "a.json"
     assert parity(ROOT, out).returncode == 0
+    return out
+
+
+def test_compare_passes_on_itself_and_fails_on_one_altered_digest(digests, tmp_path):
+    out = digests
     assert parity("--compare", out, out).returncode == 0
     report = json.loads(out.read_text())
     key = sorted(report["digests"])[0]
@@ -26,3 +36,29 @@ def test_compare_passes_on_itself_and_fails_on_one_altered_digest(tmp_path):
     result = parity("--compare", out, altered)
     assert result.returncode == 1
     assert key in result.stdout
+
+
+def test_compare_reports_how_far_a_differing_gradient_moved(digests, tmp_path):
+    report = json.loads(digests.read_text())
+    with np.load(digests.with_suffix(".npz")) as f:
+        arrays = dict(f)
+    grads = sorted(k for k in report["digests"] if k.startswith("grad/"))
+    assert sorted(arrays) == grads
+    # move the smallest gradient of one loss by 1e-3 of that loss's largest
+    # entry, and give it a new digest
+    loss = grads[0].rsplit("/", 1)[0]
+    of_loss = [k for k in grads if k.startswith(loss + "/")]
+    scale = max(np.abs(arrays[k]).max() for k in of_loss)
+    key = min(of_loss, key=lambda k: np.abs(arrays[k]).max())
+    arrays[key].reshape(-1)[0] += 1e-3 * scale
+    report["digests"][key] = "0" * 64
+    altered = tmp_path / "b.json"
+    altered.write_text(json.dumps(report))
+    np.savez(tmp_path / "b.npz", **arrays)
+    result = parity("--compare", digests, altered)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    at = lines.index(next(line for line in lines if key in line))
+    move = float(lines[at + 1].rsplit(":", 1)[1])
+    assert move == pytest.approx(1e-3, rel=1e-2)
+    assert f"largest gradient move: {lines[at + 1].rsplit(':', 1)[1].strip()}" in result.stdout

@@ -18,8 +18,12 @@ thread and writes the sha256 of:
   evaluate --phase all: both bundles, both metrics files and both
   `log.jsonl` files with `seconds` left out.
 
+It also writes every gradient array to OUT.npz beside OUT.json.
+
 The second form prints every entry whose digest differs or is missing on
-one side, and exits 1 if there is any.
+one side, and exits 1 if there is any. For a differing `grad/` entry it
+also prints max|a - b| over the largest entry of that loss's gradients in
+A, when both files have their `.npz` beside them.
 """
 
 import contextlib
@@ -75,7 +79,9 @@ def transfer_config():
                        user_blocks=1, L_max=12)
 
 
-def loss_digests():
+def loss_digests(arrays):
+    """Digests of the losses and gradients; each gradient is also put into
+    `arrays` under its digest's key."""
     import numpy as np
     from mmrec import data, objectives
     from mmrec.model import RecModel
@@ -91,6 +97,7 @@ def loss_digests():
         for name, t in model.named_parameters():
             if t.grad is not None:
                 out[f"grad/{seed}/{name}"] = digest(t.grad)
+                arrays[f"grad/{seed}/{name}"] = t.grad
     return out
 
 
@@ -162,10 +169,12 @@ def cli_digests():
 
 def write_digests(src, out_path):
     sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
+    import numpy as np
     import mmrec
-    out = {}
-    for part in (corruption_digests, loss_digests, prefix_digests, cli_digests):
-        out.update(part())
+    arrays = {}
+    out = {**corruption_digests(), **loss_digests(arrays), **prefix_digests(),
+           **cli_digests()}
+    np.savez(arrays_path(out_path), **arrays)
     with open(out_path, "w") as f:
         json.dump({"mmrec": os.path.dirname(mmrec.__file__), "digests": out},
                   f, indent=1, sort_keys=True)
@@ -174,16 +183,49 @@ def write_digests(src, out_path):
     return 0
 
 
+def arrays_path(out_path):
+    return os.path.splitext(out_path)[0] + ".npz"
+
+
 def load_digests(path):
     with open(path) as f:
         return json.load(f)["digests"]
 
 
+def load_arrays(path):
+    import numpy as np
+    if not os.path.exists(arrays_path(path)):
+        return {}
+    with np.load(arrays_path(path)) as f:
+        return dict(f)
+
+
+def gradient_moves(a_path, b_path):
+    """max|a - b| over the largest |entry| of the loss's gradients in A, for
+    every gradient both `.npz` files hold."""
+    import numpy as np
+    a, b = load_arrays(a_path), load_arrays(b_path)
+    scale = {}
+    for key, g in a.items():
+        loss = key.rsplit("/", 1)[0]
+        scale[loss] = max(scale.get(loss, 0.0), float(np.abs(g).max()))
+    return {key: float(np.abs(g - b[key]).max()) / scale[key.rsplit("/", 1)[0]]
+            for key, g in a.items() if key in b and g.shape == b[key].shape}
+
+
 def compare(a_path, b_path):
     a, b = (load_digests(p) for p in (a_path, b_path))
     differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    moves = gradient_moves(a_path, b_path) if any(
+        k.startswith("grad/") for k in differ) else {}
     for key in differ:
         print(f"differs: {key}  {a.get(key, 'missing')}  {b.get(key, 'missing')}")
+        if key in moves:
+            print(f"  max|a - b| / largest gradient entry of the loss: {moves[key]:.3g}")
+    moved = [(moves[k], k) for k in differ if k in moves]
+    if moved:
+        print("largest gradient move: {:.3g} of the loss's largest entry ({})".format(
+            *max(moved)))
     print(f"{len(differ)} of {len(a.keys() | b.keys())} digests differ")
     return 1 if differ else 0
 

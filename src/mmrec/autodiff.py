@@ -145,9 +145,10 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 # forward/backward pairs: pure numpy, shared by `linear` and the transformer
 # block node (`encoders.transformer_block`); each forward returns what its
-# backward reads besides its inputs. The backwards sum with `np.einsum`,
-# which over short rows is 3-4x faster than `ndarray.sum` and, unlike a BLAS
-# product with ones, does not depend on the BLAS thread count.
+# backward reads besides its inputs. Row sums (the layer norm's, and the
+# backwards') use `np.einsum`, which over short rows is 3-4x faster than
+# `ndarray.sum` and, unlike a BLAS product with ones, does not depend on
+# the BLAS thread count.
 # ---------------------------------------------------------------------------
 
 def _sum_rows(a, b=None):
@@ -183,34 +184,40 @@ def _heads(t, n_heads):  # (B, S, d) -> (B, h, S, dh)
     return t.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge(t):  # (B, h, S, dh) -> (B, S, d)
-    b, h, s, dh = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
-
-
 def attention_forward(q, k, v, bias, n_heads):
     """Multi-head scaled dot-product attention of (B, Sq, d) queries over
-    (B, S, d) keys and values; Sq may be smaller than S. `bias` is an
+    (B, S, d) keys and values; Sq may be smaller than S. `bias` is a 4-D
     additive mask broadcastable to (B, n_heads, Sq, S). Returns the output
-    and the softmax probabilities P."""
+    and the softmax probabilities P. The softmax runs key-major, on
+    (S, B, h, Sq), so its max and sum over keys are elementwise sweeps and
+    the sum adds keys in key order: a masked key's exact 0 moves no bit."""
     qh, kh, vh = (_heads(t, n_heads) for t in (q, k, v))
-    z = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(qh.shape[-1])) + bias
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    return _merge(p @ vh), p
+    z = np.multiply((qh @ kh.transpose(0, 1, 3, 2)).transpose(3, 0, 1, 2),
+                    1.0 / math.sqrt(qh.shape[-1]), order="C")
+    z += bias.transpose(3, 0, 1, 2)
+    z -= np.maximum.reduce(z)
+    np.exp(z, out=z)
+    p = np.empty(qh.shape[:3] + z.shape[:1])
+    np.divide(z, np.add.reduce(z), out=p.transpose(3, 0, 1, 2))
+    out = np.empty_like(q)
+    np.matmul(p, vh, out=_heads(out, n_heads))
+    return out, p
 
 
 def attention_backward(g, q, k, v, p, n_heads):
     """Gradients of `attention_forward` for q, k and v, through the
-    softmax-Jacobian identity dS = P * (dP - rowsum(dP * P))."""
+    softmax-Jacobian identity dS = P * (dP - rowsum(dP * P)); each product
+    writes its heads straight into the (B, S, d) gradient."""
     qh, kh, vh, gh = (_heads(t, n_heads) for t in (q, k, v, g))
     ds = gh @ vh.transpose(0, 1, 3, 2)  # dP, made dS in place
     ds -= _sum_rows(ds, p)
     ds *= p
     ds *= 1.0 / math.sqrt(qh.shape[-1])
-    return (_merge(ds @ kh),
-            _merge((qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)),
-            _merge(p.transpose(0, 1, 3, 2) @ gh))
+    dq, dk, dv = (np.empty_like(t) for t in (q, k, v))
+    np.matmul(ds, kh, out=_heads(dq, n_heads))
+    np.matmul(ds.transpose(0, 1, 3, 2), qh, out=_heads(dk, n_heads))
+    np.matmul(p.transpose(0, 1, 3, 2), gh, out=_heads(dv, n_heads))
+    return dq, dk, dv
 
 
 def layer_norm_forward(x, residual, gain, bias):
@@ -219,8 +226,8 @@ def layer_norm_forward(x, residual, gain, bias):
     (xhat, inv), the normalized input and its inverse standard deviation."""
     s = x + residual
     inv_n = 1.0 / s.shape[-1]
-    xc = s - s.sum(axis=-1, keepdims=True) * inv_n
-    inv = ((xc * xc).sum(axis=-1, keepdims=True) * inv_n + 1e-5) ** -0.5
+    xc = s - _sum_rows(s) * inv_n
+    inv = (_sum_rows(xc, xc) * inv_n + 1e-5) ** -0.5
     xhat = xc * inv
     return xhat * gain + bias, (xhat, inv)
 

@@ -237,12 +237,21 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_latent_styles < 2:
-            raise DataError("n_latent_styles must be >= 2")
-        if self.n_slots < 1:
-            raise DataError("n_slots must be >= 1")
-        if not 0.0 <= self.transition_noise <= 1.0:
-            raise DataError("transition_noise must lie in [0, 1]")
+        styles = self.n_latent_styles
+        for ok, message in (
+                (styles >= 2, "n_latent_styles must be >= 2"),
+                (self.n_slots >= 1, "n_slots must be >= 1"),
+                (0.0 <= self.transition_noise <= 1.0, "transition_noise must lie in [0, 1]"),
+                # every style needs an item and a vocabulary id; id 0 is padding
+                (self.n_items >= styles,
+                 f"n_items={self.n_items} must be >= n_latent_styles={styles}"),
+                (self.vocab_size > styles,
+                 f"vocab_size={self.vocab_size} must be > n_latent_styles={styles}"),
+                (self.L_min <= self.L_max, f"L_min={self.L_min} must be <= L_max={self.L_max}"),
+                (0 <= self.p_min <= self.p_max,
+                 f"p_min={self.p_min} must lie in [0, p_max={self.p_max}]")):
+            if not ok:
+                raise DataError(message)
         if self.n_users_target is None:
             self.n_users_target = self.n_users
 

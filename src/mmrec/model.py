@@ -90,7 +90,7 @@ class RecModel:
 
     def load_snapshot(self, snap):
         for n, t in self.named_parameters():
-            t.data = snap[n].copy()
+            t.data[...] = snap[n]
 
     # -- forwards -----------------------------------------------------------
 

@@ -179,8 +179,24 @@ def corruption_counts(length, shuffle_rate, replace_rate):
 def _derangement(rng, n):
     while True:
         perm = rng.permutation(n)
-        if n < 2 or not np.any(perm == np.arange(n)):
+        if n < 2 or all(p != i for i, p in enumerate(perm.tolist())):
             return perm
+
+
+def _draw_corruption(rng, length, shuffle_rate, replace_rate, pool_size):
+    """The generator calls of one sequence's corruption, the only ones of
+    `corrupt_sequence` and `corrupt_batch`, in their fixed order: n_sh + n_rep
+    distinct positions, the first n_sh to shuffle and the rest to replace, a
+    derangement of the shuffled ones, then one pool index per replaced
+    position (none from an empty pool). Returns (positions, n_sh,
+    derangement, pool indices)."""
+    if length < 2:
+        raise ValueError("corruption needs sequences of length >= 2")
+    n_sh, n_rep = corruption_counts(length, shuffle_rate, replace_rate)
+    n_rep = n_rep if pool_size else 0
+    chosen = rng.choice(length, size=n_sh + n_rep, replace=False)  # size 0 draws nothing
+    perm = _derangement(rng, n_sh) if n_sh else chosen[:0]
+    return chosen, n_sh, perm, [rng.integers(pool_size) for _ in range(n_rep)]
 
 
 def corrupt_sequence(seq, shuffle_rate, replace_rate, rng, replacement_pool):
@@ -189,48 +205,52 @@ def corrupt_sequence(seq, shuffle_rate, replace_rate, rng, replacement_pool):
 
     Returns (corrupted sequence, labels) with labels 0/1/2 per position.
     """
-    length = len(seq)
-    if length < 2:
-        raise ValueError("corruption needs sequences of length >= 2")
-    n_sh, n_rep = corruption_counts(length, shuffle_rate, replace_rate)
-    if len(replacement_pool) == 0:
-        n_rep = 0
+    chosen, n_sh, perm, picks = _draw_corruption(
+        rng, len(seq), shuffle_rate, replace_rate, len(replacement_pool))
     out = list(seq)
-    labels = [LABEL_UNCHANGED] * length
-    chosen = rng.choice(length, size=n_sh + n_rep, replace=False) if n_sh + n_rep else []
-    sh_pos = np.sort(np.asarray(chosen[:n_sh], dtype=np.int64))
-    rep_pos = np.asarray(chosen[n_sh:], dtype=np.int64)
-    if n_sh:
-        perm = _derangement(rng, n_sh)
-        originals = [seq[p] for p in sh_pos]
-        for slot, src in enumerate(perm):
-            out[sh_pos[slot]] = originals[src]
-            labels[sh_pos[slot]] = LABEL_SHUFFLED
-    for p in rep_pos:
-        out[p] = int(replacement_pool[rng.integers(len(replacement_pool))])
-        labels[p] = LABEL_REPLACED
+    labels = [LABEL_UNCHANGED] * len(seq)
+    sh_pos = np.sort(chosen[:n_sh])
+    for dst, src in zip(sh_pos, sh_pos[perm]):
+        out[dst], labels[dst] = seq[src], LABEL_SHUFFLED
+    for p, j in zip(chosen[n_sh:], picks):
+        out[p], labels[p] = int(replacement_pool[j]), LABEL_REPLACED
     return out, labels
 
 
 def corrupt_batch(ctx, cfg):
-    """Corrupt every sequence in the batch with the batch's seeded rng.
+    """Corrupt every sequence in the batch as `corrupt_sequence` does. Each
+    user's generator is keyed by the batch seed and the user's own sequence,
+    and its pool is every other user's item as often as it occurs, in row
+    order, so the corruption is invariant to the ordering of users. Only the
+    draws run per user.
 
     Returns (corrupted row map (B, L) into the unique-item table,
     labels (B, L) with LABEL_PAD at padded slots).
     """
-    batch = ctx.batch
+    batch, (b, width), n_rows = ctx.batch, ctx.batch.idx.shape, ctx.neg_weight.shape[1]
+    lengths = batch.mask.sum(axis=1).astype(np.int64)
+    # user u's pool index j is the row whose weight spans start[u] + j in
+    # the running sum of every user's weights
+    cum = np.cumsum(ctx.neg_weight)
+    start = np.concatenate([[0], cum[n_rows - 1::n_rows]])
+    chosen, n_sh, perm, picks = zip(*[_draw_corruption(
+        np.random.default_rng(np.random.SeedSequence([batch.rng_seed] + seq[:n])),
+        n, cfg.shuffle_rate, cfg.replace_rate, pool_size) for seq, n, pool_size in
+        zip(batch.idx.tolist(), lengths.tolist(), np.diff(start).tolist())])
+    n_sh, users = np.array(n_sh), np.arange(b)
+    # the shuffled slots as flat (u, l) indices, sorted, and their sources
+    dst = np.sort(np.repeat(users * width, n_sh)
+                  + np.concatenate([c[:k] for c, k in zip(chosen, n_sh)]))
+    src = dst[np.concatenate(perm) + np.repeat(np.cumsum(n_sh) - n_sh, n_sh)]
+    rep_u = np.repeat(users, [len(p) for p in picks])
+    rep_l = np.concatenate([c[k:] for c, k in zip(chosen, n_sh)])
+    pick = start[rep_u] + np.array([j for p in picks for j in p], dtype=np.int64)
     corr_rows = ctx.pos_to_row.copy()
-    labels = np.full(batch.idx.shape, LABEL_PAD, dtype=np.int64)
-    rows = np.arange(len(ctx.unique))
-    for u, length in enumerate(batch.mask.sum(axis=1).astype(np.int64)):
-        # each other user's item as often as it occurs, as sorted rows; the
-        # pool and the rng are keyed by the user's own sequence, so the
-        # corruption is invariant to the ordering of users in the batch
-        pool = np.repeat(rows, ctx.neg_weight[u])
-        seed = [batch.rng_seed] + batch.idx[u, :length].tolist()
-        corr_rows[u, :length], labels[u, :length] = corrupt_sequence(
-            ctx.pos_to_row[u, :length], cfg.shuffle_rate, cfg.replace_rate,
-            np.random.default_rng(np.random.SeedSequence(seed)), pool)
+    labels = np.where(np.arange(width) < lengths[:, None], LABEL_UNCHANGED, LABEL_PAD)
+    corr_rows.reshape(-1)[dst] = ctx.pos_to_row.reshape(-1)[src]
+    labels.reshape(-1)[dst] = LABEL_SHUFFLED
+    corr_rows[rep_u, rep_l] = np.searchsorted(cum, pick, side="right") - rep_u * n_rows
+    labels[rep_u, rep_l] = LABEL_REPLACED
     return corr_rows, labels
 
 

@@ -49,39 +49,43 @@ class NonFiniteGradient(RuntimeError):
 
 
 class AdamW:
-    """Decoupled weight decay: p <- p - lr*(m_hat/(sqrt(v_hat)+eps)) - lr*wd*p."""
+    """Decoupled weight decay: p <- p - lr*(m_hat/(sqrt(v_hat)+eps)) - lr*wd*p,
+    over one flat buffer whose views the parameters' arrays become (so write
+    them in place); the clip norm still sums per array, in parameter order."""
 
     def __init__(self, params, cfg):
         self.params = list(params)  # [(name, Tensor)]
         self.cfg = cfg
         self.t = 0
-        self.state = {n: (np.zeros_like(p.data), np.zeros_like(p.data))
-                      for n, p in self.params}
+        ends = np.cumsum([p.data.size for _, p in self.params]).tolist()
+        self.spans = [slice(end - p.data.size, end) for (_, p), end in zip(self.params, ends)]
+        self.flat = np.concatenate([p.data.reshape(-1) for _, p in self.params] or [[]])
+        self.m, self.v, self.grad = (np.zeros_like(self.flat) for _ in range(3))
+        for (_, p), span in zip(self.params, self.spans):
+            p.data = self.flat[span].reshape(p.data.shape)
 
     def step(self):
         c = self.cfg
-        grads = []
-        for name, p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"non-finite gradient for {name}")
-            grads.append(g)
+        g, p, m, v = self.grad, self.flat, self.m, self.v
+        for (_, t), span in zip(self.params, self.spans):
+            g[span] = 0.0 if t.grad is None else t.grad.reshape(-1)
+        if not np.isfinite(g).all():
+            name = next(n for (n, _), span in zip(self.params, self.spans)
+                        if not np.isfinite(g[span]).all())
+            raise NonFiniteGradient(f"non-finite gradient for {name}")
         if c.grad_clip > 0.0:
-            total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+            total = np.sqrt(sum(float((g[span] * g[span]).sum()) for span in self.spans))
             if total > c.grad_clip:
-                grads = [g * (c.grad_clip / total) for g in grads]
+                g *= c.grad_clip / total
         self.t += 1
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
-        for (name, p), g in zip(self.params, grads):
-            m, v = self.state[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
-            p.data -= c.learning_rate * update
-            p.data -= c.learning_rate * c.weight_decay * p.data
+        m *= c.beta1
+        m += (1.0 - c.beta1) * g
+        v *= c.beta2
+        v += (1.0 - c.beta2) * g * g
+        p -= c.learning_rate * ((m / bc1) / (np.sqrt(v / bc2) + c.adam_eps))
+        p -= c.learning_rate * c.weight_decay * p
 
 
 def should_stop(history, patience):

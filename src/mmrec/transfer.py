@@ -171,7 +171,7 @@ def model_from_bundle(path):
 
 
 def _load_group(group, gname, arrays):
-    """Copy a bundle group's arrays into the model group's parameters."""
+    """Copy a bundle group's arrays into the model group's parameters in place."""
     for pname, tensor in group.items():
         if pname not in arrays:
             raise BundleError(f"bundle group {gname!r} lacks parameter {pname!r}")
@@ -181,7 +181,7 @@ def _load_group(group, gname, arrays):
                 f"shape mismatch in {gname}.{pname}: bundle {arr.shape} "
                 f"vs model {tensor.data.shape}"
             )
-        tensor.data = arr.copy()
+        tensor.data[...] = arr
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Reference versions of the fused autodiff nodes, built from small nodes.
 
-The nodes here (`exp`, `log`, `power`, `tanh`, `softmax`, `tmean`, `sub`,
-`matmul`) have no caller in the library; the composites written with them
+The nodes here (`exp`, `log`, `power`, `tanh`, `softmax`, `row_sum`,
+`tmean`, `sub`, `matmul`) have no caller in the library; the composites written with them
 are the oracles that the one-node `l2_normalize`, `softmax_xent` and
 `linear`, the transformer block's layer-norm and GELU pairs, and the
 objectives built on them are checked against.
 `item_embeddings` is the per-part stack assembly that `encoders.run_stack`
 replaced.
 """
+
+import functools
 
 import numpy as np
 
@@ -43,11 +45,14 @@ def tanh(x):
     return _node(x, data, lambda g: g * (1.0 - data * data))
 
 
-def softmax(x, axis=-1):
-    """Numerically stable softmax along `axis`."""
+def softmax(x, axis=-1, in_order=False):
+    """Numerically stable softmax along `axis`. With `in_order` its sum adds
+    the entries one at a time in index order, as the attention pair's sum
+    over keys does."""
     x = ad.as_tensor(x)
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / (np.expand_dims(functools.reduce(np.add, np.moveaxis(e, axis, 0)), axis)
+                if in_order else e.sum(axis=axis, keepdims=True))
     return _node(x, data,
                  lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
 
@@ -72,6 +77,18 @@ def matmul(a, b):
     return ad._make(a.data @ b.data, (a, b), vjp)
 
 
+def row_sum(a, b=None):
+    """sum(a * b) (or sum(a)) over the last axis, kept as size 1, by the
+    einsum the layer-norm pair sums with."""
+    if b is None:
+        a = ad.as_tensor(a)
+        return _node(a, np.einsum("...i->...", a.data)[..., None],
+                     lambda g: np.broadcast_to(g, a.shape))
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    return ad._make(np.einsum("...i,...i->...", a.data, b.data)[..., None], (a, b),
+                    lambda g: (g * b.data, g * a.data))
+
+
 def sub(a, b):
     """a - b as a + b * -1; negation is exact, so it is bitwise a - b."""
     return ad.add(a, ad.mul(b, -1.0))
@@ -90,9 +107,9 @@ def tmean(x, axis=None, keepdims=False):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Layer norm as nine nodes; the fused node reproduces its forward
     bitwise."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(ad.mul(xc, xc), axis=-1, keepdims=True)
+    n = x.shape[-1]
+    xc = sub(x, ad.mul(row_sum(x), 1.0 / n))
+    var = ad.mul(row_sum(xc, xc), 1.0 / n)
     inv = power(ad.add(var, eps), -0.5)
     return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
 

@@ -398,6 +398,40 @@ def test_attention_ignores_masked_keys():
         assert not grad[0, 3].any() and not grad[1, 2:].any()
 
 
+def test_attention_probabilities_do_not_depend_on_where_masked_keys_sit():
+    # the softmax sums the keys in key order, so a masked key's exact 0 keeps
+    # the real keys' probabilities bitwise, whether masked keys follow the
+    # real ones or sit between them, as padded text does in fusion's
+    # [mm_cls; text; patches] layout; 8 to 13 real keys, where a pairwise
+    # sum over the last axis would group its terms by width
+    rng = np.random.default_rng(23)
+    text, patches, d, n_heads = 8, 4, 8, 2
+    for n_text in (8, 5, 3):
+        n_real = 1 + n_text + patches
+        q = rng.normal(size=(1, 6, d))
+        k, v = rng.normal(size=(2, 1, n_real, d))
+        _, want = ad.attention_forward(q, k, v, attention_bias(np.ones((1, n_real))),
+                                       n_heads)
+        # real keys then 5 masked ones
+        k_tail, v_tail = (np.concatenate([t, rng.normal(size=(1, 5, d))], axis=1)
+                          for t in (k, v))
+        tail_mask = np.concatenate([np.ones((1, n_real)), np.zeros((1, 5))], axis=1)
+        _, tail = ad.attention_forward(q, k_tail, v_tail, attention_bias(tail_mask),
+                                       n_heads)
+        # mm_cls, the real text, its padding, then the patches
+        pad = text - n_text
+        k_fused, v_fused = (np.concatenate([t[:, :1 + n_text], rng.normal(size=(1, pad, d)),
+                                            t[:, 1 + n_text:]], axis=1) for t in (k, v))
+        fused_mask = np.concatenate([np.ones((1, 1 + n_text)), np.zeros((1, pad)),
+                                     np.ones((1, patches))], axis=1)
+        _, fused = ad.attention_forward(q, k_fused, v_fused, attention_bias(fused_mask),
+                                        n_heads)
+        real = fused_mask[0] > 0
+        assert tail[..., :n_real].tobytes() == want.tobytes()
+        assert fused[..., real].tobytes() == want.tobytes()
+        assert not tail[..., n_real:].any() and not fused[..., ~real].any()
+
+
 # softmax_xent: positives include columns of weight 0 (as NICL's next items)
 # and repeat a column (as NICL does when the next item is the anchor's own)
 XENT_POSITIVES = np.array([[2, 1, 1], [2, 2, 4], [0, 1, 3], [1, 1, 1]])

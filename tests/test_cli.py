@@ -293,6 +293,19 @@ def test_removed_keys_exit_1(pair, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs, message", [
+    (["n_items=0"], "n_items=0 must be >= n_latent_styles=4"),
+    (["vocab_size=1"], "vocab_size=1 must be > n_latent_styles=4"),
+    (["seq_min=9", "seq_max=3"], "L_min=9 must be <= L_max=3"),
+    (["p_min=9", "p_max=8"], "p_min=9 must lie in [0, p_max=8]"),
+], ids=["no_items", "one_token", "seq_min_above_seq_max", "p_min_above_p_max"])
+def test_gen_data_names_the_key_out_of_bounds(pairs, message, tmp_path, capsys):
+    overrides = [arg for kv in pairs for arg in ("-o", kv)]
+    assert main(overrides + ["gen-data", "--out", str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("phase", ["valid", "test"])
 def test_cold_eval_rejects_phase(phase, capsys):
     # cold-eval ranks the cold-start slice only, so a phase would do nothing

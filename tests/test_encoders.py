@@ -194,8 +194,8 @@ def test_config_zero_blocks_runs_forward_and_backward(field):
 
 def _composite_block(params, prefix, x, bias, n_heads):
     """The transformer layer written with one primitive per op (per-head
-    reshape/transpose, softmax, composite layer norm and GELU): the
-    reference the block node must reproduce."""
+    reshape/transpose, softmax summing its keys in key order, composite
+    layer norm and GELU): the reference the block node must reproduce."""
     from .composites import gelu, layer_norm, softmax
 
     b, s, d = x.shape
@@ -211,7 +211,7 @@ def _composite_block(params, prefix, x, bias, n_heads):
     q, k, v = (heads(proj(x, "wq", "bq")), heads(proj(x, "wk")),
                heads(proj(x, "wv", "bv")))
     scores = ad.mul(C.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = softmax(ad.add(scores, bias), axis=-1)
+    attn = softmax(ad.add(scores, bias), axis=-1, in_order=True)
     ctx = ad.reshape(ad.transpose(C.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
     x = layer_norm(ad.add(x, proj(ctx, "wo", "bo")),
                    params[prefix + "ln1_g"], params[prefix + "ln1_b"])
@@ -225,23 +225,27 @@ def test_transformer_block_matches_composite(causal):
     params = enc.init_block(rng, 8, 2, "b0.")
     for t in params.values():  # move gains and biases off their 1/0 init
         t.data = t.data + rng.normal(size=t.shape) * 0.1
-    x0 = rng.normal(size=(3, 5, 8))
-    bias = enc.attention_bias(np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
-                                        [1, 0, 1, 1, 0]]), causal=causal)
-    weights = rng.normal(size=(3, 5, 8))
-    runs = []
-    for block in (enc.transformer_block, _composite_block):
-        x = ad.Tensor(x0.copy(), requires_grad=True)
-        for t in params.values():
-            t.zero_grad()
-        out = block(params, "b0.", x, bias, 2)
-        ad.tsum(ad.mul(out, weights)).backward()
-        runs.append((out.data, {"x": x.grad, **{n: t.grad for n, t in params.items()}}))
-    (got, got_g), (want, want_g) = runs
-    assert got.tobytes() == want.tobytes()
-    for name, w in want_g.items():
-        np.testing.assert_allclose(got_g[name], w, rtol=0,
-                                   atol=1e-12 * np.abs(w).max(), err_msg=name)
+    # 5 keys, and 11, where the softmax's sum over keys in key order differs
+    # from a pairwise one
+    masks = [np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 1, 1, 0]]),
+             np.array([[1] * 11, [1] * 8 + [0] * 3, [1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1]])]
+    for key_mask in masks:
+        x0 = rng.normal(size=(3, key_mask.shape[1], 8))
+        bias = enc.attention_bias(key_mask, causal=causal)
+        weights = rng.normal(size=x0.shape)
+        runs = []
+        for block in (enc.transformer_block, _composite_block):
+            x = ad.Tensor(x0.copy(), requires_grad=True)
+            for t in params.values():
+                t.zero_grad()
+            out = block(params, "b0.", x, bias, 2)
+            ad.tsum(ad.mul(out, weights)).backward()
+            runs.append((out.data, {"x": x.grad, **{n: t.grad for n, t in params.items()}}))
+        (got, got_g), (want, want_g) = runs
+        assert got.tobytes() == want.tobytes()
+        for name, w in want_g.items():
+            np.testing.assert_allclose(got_g[name], w, rtol=0,
+                                       atol=1e-12 * np.abs(w).max(), err_msg=name)
 
 
 def test_block_is_one_node(model):

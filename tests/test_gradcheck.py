@@ -44,7 +44,7 @@ def test_single_loss_equals_its_term_in_the_full_pipeline(name):
 def test_total_loss_fn_encodes_the_batch_once(name, monkeypatch):
     model, batch = model_and_batch(seed=2, d=2, p=2, q=2)
     fresh = obj.total_loss(model, batch, ObjectiveConfig())[0].item()
-    built, corrupted, corrupt_sequence = [], [], obj.corrupt_sequence
+    built, corrupted, draw = [], [], obj._draw_corruption
 
     class Counted(obj.BatchContext):
         def __init__(self, *args):
@@ -52,8 +52,8 @@ def test_total_loss_fn_encodes_the_batch_once(name, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(obj, "BatchContext", Counted)
-    monkeypatch.setattr(obj, "corrupt_sequence",
-                        lambda *args: corrupted.append(1) or corrupt_sequence(*args))
+    monkeypatch.setattr(obj, "_draw_corruption",
+                        lambda *args: corrupted.append(1) or draw(*args))
     loss_fn = gradcheck._loss_fn(model, batch, name)
     loss = loss_fn()
     assert gradcheck.check_parameters(model, loss_fn) <= 1e-4
@@ -74,9 +74,9 @@ def test_total_check_corrupts_each_sequence_once(monkeypatch):
     model, batch = model_and_batch(d=2, p=2, q=2)
     model.set_trainable_top_blocks(1)
     n = sum(p.data.size for _, p in model.trainable_parameters())
-    corrupt_sequence, corrupted = obj.corrupt_sequence, []
-    monkeypatch.setattr(obj, "corrupt_sequence",
-                        lambda *args: corrupted.append(1) or corrupt_sequence(*args))
+    draw, corrupted = obj._draw_corruption, []
+    monkeypatch.setattr(obj, "_draw_corruption",
+                        lambda *args: corrupted.append(1) or draw(*args))
     loss_fn, calls = gradcheck._loss_fn(model, batch, "total"), []
     gradcheck.check_parameters(model, lambda: calls.append(1) or loss_fn())
     assert n > 0 and len(calls) == 1 + 2 * n

@@ -570,28 +570,35 @@ def test_unique_item_losses_match_occurrence_oracle(kind, seed, name):
 def test_corrupt_batch_matches_occurrence_oracle(kind, seed, monkeypatch):
     model, batch = parity_case(kind, seed)
     ctx, _ = encoded_context(model, batch)
-    pools, corrupt_sequence = [], obj.corrupt_sequence
+    calls, draw = [], obj._draw_corruption
 
-    def recording(seq, shuffle_rate, replace_rate, rng, pool):
-        pools.append(pool)
-        return corrupt_sequence(seq, shuffle_rate, replace_rate, rng, pool)
+    def recording(rng, length, shuffle_rate, replace_rate, pool_size):
+        out = draw(rng, length, shuffle_rate, replace_rate, pool_size)
+        calls.append((length, pool_size, out))
+        return out
 
     for ocfg in (OCFG, ObjectiveConfig(shuffle_rate=0.5, replace_rate=0.3),
                  ObjectiveConfig(shuffle_rate=1.0, replace_rate=1.0)):
         want_rows, want_labels, want_pools = occurrence_corrupt_batch(ctx, ocfg)
-        pools.clear()
+        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(obj, "corrupt_sequence", recording)
+            m.setattr(obj, "_draw_corruption", recording)
             rows, labels = obj.corrupt_batch(ctx, ocfg)
         np.testing.assert_array_equal(rows, want_rows)
         np.testing.assert_array_equal(labels, want_labels)
-        assert len(pools) == len(want_pools)
-        for pool, want in zip(pools, want_pools):
-            # the pools hold rows of the unique-item table; the oracle's
-            # hold catalog ids
-            assert pool.dtype == np.int64
-            np.testing.assert_array_equal(ctx.unique[pool],
-                                          np.array(want, dtype=np.int64))
+        # one draw per user, from a pool of the oracle pool's size; each
+        # replaced slot holds the oracle pool's item at its drawn index (the
+        # rows index the unique-item table, the oracle's pools hold catalog ids)
+        assert len(calls) == len(want_pools)
+        replaced = 0
+        for u, ((length, pool_size, (chosen, n_sh, _, picks)), want) in enumerate(
+                zip(calls, want_pools)):
+            assert (length, pool_size) == (int(batch.mask[u].sum()), len(want))
+            for slot, j in zip(chosen[n_sh:], picks):
+                assert labels[u, slot] == obj.LABEL_REPLACED
+                assert ctx.unique[rows[u, slot]] == want[j]
+                replaced += 1
+        assert replaced == np.count_nonzero(labels == obj.LABEL_REPLACED)
 
 
 def test_total_is_sum_of_components():

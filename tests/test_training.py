@@ -108,6 +108,59 @@ def test_grad_clip_inactive_below_threshold():
     np.testing.assert_array_equal(p1.data, p2.data)
 
 
+def reference_adamw(arrays, grads_per_step, cfg):
+    """AdamW one parameter array at a time, in a loop: the reference the
+    flat-buffer step must match bitwise. A gradient of None counts as 0."""
+    data = {n: a.copy() for n, a in arrays.items()}
+    state = {n: (np.zeros_like(a), np.zeros_like(a)) for n, a in data.items()}
+    for t, grads in enumerate(grads_per_step, 1):
+        gs = {n: np.zeros_like(a) if grads[n] is None else grads[n] for n, a in data.items()}
+        if cfg.grad_clip > 0.0:
+            total = np.sqrt(sum(float((g * g).sum()) for g in gs.values()))
+            if total > cfg.grad_clip:
+                gs = {n: g * (cfg.grad_clip / total) for n, g in gs.items()}
+        bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+        for n, g in gs.items():
+            m, v = state[n]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            data[n] -= cfg.learning_rate * ((m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps))
+            data[n] -= cfg.learning_rate * cfg.weight_decay * data[n]
+    return data
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 0.5])
+def test_flat_step_matches_the_per_array_loop_bitwise(grad_clip):
+    rng = np.random.default_rng(31)
+    arrays = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4),
+              "t": rng.normal(size=(2, 3, 2))}
+    # "b" has no gradient on the second step, after one on the first
+    grads = [{n: rng.normal(size=a.shape) for n, a in arrays.items()} for _ in range(4)]
+    grads[1]["b"] = None
+    params = [(n, Tensor(a.copy(), requires_grad=True)) for n, a in arrays.items()]
+    opt = opt_for(params, learning_rate=0.01, weight_decay=0.1, grad_clip=grad_clip)
+    for step in grads:
+        for n, p in params:
+            p.grad = step[n]
+        opt.step()
+    want = reference_adamw(arrays, grads, opt.cfg)
+    for n, p in params:
+        assert p.data.shape == arrays[n].shape
+        assert p.data.tobytes() == want[n].tobytes(), n
+
+
+def test_load_snapshot_writes_into_the_arrays_the_optimizer_steps():
+    model, _ = tiny_setup()
+    opt = AdamW(model.trainable_parameters(), tcfg(learning_rate=0.1, weight_decay=0.5))
+    snap = RecModel.init(model.cfg, 1).snapshot()
+    model.load_snapshot(snap)
+    opt.step()  # no gradients: the decay alone moves every parameter
+    for name, p in model.trainable_parameters():
+        np.testing.assert_array_equal(p.data, snap[name] - 0.05 * snap[name], err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # early stopping
 # ---------------------------------------------------------------------------

@@ -506,9 +506,10 @@ def per_chunk_states(model, prefixes, index, L_max, chunk):
 @pytest.mark.parametrize("chunk", [1, 3, 128])
 def test_encode_prefixes_matches_the_per_chunk_loop_bitwise(chunk, monkeypatch):
     """Each chunk keeps the width of its own longest prefix: padding a chunk
-    of short prefixes to the widest moves the last bits of its states,
-    because the attention sums over keys group their terms differently
-    below and above 8 keys."""
+    of short prefixes to the widest moves the last bits of its states. The
+    softmax's sum over keys adds a padded key's exact 0 without effect, but
+    the one-row products over the keys (the scores, and P @ V) take BLAS
+    kernels whose rounding depends on the number of keys."""
     cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8,
                       q=4, patch_dim=6, text_blocks=1, vision_blocks=1,
                       fusion_blocks=1, user_blocks=1, L_max=12)

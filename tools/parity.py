@@ -9,6 +9,9 @@ thread and writes the sha256 of:
   (B=64, L=12) at three shuffle/replace rate settings;
 - the `total_loss` value, its parts and every parameter gradient on three
   transfer-config batches;
+- the parameters after five `AdamW.step`s on seeded gradients: with no
+  clip, with a clip that is active, and with one parameter whose gradient
+  is None;
 - the `encode_prefixes` states and the `evaluate` reports of the valid,
   test and cold prefixes on a split shaped like the benchmark's rank
   workload (5000 users, 2000 items), and on a copy of it whose catalog ids
@@ -38,6 +41,10 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 RATES = ((0.15, 0.05), (0.5, 0.3), (1.0, 1.0))
 CORRUPTION_SEED, CORRUPTION_USERS, CORRUPTION_ITEMS = 7301, 1300, 200
 LOSS_SEEDS = (7311, 7312, 7313)
+ADAMW_SEED, ADAMW_STEPS = 7341, 5
+# (name, grad_clip, the parameter whose gradient is None)
+ADAMW_RUNS = (("noclip", 0.0, None), ("clip", 1e-3, None),
+              ("nograd", 0.0, "user_encoder.b0.w1"))
 RANK_SEED, RANK_USERS, RANK_ITEMS, COLD_THRESHOLD = 7331, 5000, 2000, 10
 CLI_CONFIG = ("n_users=300", "n_users_target=60", "n_items=40", "max_epochs=3",
               "batch_size=32", "seed=7321")
@@ -98,6 +105,25 @@ def loss_digests(arrays):
             if t.grad is not None:
                 out[f"grad/{seed}/{name}"] = digest(t.grad)
                 arrays[f"grad/{seed}/{name}"] = t.grad
+    return out
+
+
+def adamw_digests():
+    import numpy as np
+    from mmrec import training
+    from mmrec.model import RecModel
+    out = {}
+    for name, grad_clip, no_grad in ADAMW_RUNS:
+        params = RecModel.init(transfer_config(), ADAMW_SEED).trainable_parameters()
+        opt = training.AdamW(params, training.TrainConfig(learning_rate=1e-2,
+                                                          grad_clip=grad_clip))
+        rng = np.random.default_rng(ADAMW_SEED)
+        for _ in range(ADAMW_STEPS):
+            for pname, t in params:
+                t.grad = None if pname == no_grad else rng.normal(size=t.shape)
+            opt.step()
+        out[f"adamw/{name}"] = digest(np.concatenate([t.data.reshape(-1)
+                                                      for _, t in params]))
     return out
 
 
@@ -172,8 +198,8 @@ def write_digests(src, out_path):
     import numpy as np
     import mmrec
     arrays = {}
-    out = {**corruption_digests(), **loss_digests(arrays), **prefix_digests(),
-           **cli_digests()}
+    out = {**corruption_digests(), **loss_digests(arrays), **adamw_digests(),
+           **prefix_digests(), **cli_digests()}
     np.savez(arrays_path(out_path), **arrays)
     with open(out_path, "w") as f:
         json.dump({"mmrec": os.path.dirname(mmrec.__file__), "digests": out},

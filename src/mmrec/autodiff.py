@@ -388,32 +388,30 @@ def l2_normalize(x, eps=1e-12):
 
 def softmax_xent(z, weights, positives):
     """Softmax cross-entropy of the rows of the (R, C) scores z, as one node:
-    mean over rows r of log sum_c w[r, c] exp z[r, c] - log sum_j exp z[r, pos[r, j]].
+    mean over rows r of log sum_c w[r, c] exp z[r, c] - z[r, pos[r]].
 
     `weights` is a constant non-negative (R, C) array: weight n counts a
     column n times and 0 excludes it; every row needs a positive weight.
-    `positives` is an (R, k) integer array of column indices, and a column
-    listed twice counts twice. The backward is g * (softmax_w - softmax_pos) / R.
+    `positives` is an (R,) integer array, one column index per row. The
+    backward is g * (softmax_w - onehot_pos) / R.
     """
     z = as_tensor(z)
     w = np.asarray(weights, dtype=np.float64)
-    rows, pos = np.arange(z.shape[0])[:, None], np.asarray(positives)
+    rows, pos = np.arange(z.shape[0]), np.asarray(positives)
+    if pos.shape != rows.shape:
+        raise ValueError(f"softmax_xent needs one positive per row, got {pos.shape}")
     keep = w > 0
     shift = np.where(keep, z.data, -np.inf).max(axis=1, keepdims=True)
     # masking inside exp keeps excluded (possibly huge) entries from overflowing
     e = np.exp((z.data - shift) * keep) * w
     s = e.sum(axis=1, keepdims=True)
-    zp = z.data[rows, pos]
-    pshift = zp.max(axis=1, keepdims=True)
-    ep = np.exp(zp - pshift)
-    sp = ep.sum(axis=1, keepdims=True)
 
     def vjp(g):
         d = e / s
-        np.add.at(d, (rows, pos), -(ep / sp))
+        d[rows, pos] -= 1.0
         return (d * (g / len(d)),)
 
-    return _make(((np.log(s) + shift) - (np.log(sp) + pshift)).mean(), (z,), vjp)
+    return _make(((np.log(s) + shift) - z.data[rows, pos][:, None]).mean(), (z,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,10 @@ def attention_bias(key_mask, causal=False, rows=None):
     bias = (key_mask[:, None, None, :] - 1.0) * 1e9
     if causal:
         s = key_mask.shape[1]
+        # -1e9 above the diagonal and -0.0 elsewhere; `rows` keeps one row each
         if rows is None:
-            tri = (np.triu(np.ones((s, s)), k=1) * -1e9)[None, None, :, :]
-        else:  # the triangle's rows, with its -1e9 above and -0.0 elsewhere
+            tri = ((np.arange(s) > np.arange(s)[:, None]) * -1e9)[None, None, :, :]
+        else:
             tri = ((np.arange(s) > rows[:, None]) * -1e9)[:, None, None, :]
         bias = bias + tri
     return bias

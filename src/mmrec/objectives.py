@@ -5,6 +5,7 @@ detection, and the corrupted-vs-original sequence contrast."""
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,8 @@ def pack_item_features(items, catalog_indices):
 class BatchContext:
     """Everything the losses read that depends on the batch alone:
     occurrence bookkeeping, the unique items' packed features, per-user
-    negative weights, transitions and, when nid or rcl is on, the
-    corruption."""
+    negative weights, transitions, the contrastive anchors (built on first
+    use) and, when nid or rcl is on, the corruption."""
 
     def __init__(self, cfg, batch):
         self.batch = batch
@@ -86,8 +87,42 @@ class BatchContext:
         # transitions: positions (u, l) whose successor (u, l+1) is real
         trans = real[:, :-1] & real[:, 1:]
         self.tr_u, self.tr_l = np.nonzero(trans)
+        self._anchors = {}
         if cfg.nid or cfg.rcl:
             self.corr_rows, self.labels = corrupt_batch(self, cfg)
+
+    def contrastive_anchors(self, variant):
+        """The `Anchors` of `contrastive_loss(..., variant)`, built on the
+        first call for each variant, so that repeated evaluations of the
+        batch reuse them. nicl anchors every transition, vcl and icl every
+        real position; each anchor gives a text row, then its vision row, of
+        the (2U, d) two-modality table."""
+        if variant not in self._anchors:
+            n, b = len(self.unique), self.B
+            a_u, a_l = (self.tr_u, self.tr_l) if variant == "nicl" else (self.occ_u, self.occ_l)
+            t_rows = self.pos_to_row[a_u, a_l]
+            rows = np.concatenate([t_rows, t_rows + n])
+            other = np.concatenate([t_rows + n, t_rows])  # same item, other modality
+            pos = [other]
+            if variant == "nicl":  # the next item's rows, other modality then own
+                t_next = self.pos_to_row[a_u, a_l + 1]
+                pos += [np.concatenate([t_next + n, t_next]), np.concatenate([t_next, t_next + n])]
+            self._anchors[variant] = Anchors(
+                rows * b + np.concatenate([a_u, a_u]), rows * (2 * n) + other,
+                rows[:, None] * (2 * n) + np.stack(pos, axis=1),
+                self.neg_weight.astype(np.float64))
+        return self._anchors[variant]
+
+
+class Anchors(NamedTuple):
+    """The anchor rows of one contrastive variant, as flat positions: of
+    (table row, user) in a (2U, B) array, and of (table row, other
+    modality's row) and (table row, each positive's row) in the (2U, 2U)
+    Gram matrix; and the (B, U) negative weights as floats."""
+    user_at: np.ndarray
+    other_at: np.ndarray
+    pos_at: np.ndarray
+    negatives: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +141,7 @@ def dap_loss(ctx, e, hiddens):
     nxt = ctx.pos_to_row[ctx.tr_u, ctx.tr_l + 1]
     w = ctx.neg_weight[ctx.tr_u]
     w[np.arange(len(nxt)), nxt] += 1
-    return ad.softmax_xent(z, w, nxt[:, None])
+    return ad.softmax_xent(z, w, nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +156,8 @@ def contrastive_loss(ctx, emb, variant):
     modalities) as positives and is averaged over transitions; vcl/icl
     average over all real positions. Negatives are the unique items,
     weighted as in `dap_loss`. Both directions (text anchors against
-    vision positives and the reverse) are rows of one product of the
-    anchors with the table of both modalities, and the loss is their mean.
+    vision positives and the reverse) are anchor rows of one table of both
+    modalities, and the loss is their mean.
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"unknown contrastive variant {variant!r}")
@@ -130,29 +165,55 @@ def contrastive_loss(ctx, emb, variant):
         raise ValueError("contrastive objectives need both modalities")
     if variant == "nicl" and len(ctx.tr_u) == 0:
         raise ValueError("nicl needs sequences of length >= 2")
-    if variant == "nicl":
-        a_u, a_l = ctx.tr_u, ctx.tr_l
-    else:
-        a_u, a_l = ctx.occ_u, ctx.occ_l
-    n_items = len(ctx.unique)
     # rows 0..U-1 hold the text embeddings, rows U..2U-1 the vision ones
     table = ad.l2_normalize(ad.concat([emb["t_cls"], emb["v_cls"]]))
-    t_rows = ctx.pos_to_row[a_u, a_l]
-    anchors = np.concatenate([t_rows, t_rows + n_items])  # text, then vision
-    other = np.concatenate([t_rows + n_items, t_rows])  # same item, other modality
-    z = ad.linear(ad.getitem(table, anchors), ad.transpose(table, (1, 0)))
-    neg = ctx.neg_weight[a_u]
-    intra = np.zeros_like(neg) if variant == "vcl" else neg
-    w = np.block([[intra, neg], [neg, intra]])
-    w[np.arange(len(anchors)), other] += 1
-    if variant == "nicl":
-        t_next = ctx.pos_to_row[a_u, a_l + 1]
-        v_next = t_next + n_items
-        pos = np.stack([other, np.concatenate([v_next, t_next]),
-                        np.concatenate([t_next, v_next])], axis=1)
-    else:
-        pos = other[:, None]
-    return ad.softmax_xent(z, w, pos)
+    return gram_xent(table, ctx.contrastive_anchors(variant), intra=variant != "vcl")
+
+
+def gram_xent(table, anchors, intra):
+    """The contrastive cross-entropy over the rows of the (2U, d) `table`
+    (text rows, then vision rows), as one node: the mean over the anchor
+    rows of `anchors` (`BatchContext.contrastive_anchors`), each with table
+    row a and user u, of
+
+        log(sum_c w_u[c] exp Z[a, c] + exp Z[a, other]) - log sum_p exp Z[a, p]
+
+    where Z = table table^T, `other` is the anchor item's row in the other
+    modality and p runs over the anchor's positives (a repeated one counts
+    twice). w_u holds u's negative weights on the other modality's half of
+    the columns and, with `intra`, on both halves.
+
+    Z and exp(Z) are computed once over the 2U unique rows; rows have norm
+    at most 1, so |Z| <= 1 and exp needs no shift. Every anchor's weighted
+    sum is read from one product of exp(Z)'s negative columns with the
+    (B, U) weights. The backward folds the anchors into one (2U, 2U)
+    gradient dZ and returns (dZ + dZ^T) table."""
+    t, n, w = table.data, len(table.data) // 2, anchors.negatives
+    e = t @ t.T
+    np.exp(e, out=e)
+    # each row's negative columns: the other half, plus its own with intra
+    f = e[:, :n] + e[:, n:] if intra else np.concatenate([e[:n, n:], e[n:, :n]])
+    e_other, e_pos = e.reshape(-1)[anchors.other_at], e.reshape(-1)[anchors.pos_at]
+    den = (f @ w.T).reshape(-1)[anchors.user_at] + e_other
+    num = e_pos.sum(axis=1)
+
+    def vjp(g):
+        q = g / (len(den) * den)  # d loss / d den
+        # the q of every (row, user) pair, times the weights
+        df = np.bincount(anchors.user_at, q, minlength=len(t) * len(w)).reshape(len(t), -1) @ w
+        # dz: d loss / d exp(Z), then d loss / d Z
+        if intra:
+            dz = np.empty_like(e)
+            dz[:, :n] = dz[:, n:] = df
+        else:
+            dz = np.zeros_like(e)
+            dz[:n, n:], dz[n:, :n] = df[:n], df[n:]
+        np.add.at(dz.reshape(-1), anchors.other_at, q)
+        np.add.at(dz.reshape(-1), anchors.pos_at, (-g / (len(den) * num))[:, None])
+        dz *= e
+        return (np.add(dz, dz.T, out=e) @ t,)  # e's last read is the line above
+
+    return ad._make((np.log(den) - np.log(num)).mean(), (table,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +321,7 @@ def nid_loss(corrupted_hiddens, labels, head):
     real = np.nonzero(labels != LABEL_PAD)
     h = ad.getitem(corrupted_hiddens, real)  # (n_real, d)
     logits = ad.relu(ad.linear(h, head["W"], head["b"]))
-    return ad.softmax_xent(logits, np.ones(logits.shape), labels[real][:, None])
+    return ad.softmax_xent(logits, np.ones(logits.shape), labels[real])
 
 
 def _pool(hiddens, mask, how):
@@ -281,7 +342,7 @@ def rcl_loss(original_hiddens, corrupted_hiddens, seq_mask, pooling):
     hu = _pool(original_hiddens, seq_mask, pooling)
     hc = _pool(corrupted_hiddens, seq_mask, pooling)
     scores = ad.linear(hu, ad.transpose(hc, (1, 0)))
-    return ad.softmax_xent(scores, np.ones((b, b)), np.arange(b)[:, None])
+    return ad.softmax_xent(scores, np.ones((b, b)), np.arange(b))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The nodes here (`exp`, `log`, `power`, `tanh`, `softmax`, `row_sum`,
 `tmean`, `sub`, `matmul`) have no caller in the library; the composites written with them
-are the oracles that the one-node `l2_normalize`, `softmax_xent` and
-`linear`, the transformer block's layer-norm and GELU pairs, and the
-objectives built on them are checked against.
+are the oracles that the one-node `l2_normalize`, `softmax_xent`,
+`objectives.gram_xent` and `linear`, the transformer block's layer-norm and
+GELU pairs, and the objectives built on them are checked against.
 `item_embeddings` is the per-part stack assembly that `encoders.run_stack`
-replaced.
+replaced, and `contrastive_loss` the per-anchor product that
+`objectives.gram_xent` replaced.
 """
 
 import functools
@@ -153,6 +154,35 @@ def softmax_xent(z, weights, positives):
     zp = ad.getitem(z, (rows, pos))
     return tmean(sub(masked_logsumexp(z, weights, axis=1),
                      masked_logsumexp(zp, np.ones(pos.shape), axis=1)))
+
+
+def contrastive_loss(ctx, emb, variant):
+    """`objectives.contrastive_loss` as a product of every anchor row with
+    the two-modality table: each anchor gathered per occurrence, an
+    (anchors, 2U) weight matrix and the anchors' positive columns into the
+    two-log-sum-exp cross-entropy above."""
+    if variant == "nicl":
+        a_u, a_l = ctx.tr_u, ctx.tr_l
+    else:
+        a_u, a_l = ctx.occ_u, ctx.occ_l
+    n_items = len(ctx.unique)
+    table = ad.l2_normalize(ad.concat([emb["t_cls"], emb["v_cls"]]))
+    t_rows = ctx.pos_to_row[a_u, a_l]
+    anchors = np.concatenate([t_rows, t_rows + n_items])  # text, then vision
+    other = np.concatenate([t_rows + n_items, t_rows])  # same item, other modality
+    z = ad.linear(ad.getitem(table, anchors), ad.transpose(table, (1, 0)))
+    neg = ctx.neg_weight[a_u]
+    intra = np.zeros_like(neg) if variant == "vcl" else neg
+    w = np.block([[intra, neg], [neg, intra]])
+    w[np.arange(len(anchors)), other] += 1
+    if variant == "nicl":
+        t_next = ctx.pos_to_row[a_u, a_l + 1]
+        v_next = t_next + n_items
+        pos = np.stack([other, np.concatenate([v_next, t_next]),
+                        np.concatenate([t_next, v_next])], axis=1)
+    else:
+        pos = other[:, None]
+    return softmax_xent(z, w, pos)
 
 
 def _prepend(row, parts, key_mask):

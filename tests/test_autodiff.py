@@ -79,7 +79,7 @@ def test_square_value_and_gradient():
 
 def test_uniform_softmax_cross_entropy():
     logits = Tensor(np.zeros((1, 3)), requires_grad=True)
-    loss = ad.softmax_xent(logits, np.ones((1, 3)), [[0]])
+    loss = ad.softmax_xent(logits, np.ones((1, 3)), [0])
     loss.backward()
     assert loss.item() == pytest.approx(np.log(3.0), abs=1e-12)
     np.testing.assert_allclose(logits.grad, [[1 / 3 - 1.0, 1 / 3, 1 / 3]], atol=1e-12)
@@ -141,7 +141,7 @@ def test_masked_logsumexp_ignores_huge_excluded_entries():
     # softmax_xent masks excluded entries before exp, so a huge excluded
     # score neither overflows nor receives gradient
     x = Tensor(np.array([[0.0, 1.0, 1e4]]), requires_grad=True)
-    out = ad.softmax_xent(x, np.array([[1.0, 1.0, 0.0]]), [[0]])
+    out = ad.softmax_xent(x, np.array([[1.0, 1.0, 0.0]]), [0])
     assert out.item() == pytest.approx(np.log(np.exp(0.0) + np.exp(1.0)), abs=1e-12)
     out.backward()
     assert x.grad[0, 2] == 0.0
@@ -215,7 +215,7 @@ def test_primitive_gradients_match_finite_differences():
         lambda x: ad.tsum(layer_norm(x, np.zeros((4, 5)), np.ones(5), np.zeros(5))),
         lambda x: ad.tsum(ad.l2_normalize(x)),
         lambda x: C.tmean(ad.mul(x, x), axis=0),
-        lambda x: ad.softmax_xent(x, np.ones((4, 5)), [[0], [1], [4], [4]]),
+        lambda x: ad.softmax_xent(x, np.ones((4, 5)), [0, 1, 4, 4]),
         lambda x: ad.tsum(ad.concat([x, ad.mul(x, 2.0)], axis=1)),
         lambda x: ad.tsum(ad.getitem(x, np.array([0, 1, 1, 2]))),
         lambda x: ad.tsum(ad.transpose(ad.reshape(x, (5, 4)), (1, 0))),
@@ -432,9 +432,10 @@ def test_attention_probabilities_do_not_depend_on_where_masked_keys_sit():
         assert not tail[..., n_real:].any() and not fused[..., ~real].any()
 
 
-# softmax_xent: positives include columns of weight 0 (as NICL's next items)
-# and repeat a column (as NICL does when the next item is the anchor's own)
-XENT_POSITIVES = np.array([[2, 1, 1], [2, 2, 4], [0, 1, 3], [1, 1, 1]])
+# softmax_xent: one positive per row, of weight 0 in rows 0 and 3 of the
+# masks below (the contrastive node's positives with several columns per
+# row are tested in test_objectives)
+XENT_POSITIVES = np.array([1, 2, 4, 0])
 
 
 def _scaled(fn):
@@ -461,11 +462,10 @@ def test_masked_logsumexp_matches_composite(scale_exp):
     x = rng.normal(size=(5, 6)) * 4 * 10.0**scale_exp
     weights = (rng.random(size=(5, 6)) < 0.6) * rng.integers(1, 4, size=(5, 6))
     weights[:, 0] = 1  # every row keeps an entry
-    positives = rng.integers(0, 6, size=(5, 3))
+    positives = rng.integers(0, 6, size=5)
     (got_v, (got_g,)), (want_v, (want_g,)) = [
-        forward_backward(_scaled(lambda t, f=f: f(t, weights, positives)),
-                         [Tensor(x.copy())])
-        for f in (ad.softmax_xent, C.softmax_xent)]
+        forward_backward(_scaled(lambda t, f=f, p=p: f(t, weights, p)), [Tensor(x.copy())])
+        for f, p in ((ad.softmax_xent, positives), (C.softmax_xent, positives[:, None]))]
     assert got_v.item() == pytest.approx(want_v.item(), rel=1e-12, abs=0)
     np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12 * np.abs(want_g).max())
 
@@ -490,20 +490,20 @@ def _old_masked_logsumexp_forward(x, mask, axis=-1):
     return np.log(e.sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-@pytest.mark.parametrize("repeats", [0, 1])
-def test_masked_logsumexp_01_forward_matches_old_bitwise(repeats):
+@pytest.mark.parametrize("pos_weight", [0, 1])
+def test_masked_logsumexp_01_forward_matches_old_bitwise(pos_weight):
     # with 0/1 weights, softmax_xent is the old masked log-sum-exp of the
-    # scores minus the one of the positives, averaged over rows; `repeats`
-    # extra copies of each row's first positive column
+    # scores minus the one of the positive, averaged over rows; each row's
+    # positive column has mask entry `pos_weight`
     rng = np.random.default_rng(22)
-    rows = np.arange(7)[:, None]
+    rows = np.arange(7)
     for _ in range(20):
         x = rng.normal(size=(7, 9)) * 5
         mask = (rng.random(size=(7, 9)) < 0.5).astype(np.float64)
+        pos = rng.integers(1, 9, size=7)
         mask[:, 0] = 1.0
-        pos = rng.integers(0, 9, size=(7, 2))
-        pos = np.concatenate([pos] + [pos[:, :1]] * repeats, axis=1)
-        lse_pos = _old_masked_logsumexp_forward(x[rows, pos], np.ones(pos.shape), axis=1)
+        mask[rows, pos] = pos_weight
+        lse_pos = _old_masked_logsumexp_forward(x[rows, pos][:, None], np.ones((7, 1)), axis=1)
         want = (_old_masked_logsumexp_forward(x, mask, axis=1) - lse_pos).mean()
         got = ad.softmax_xent(Tensor(x), mask, pos).data
         assert got.tobytes() == np.float64(want).tobytes()
@@ -515,7 +515,7 @@ def test_masked_logsumexp_weight_counts_repeated_entries():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(4, 3)) * 3
     w = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [0.0, 0.0, 2.0], [1.0, 1.0, 1.0]])
-    pos = np.array([[0], [2], [1], [1]])
+    pos = np.array([0, 2, 1, 1])
     repeated = np.repeat(x, 3, axis=1)  # column c at 3c, 3c + 1 and 3c + 2
     ones = np.concatenate([np.arange(3) < w[:, [c]] for c in range(3)], axis=1)
     got_v, (got_g,) = forward_backward(
@@ -531,6 +531,12 @@ def test_softmax_xent_is_one_node():
     x = Tensor(np.zeros((4, 5)), requires_grad=True)
     out = ad.softmax_xent(x, np.ones((4, 5)), XENT_POSITIVES)
     assert out.shape == () and out._parents == (x,)
+
+
+def test_softmax_xent_rejects_a_column_of_positives():
+    # an (R, 1) index would broadcast against the rows to (R, R)
+    with pytest.raises(ValueError, match="one positive per row"):
+        ad.softmax_xent(Tensor(np.zeros((4, 5))), np.ones((4, 5)), XENT_POSITIVES[:, None])
 
 
 def _with_small_row(seed):
@@ -629,7 +635,7 @@ PRIMITIVES = {
     "transpose": (lambda x: ad.transpose(x, (1, 0)), [(3, 4)]),
     "getitem": (lambda x: ad.getitem(x, np.array([2, 0, 2])), [(3, 4)]),
     "l2_normalize": (ad.l2_normalize, [(3, 4)]),
-    "softmax_xent": (lambda z: ad.softmax_xent(z, np.ones((3, 4)), [[0], [3], [3]]),
+    "softmax_xent": (lambda z: ad.softmax_xent(z, np.ones((3, 4)), [0, 3, 3]),
                      [(3, 4)]),
 }
 

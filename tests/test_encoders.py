@@ -304,6 +304,20 @@ def test_row_bias_is_the_triangle_row_bitwise():
     assert enc.attention_bias(key_mask, rows=rows).tobytes() == plain.tobytes()
 
 
+def test_causal_bias_is_the_triu_triangle_bitwise():
+    # the comparison triangle against `np.triu` of ones, signed zeros
+    # included, with every key real and with the last keys padded
+    for s in range(1, 13):
+        triu = (np.triu(np.ones((s, s)), k=1) * -1e9)[None, None, :, :]
+        for n_real in sorted({s, max(1, s - 3)}):
+            key_mask = np.zeros((2, s))
+            key_mask[:, :n_real] = 1.0
+            want = (key_mask[:, None, None, :] - 1.0) * 1e9 + triu
+            got = enc.attention_bias(key_mask, causal=True)
+            assert got.shape == (2, 1, s, s)
+            assert got.tobytes() == want.tobytes()
+
+
 def _full_row_fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
     """Fusion with every block run over all 1 + p + q rows, reading mm_cls
     off row 0: the reference for the row-restricted final block."""

@@ -62,3 +62,16 @@ def test_compare_reports_how_far_a_differing_gradient_moved(digests, tmp_path):
     move = float(lines[at + 1].rsplit(":", 1)[1])
     assert move == pytest.approx(1e-3, rel=1e-2)
     assert f"largest gradient move: {lines[at + 1].rsplit(':', 1)[1].strip()}" in result.stdout
+
+
+def test_digests_cover_every_contrastive_variant(digests):
+    # nicl is a part of the total; vcl and icl are written alone, each with
+    # its own gradients
+    report = json.loads(digests.read_text())["digests"]
+    seeds = sorted({k.split("/")[1] for k in report if k.startswith("loss/")})
+    assert len(seeds) == 3
+    for seed in seeds:
+        for variant in ("nicl", "vcl", "icl"):
+            assert f"loss/{seed}/{variant}" in report
+        for variant in ("vcl", "icl"):
+            assert any(k.startswith(f"grad/{variant}/{seed}/") for k in report)

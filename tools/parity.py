@@ -8,7 +8,8 @@ thread and writes the sha256 of:
 - `corr_rows` and `labels` of `corrupt_batch` on benchmark-config batches
   (B=64, L=12) at three shuffle/replace rate settings;
 - the `total_loss` value, its parts and every parameter gradient on three
-  transfer-config batches;
+  transfer-config batches, and the value and gradients of `vcl` and of
+  `icl` alone on each;
 - the parameters after five `AdamW.step`s on seeded gradients: with no
   clip, with a clip that is active, and with one parameter whose gradient
   is None;
@@ -101,11 +102,23 @@ def loss_digests(arrays):
         out[f"loss/{seed}/total"] = digest(np.float64(loss.item()))
         for name, value in parts.items():
             out[f"loss/{seed}/{name}"] = digest(np.float64(value))
-        for name, t in model.named_parameters():
-            if t.grad is not None:
-                out[f"grad/{seed}/{name}"] = digest(t.grad)
-                arrays[f"grad/{seed}/{name}"] = t.grad
+        grad_digests(model, f"grad/{seed}/", out, arrays)
+        # the contrastive variants that the total leaves out, each alone
+        for variant in ("vcl", "icl"):
+            model.zero_grad()
+            loss, _ = objectives.total_loss(model, batch, objectives.ObjectiveConfig(
+                dap=False, contrastive=variant, nid=False, rcl=False))
+            loss.backward()
+            out[f"loss/{seed}/{variant}"] = digest(np.float64(loss.item()))
+            grad_digests(model, f"grad/{variant}/{seed}/", out, arrays)
     return out
+
+
+def grad_digests(model, prefix, out, arrays):
+    for name, t in model.named_parameters():
+        if t.grad is not None:
+            out[prefix + name] = digest(t.grad)
+            arrays[prefix + name] = t.grad
 
 
 def adamw_digests():

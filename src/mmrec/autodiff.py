@@ -157,15 +157,20 @@ def _sum_rows(a, b=None):
             np.einsum("...i,...i->...", a, b))[..., None]
 
 
-def linear_forward(x, w, b=None):
-    """`x @ w + b` over the last axis of x: one GEMM over all leading axes.
+def linear_forward(x, w, b=None, out=None):
+    """`x @ w + b` over the last axis of x: one GEMM over all leading axes,
+    written into `out` when it is given (a C-contiguous array of the
+    result's shape).
 
     Whether a row's output has the same bits however many rows share the
     call depends on the widths. Measured with OpenBLAS 0.3.31 at one and two
     threads, over 2 to 1536 rows from 32- and 64-wide inputs: output widths
     16, 24, 32, 40, 48 and 64 keep them; 3, 9, 36 and 44 do not, nor 12 and
     20 from a 64-wide input. A one-row call takes another kernel."""
-    out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], -1)
+    if out is None:
+        out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], -1)
+    else:
+        np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, out.shape[-1]))
     if b is not None:
         out += b
     return out
@@ -187,14 +192,16 @@ def _heads(t, n_heads):  # (B, S, d) -> (B, h, S, dh)
 def attention_forward(q, k, v, bias, n_heads):
     """Multi-head scaled dot-product attention of (B, Sq, d) queries over
     (B, S, d) keys and values; Sq may be smaller than S. `bias` is a 4-D
-    additive mask broadcastable to (B, n_heads, Sq, S). Returns the output
-    and the softmax probabilities P. The softmax runs key-major, on
-    (S, B, h, Sq), so its max and sum over keys are elementwise sweeps and
-    the sum adds keys in key order: a masked key's exact 0 moves no bit."""
+    additive mask broadcastable to (B, n_heads, Sq, S), or None for none.
+    Returns the output and the softmax probabilities P. The softmax runs
+    key-major, on (S, B, h, Sq), so its max and sum over keys are
+    elementwise sweeps and the sum adds keys in key order: a masked key's
+    exact 0 moves no bit."""
     qh, kh, vh = (_heads(t, n_heads) for t in (q, k, v))
     z = np.multiply((qh @ kh.transpose(0, 1, 3, 2)).transpose(3, 0, 1, 2),
                     1.0 / math.sqrt(qh.shape[-1]), order="C")
-    z += bias.transpose(3, 0, 1, 2)
+    if bias is not None:
+        z += bias.transpose(3, 0, 1, 2)
     z -= np.maximum.reduce(z)
     np.exp(z, out=z)
     p = np.empty(qh.shape[:3] + z.shape[:1])

@@ -95,23 +95,22 @@ def init_stack(rng, cfg, n_blocks, **tables):
     return p
 
 
-def attention_bias(key_mask, causal=False, rows=None):
+def attention_bias(key_mask, causal=False, s=None):
     """Additive attention bias from a (B, S) 0/1 key mask.
 
     Returns (B, 1, 1, S), or with `causal` (B, 1, S, S) with the causal
-    triangle applied. `rows`, one query position per sequence, keeps only
-    that position's row of the triangle: (B, 1, 1, S).
+    triangle applied. A key mask of None stands for `s` keys that are all
+    real: the bias is then the triangle alone, (1, 1, s, s), or None.
     """
-    key_mask = np.asarray(key_mask, dtype=np.float64)
-    bias = (key_mask[:, None, None, :] - 1.0) * 1e9
-    if causal:
+    bias = None
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask, dtype=np.float64)
+        bias = (key_mask[:, None, None, :] - 1.0) * 1e9
         s = key_mask.shape[1]
-        # -1e9 above the diagonal and -0.0 elsewhere; `rows` keeps one row each
-        if rows is None:
-            tri = ((np.arange(s) > np.arange(s)[:, None]) * -1e9)[None, None, :, :]
-        else:
-            tri = ((np.arange(s) > rows[:, None]) * -1e9)[:, None, None, :]
-        bias = bias + tri
+    if causal:
+        # -1e9 above the diagonal and -0.0 elsewhere
+        tri = ((np.arange(s) > np.arange(s)[:, None]) * -1e9)[None, None, :, :]
+        bias = tri if bias is None else bias + tri
     return bias
 
 
@@ -120,21 +119,31 @@ BLOCK_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
                 "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
 
 
-def transformer_block(params, prefix, x, bias, n_heads, query=None):
+def transformer_block(params, prefix, x, bias, n_heads, query=None, projections=None):
     """Post-LN transformer layer: x = LN(x + MHA(x)); x = LN(x + FFN(x)).
 
     One autodiff node over the forward/backward pairs of `autodiff`; it
     keeps only the arrays its backward reads. `query`, a (B, Sq, d) subset
     of the rows of x, restricts the output to those rows: keys and values
     still come from all of x, and `bias` must then be broadcastable to
-    (B, n_heads, Sq, S).
+    (B, n_heads, Sq, S). `projections`, only under `no_grad`, are the
+    block's input projections (q, k, v) of the query rows and of x, biases
+    included, in place of the products the block would compute; a q of None
+    is computed from the query rows.
     """
     weights = [params[prefix + name] for name in BLOCK_PARAMS]
     w = {name: t.data for name, t in zip(BLOCK_PARAMS, weights)}
     xs = x.data
     qs = xs if query is None else query.data
-    q = ad.linear_forward(qs, w["wq"], w["bq"])
-    k, v = ad.linear_forward(xs, w["wk"]), ad.linear_forward(xs, w["wv"], w["bv"])
+    if projections is None:
+        q = None
+        k, v = ad.linear_forward(xs, w["wk"]), ad.linear_forward(xs, w["wv"], w["bv"])
+    elif ad.grad_enabled():
+        raise ValueError("a block takes given projections only under no_grad")
+    else:
+        q, k, v = projections
+    if q is None:
+        q = ad.linear_forward(qs, w["wq"], w["bq"])
     a, p = ad.attention_forward(q, k, v, bias, n_heads)
     h, ln1 = ad.layer_norm_forward(qs, ad.linear_forward(a, w["wo"], w["bo"]),
                                    w["ln1_g"], w["ln1_b"])
@@ -166,49 +175,62 @@ def transformer_block(params, prefix, x, bias, n_heads, query=None):
     return ad._make(out, (*inputs, *weights), vjp)
 
 
-def run_blocks(params, n_blocks, x, key_mask, n_heads, causal=False, rows=None):
+def run_blocks(params, n_blocks, x, key_mask, n_heads, causal=False, rows=None,
+               projections=None):
     """Run blocks b0..b{n_blocks-1} over x (B, S, d), with the (B, S) 0/1
-    `key_mask` and `causal` of `attention_bias`.
+    `key_mask` (or None) and `causal` of `attention_bias`. `projections`
+    are block 0's, as `transformer_block` takes them.
 
     `rows`, one (B,) position per sequence, restricts the final block to
-    those rows: its keys and values still span all of x, a causal bias is
-    built for each query's row alone, and the result is (B, d), or those
-    rows of x when there are no blocks.
+    those rows: its keys and values still span all of x, and the result is
+    (B, d), or those rows of x when there are no blocks. With `causal`, each
+    row must be its sequence's last real key: every later key is masked,
+    so the key mask alone is that row of the triangle.
     """
     full = n_blocks if rows is None else n_blocks - 1
     if full > 0:
-        bias = attention_bias(key_mask, causal)
+        bias = attention_bias(key_mask, causal, x.shape[1])
         for i in range(full):
-            x = transformer_block(params, f"b{i}.", x, bias, n_heads)
+            x = transformer_block(params, f"b{i}.", x, bias, n_heads,
+                                  projections=None if i else projections)
     if rows is None:
         return x
     b = np.arange(x.shape[0])
     if n_blocks == 0:
         return ad.getitem(x, (b, rows))
     query = ad.getitem(x, (b[:, None], rows[:, None]))  # (B, 1, d)
-    h = transformer_block(params, f"b{n_blocks - 1}.", x,
-                          attention_bias(key_mask, causal, rows), n_heads, query=query)
+    h = transformer_block(params, f"b{n_blocks - 1}.", x, attention_bias(key_mask),
+                          n_heads, query=query, projections=None if full else projections)
     return ad.reshape(h, (x.shape[0], x.shape[2]))
 
 
 def run_stack(params, cfg, n_blocks, parts, key_mask, head=None, causal=False,
-              rows=None):
+              rows=None, projections=None):
     """Run one stack over the (B, S_i, d) `parts`, concatenated along S.
 
     The learned (d,) row `params[head]`, if named, goes first and is always
     a key; the (B, S) 0/1 `key_mask` masks the rest. A `pos` table in
-    `params` adds its first rows to the whole input once, head included.
-    `causal` and `rows` are those of `attention_bias` and `run_blocks`.
+    `params` adds its first rows to the whole input once, head included,
+    or only to `rows` when the blocks read no other row of the input.
+    `causal`, `rows` and `projections` are those of `run_blocks`.
     """
-    b = key_mask.shape[0]
+    b = len(parts[0].data)
     if head is not None:
         row = ad.reshape(params[head], (1, 1, cfg.d))
         parts = [ad.add(row, np.zeros((b, 1, cfg.d))), *parts]
         key_mask = np.concatenate([np.ones((b, 1)), key_mask], axis=1)
     x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+    if rows is not None and projections is not None and n_blocks == 1:
+        # the one block's keys and values are given, so it reads its input
+        # only at `rows`: only those are gathered and positioned
+        x = ad.getitem(x, (np.arange(b)[:, None], rows[:, None]))
+        pos, rows = rows[:, None], np.zeros_like(rows)
+    else:
+        pos = slice(0, x.data.shape[1])
     if "pos" in params:
-        x = ad.add(x, ad.getitem(params["pos"], slice(0, x.shape[1])))
-    return run_blocks(params, n_blocks, x, key_mask, cfg.n_heads, causal, rows)
+        x = ad.add(x, ad.getitem(params["pos"], pos))
+    return run_blocks(params, n_blocks, x, key_mask, cfg.n_heads, causal, rows,
+                      projections)
 
 
 def encode_text(params, cfg, token_ids, pad_mask):
@@ -257,17 +279,45 @@ def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
                      key_mask, head="mm_cls", rows=rows)
 
 
-def encode_sequence(params, cfg, item_reps, seq_mask, last=False):
+def first_block_projections(params, cfg, x=None, out=None):
+    """The user encoder's block-0 input projections of the (n, d) rows x
+    without biases, or with x None of the position table with biases, as
+    `transformer_block` takes them: (q, k, v), each (n, d), with q None when
+    block 0 is the final block and so projects only the query rows of a
+    last-position pass (`user_blocks` 1); None when there is no block. With
+    `out`, a (3, n, d) array, each is written into its row of `out`. As
+    (r + p) W + b = r W + (p W + b), the projections of item r at position
+    l are, up to rounding, the sum of the item's row and the position's."""
+    if cfg.user_blocks == 0:
+        return None
+    biases = x is None
+    if biases:
+        x = params["pos"].data
+    return tuple(
+        None if c == "q" and cfg.user_blocks == 1 else ad.linear_forward(
+            x, params[f"b0.w{c}"].data,
+            params[f"b0.b{c}"].data if biases and c != "k" else None,  # no key bias
+            None if out is None else out[i])
+        for i, c in enumerate("qkv"))
+
+
+def encode_sequence(params, cfg, item_reps, seq_mask, last=False, projections=None):
     """Run causally masked self-attention over (B, L, d) item representations.
 
     Position l attends only to positions <= l; padded positions are masked
-    as keys. Returns per-position hiddens (B, L, d); values at padded
-    positions are meaningless and must stay masked downstream.
+    as keys, and a `seq_mask` of None has none. Returns per-position hiddens
+    (B, L, d); values at padded positions are meaningless and must stay
+    masked downstream.
 
     With `last=True` only each row's last real position (mask sum - 1;
     real positions must come first) is computed through the final block,
     whose keys and values still span all positions, and the result is
     (B, d).
+
+    `projections`, only under `no_grad`, are block 0's input projections
+    of the (B, L) positions, positions included, in the form
+    `first_block_projections` gives them; the read path assembles them from
+    per-item and per-position rows instead of projecting every occurrence.
     """
     if item_reps.shape[-1] != cfg.d:
         raise ValueError(
@@ -277,7 +327,12 @@ def encode_sequence(params, cfg, item_reps, seq_mask, last=False):
     length = item_reps.shape[1]
     if length > cfg.L_max:
         raise ValueError(f"sequence length {length} exceeds L_max={cfg.L_max}")
-    seq_mask = np.asarray(seq_mask, dtype=np.float64)
-    rows = seq_mask.sum(axis=1).astype(np.int64) - 1 if last else None
+    if not last:
+        rows = None
+    elif seq_mask is None:
+        rows = np.full(item_reps.shape[0], length - 1)
+    else:
+        seq_mask = np.asarray(seq_mask, dtype=np.float64)
+        rows = seq_mask.sum(axis=1).astype(np.int64) - 1
     return run_stack(params, cfg, cfg.user_blocks, [item_reps], seq_mask, causal=True,
-                     rows=rows)
+                     rows=rows, projections=projections)

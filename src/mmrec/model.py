@@ -104,9 +104,12 @@ class RecModel:
         return enc.fuse(self.groups["fusion"], self.cfg, text_hiddens,
                         vision_hiddens, text_mask)
 
-    def encode_sequence(self, item_reps, seq_mask, last=False):
+    def encode_sequence(self, item_reps, seq_mask, last=False, projections=None):
         return enc.encode_sequence(self.groups["user_encoder"], self.cfg,
-                                   item_reps, seq_mask, last)
+                                   item_reps, seq_mask, last, projections)
+
+    def first_block_projections(self, x=None, out=None):
+        return enc.first_block_projections(self.groups["user_encoder"], self.cfg, x, out)
 
     def item_embeddings(self, token_ids, pad_mask, patches):
         """Encode a batch of items into their modality embeddings.

@@ -8,6 +8,7 @@ models produce byte-identical files.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import fields
@@ -15,7 +16,6 @@ from dataclasses import fields
 import numpy as np
 
 from . import autodiff as ad
-from . import data
 from . import objectives
 from .encoders import ModelConfig
 from .model import RecModel
@@ -23,7 +23,7 @@ from .model import RecModel
 MAGIC = b"MMRB0001"
 FORMAT_VERSION = 1
 INDEX_CHUNK = 256  # items encoded per forward in build_item_index
-PREFIX_CHUNK = 128  # prefixes encoded per forward in encode_prefixes
+PREFIX_CHUNK = 256  # most prefixes encoded per forward in encode_prefixes
 
 TRANSFER_MODES = ("full", "item_encoders", "user_encoder", "text_only", "vision_only")
 
@@ -191,15 +191,24 @@ def _load_group(group, gname, arrays):
 class ItemIndex:
     """Cached per-item representations for full-catalog scoring.
 
+    `reps` holds each item's representation. `projections` holds the user
+    encoder's block-0 input projections of `reps`, without positions or
+    biases (`encoders.first_block_projections`), so that the read path
+    projects each item once and not at every occurrence. It is None for a
+    user encoder without blocks, and for an index made from `reps` alone,
+    whose projections `encode_prefixes` computes on each call. An index
+    serves the model that built it.
+
     `rows` maps catalog ids to index rows through a table over
     [min id, max id] with -1 in each gap. The table is built only when its
     span is at most `reps.size`, so it never outgrows the representations;
     a catalog with sparser ids is mapped by `np.searchsorted` over the
     sorted ids instead."""
 
-    def __init__(self, order, reps):
+    def __init__(self, order, reps, projections=None):
         self.order = order  # catalog indices, sorted
         self.reps = reps  # (n_items, d)
+        self.projections = projections  # (q or None, k, v), each (n_items, d)
         self.row_of = {c: r for r, c in enumerate(order)}  # for bench/ and tests
         self._sorted = np.asarray(order, dtype=np.int64)
         self._table = None
@@ -226,19 +235,29 @@ class ItemIndex:
 
 
 def build_item_index(model, items):
-    """Encode every catalog item once (no gradients) into a new index."""
+    """Encode every catalog item once (no gradients) into a new index, with
+    its block-0 projections."""
     if not items:
         raise ValueError("catalog is empty")
     order = sorted(items)
-    reps = np.zeros((len(order), model.cfg.d))
+    # All that the index keeps is allocated before the encoders' scratch
+    # arrays: glibc can keep freed memory resident below a later allocation.
+    # One buffer holds reps, then block 0's (q, k, v) projections of them.
+    table = np.empty((4, len(order), model.cfg.d))
+    index = ItemIndex(order, table[0])
     with ad.no_grad():
         for start in range(0, len(order), INDEX_CHUNK):
             part = order[start : start + INDEX_CHUNK]
             ids, mask, patches = objectives.pack_item_features(items, part)
             emb = model.item_embeddings(ids, mask, patches)
-            reps[start : start + len(part)] = emb["e_cls"].data
-    reps.flags.writeable = False  # shared by every user of the cached index
-    return ItemIndex(order, reps)
+            table[0, start : start + len(part)] = emb["e_cls"].data
+    projections = model.first_block_projections(table[0], out=table[1:])
+    table.flags.writeable = False  # shared by every user of the cached index
+    index.reps = table[0]  # views taken after that are read-only too
+    if projections is not None:
+        index.projections = tuple(None if p is None else t
+                                  for t, p in zip(table[1:], projections))
+    return index
 
 
 def item_index(model, items):
@@ -259,27 +278,67 @@ def item_index(model, items):
 
 
 def encode_prefixes(model, prefixes, items, index, L_max):
-    """Last-position user states for a list of prefix sequences, each cut to
-    its last `L_max` items; (n, d). `items` is unused: the states read only
-    `index`. An `L_max` above the model's is a ValueError."""
+    """Last-position user states for a list of non-empty prefix sequences,
+    each cut to its last `L_max` items; (n, d). `items` is unused: the
+    states read only `index` and the model's user encoder. An `L_max` below
+    1 or above the model's, or an empty prefix, is a ValueError.
+
+    The prefixes are grouped by their cut length, in a stable order, and
+    each length is encoded without padding in blocks of at most
+    `PREFIX_CHUNK` rows and never one (a lone prefix is encoded twice): a
+    one-row product takes another BLAS kernel. Block 0's keys and values
+    (and its queries, when it is a full block) are the index's per-item
+    projections plus the position table's, gathered by row. A state is then
+    a function of its own prefix, whatever the other prefixes, their order
+    or the block size."""
     if L_max > model.cfg.L_max:
         raise ValueError(f"L_max={L_max} exceeds the model's "
                          f"L_max={model.cfg.L_max}")
-    part = [p if len(p) <= L_max else p[-L_max:] for p in prefixes]
-    ids, mask = data.pad(part, index.order[0])  # padding maps to row 0
+    if L_max < 1:
+        raise ValueError(f"L_max={L_max} must be positive")
+    full = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
+    if not full.all():
+        raise ValueError(f"prefix {int(np.argmin(full))} is empty")
+    ids = np.fromiter(itertools.chain.from_iterable(prefixes), dtype=np.int64,
+                      count=int(full.sum()))
+    lengths = np.minimum(full, L_max)
+    if (full > L_max).any():  # drop the heads before their ids are mapped
+        ids = ids[np.arange(len(ids)) >= np.repeat(np.cumsum(full) - lengths, full)]
     rows = index.rows(ids, "prefix")
-    lengths = np.fromiter(map(len, part), dtype=np.int64, count=len(part))
+    starts = np.cumsum(lengths) - lengths
+    items_part = index.projections
+    if items_part is None:
+        items_part = model.first_block_projections(index.reps)
+    pos_part = model.first_block_projections()
+    order = np.argsort(lengths, kind="stable")
     out = np.zeros((len(prefixes), model.cfg.d))
     with ad.no_grad():
-        for start in range(0, len(prefixes), PREFIX_CHUNK):
-            stop = start + PREFIX_CHUNK
-            # each chunk keeps only its own width: the attention sums over
-            # keys round differently at other widths
-            width = lengths[start:stop].max()
-            h = model.encode_sequence(ad.Tensor(index.reps[rows[start:stop, :width]]),
-                                      mask[start:stop, :width], last=True)
-            out[start:stop] = h.data
+        for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+            if not len(group):  # no prefixes at all
+                break
+            length = int(lengths[group[0]])
+            n_blocks = max(1, min(math.ceil(len(group) / PREFIX_CHUNK), len(group) // 2))
+            for block in np.array_split(np.repeat(group, 2) if len(group) == 1 else group,
+                                        n_blocks):
+                block_rows = rows[starts[block][:, None] + np.arange(length)]
+                out[block] = _encode_rows(model, index.reps, block_rows, items_part,
+                                          pos_part)
     return out
+
+
+def _encode_rows(model, reps, rows, items_part, pos_part):
+    """Last-position states of the sequences of index rows `rows` (n, L),
+    with block 0's projections gathered from `items_part` and `pos_part`.
+    Its arrays are freed on return, before the next block gathers its own."""
+    projections = None
+    if items_part is not None:
+        projections = [None] * 3
+        for i, (table, add) in enumerate(zip(items_part, pos_part)):
+            if table is not None:
+                projections[i] = table.take(rows, axis=0)
+                projections[i] += add[: rows.shape[1]]
+    return model.encode_sequence(ad.Tensor(reps.take(rows, axis=0)), None, last=True,
+                                 projections=projections).data
 
 
 def predict_scores(model, prefix, items):

@@ -262,7 +262,7 @@ def test_block_is_one_node(model):
 @pytest.mark.parametrize("query", [False, True], ids=["all_rows", "query_rows"])
 def test_gradient_check_block_node(query):
     # padded keys and a causal bias; with `query`, the node over each
-    # sequence's last real row, its bias that row of the triangle
+    # sequence's last real row, whose bias is the key mask alone
     rng = np.random.default_rng(40)
     params = enc.init_block(rng, 8, 2, "b0.")
     for t in params.values():  # move gains and biases off their 1/0 init
@@ -271,8 +271,7 @@ def test_gradient_check_block_node(query):
     key_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]])
     last = key_mask.sum(axis=1) - 1
     b = np.arange(3)
-    rows = last if query else None
-    bias = enc.attention_bias(key_mask, causal=True, rows=rows)
+    bias = enc.attention_bias(key_mask, causal=not query)
     weights = rng.normal(size=(3, 1 if query else 5, 8))
 
     def block():
@@ -289,19 +288,20 @@ def test_gradient_check_block_node(query):
         assert ad.relative_error(t.grad.reshape(-1), numeric) <= 1e-4, name
 
 
-def test_row_bias_is_the_triangle_row_bitwise():
-    # each query's row built alone is the row gathered from the whole causal
-    # bias, -2e9 where the key mask and the triangle both apply
+def test_last_rows_key_mask_is_their_causal_row_bitwise():
+    # a query at its sequence's last real key gets the same attention from
+    # the key mask alone as from its row of the causal bias, where the key
+    # mask and the triangle both give -2e9
+    rng = np.random.default_rng(41)
     key_mask = np.array([[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0]])
-    b = np.arange(3)
-    for rows in (key_mask.sum(axis=1) - 1, np.array([0, 5, 3]), np.array([5, 0, 0])):
-        got = enc.attention_bias(key_mask, causal=True, rows=rows)
-        want = enc.attention_bias(key_mask, causal=True)[b, :, rows][:, :, None]
-        assert got.shape == (3, 1, 1, 6)
-        assert got.tobytes() == want.tobytes()
-        assert (got == -2e9).any()
-    plain = enc.attention_bias(key_mask)
-    assert enc.attention_bias(key_mask, rows=rows).tobytes() == plain.tobytes()
+    last = key_mask.sum(axis=1) - 1
+    row = enc.attention_bias(key_mask, causal=True)[np.arange(3), :, last][:, :, None]
+    assert (row == -2e9).any()
+    q, k, v = rng.normal(size=(3, 1, 8)), rng.normal(size=(3, 6, 8)), rng.normal(size=(3, 6, 8))
+    got = ad.attention_forward(q, k, v, enc.attention_bias(key_mask), 2)
+    want = ad.attention_forward(q, k, v, row, 2)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_causal_bias_is_the_triu_triangle_bitwise():
@@ -539,3 +539,38 @@ def test_encode_prefixes_matches_full_path_with_truncation(blocks):
         with ad.no_grad():
             full = model.encode_sequence(reps, np.ones((1, len(kept)))).data
         np.testing.assert_allclose(state, full[0, -1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_index_projections_give_the_states_of_projecting_each_call(blocks):
+    # an index built from the model stores block 0's item projections (the
+    # queries too with 2 blocks); one made from reps alone projects them on
+    # each call
+    from mmrec import transfer
+    from mmrec.data import ItemRecord
+
+    model = _model_with_blocks(blocks)
+    rng = np.random.default_rng(20 + blocks)
+    items = {i: ItemRecord(i, rng.integers(1, 20, size=3).tolist(),
+                           rng.normal(size=(4, 4))) for i in range(9)}
+    index = transfer.build_item_index(model, items)
+    assert (index.projections is None) == (blocks == 0)
+    if blocks:
+        assert (index.projections[0] is None) == (blocks == 1)
+    bare = transfer.ItemIndex(index.order, index.reps)
+    prefixes = [rng.integers(0, 9, size=n).tolist() for n in (1, 3, 3, 6, 8)]
+    got = transfer.encode_prefixes(model, prefixes, items, index, 6)
+    want = transfer.encode_prefixes(model, prefixes, items, bare, 6)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_takes_given_projections_only_without_gradients(model):
+    params = model.groups["user_encoder"]
+    x = ad.Tensor(np.zeros((2, 3, 8)))
+    projections = (None, np.zeros((2, 3, 8)), np.zeros((2, 3, 8)))
+    bias = enc.attention_bias(None, causal=True, s=3)
+    with pytest.raises(ValueError, match="only under no_grad"):
+        enc.transformer_block(params, "b0.", x, bias, 2, projections=projections)
+    with ad.no_grad():
+        out = enc.transformer_block(params, "b0.", x, bias, 2, projections=projections)
+    assert out.shape == (2, 3, 8) and not out.requires_grad

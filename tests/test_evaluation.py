@@ -431,7 +431,7 @@ def test_evaluate_rejects_a_non_finite_user_state():
     the screen never drops it, even with a cap below the catalog size."""
 
     class NanState(OracleModel):
-        def encode_sequence(self, reps, mask, last=False):
+        def encode_sequence(self, reps, mask, last=False, projections=None):
             h = _states(np.roll(reps.data, 1, axis=-1), mask, last).data
             h[0] = np.nan
             return ad.Tensor(h)
@@ -612,20 +612,25 @@ class OracleModel:
     def named_parameters(self):
         return iter(())
 
+    def first_block_projections(self, x=None, out=None):
+        return None  # no user blocks
+
     def item_embeddings(self, ids, mask, patches):
         reps = np.zeros((ids.shape[0], self.n))
         reps[np.arange(ids.shape[0]), ids[:, 0] - 1] = 1.0
         return {"e_cls": ad.Tensor(reps)}
 
-    def encode_sequence(self, reps, mask, last=False):
+    def encode_sequence(self, reps, mask, last=False, projections=None):
         return _states(np.roll(reps.data, 1, axis=-1), mask, last)
 
 
 def _states(h, mask, last):
     """Per-position states (B, L, n), or with `last` each row's state at its
-    last real position (B, n), as `RecModel.encode_sequence` returns."""
+    last real position (B, n), as `RecModel.encode_sequence` returns; a
+    mask of None has every position real."""
     if last:
-        h = h[np.arange(len(h)), mask.sum(axis=1).astype(np.int64) - 1]
+        length = h.shape[1] if mask is None else mask.sum(axis=1).astype(np.int64)
+        h = h[np.arange(len(h)), length - 1]
     return ad.Tensor(h)
 
 
@@ -653,7 +658,7 @@ def test_anti_oracle_model_never_hits():
     split = oracle_split()
 
     class AntiOracle(OracleModel):
-        def encode_sequence(self, reps, mask, last=False):
+        def encode_sequence(self, reps, mask, last=False, projections=None):
             return _states(np.roll(reps.data, 3, axis=-1), mask, last)  # wrong successor
 
     report = evaluate(AntiOracle(6), split, phase="test", ks=(1,))

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from mmrec import autodiff as ad
 from mmrec import transfer as tr
-from mmrec.data import ItemRecord, pad
+from mmrec.data import (ItemRecord, SyntheticConfig, filter_and_split,
+                        generate_synthetic)
 from mmrec.encoders import ModelConfig
+from mmrec.evaluation import evaluate
 from mmrec.gradcheck import random_batch, small_config
 from mmrec.model import RecModel
 from mmrec.transfer import (LOADED_GROUPS, MODE_MODALITY, TRANSFER_MODES,
@@ -404,6 +406,17 @@ def test_index_matches_unchunked_encoding(model, items, monkeypatch):
     assert a.order == sorted(items)
 
 
+def test_index_holds_read_only_projections_of_its_reps(model, items):
+    index = build_item_index(model, items)
+    q, k, v = index.projections
+    assert q is None  # one user block: its queries come from the query rows
+    params = model.groups["user_encoder"]
+    for table, name in ((k, "b0.wk"), (v, "b0.wv")):
+        assert table.tobytes() == ad.linear_forward(index.reps, params[name].data).tobytes()
+    for table in (index.reps, k, v):
+        assert not table.flags.writeable
+
+
 def test_predict_rejects_empty_inputs(model, items):
     with pytest.raises(ValueError, match="prefix"):
         predict_scores(model, [], items)
@@ -489,42 +502,67 @@ def test_item_index_rows_match_a_sorted_search(order, d, table):
             index.rows(ids, "target")
 
 
-def per_chunk_states(model, prefixes, index, L_max, chunk):
-    """`encode_prefixes` as a loop that cuts, pads and maps each chunk of
-    `chunk` prefixes on its own, to that chunk's longest prefix."""
-    out = np.zeros((len(prefixes), model.cfg.d))
-    with ad.no_grad():
-        for start in range(0, len(prefixes), chunk):
-            part = [p[-L_max:] for p in prefixes[start : start + chunk]]
-            ids, mask = pad(part, index.order[0])
-            rows = searchsorted_rows(index.order, ids, "prefix")
-            h = model.encode_sequence(ad.Tensor(index.reps[rows]), mask, last=True)
-            out[start : start + len(part)] = h.data
-    return out
+def transfer_config():
+    return ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8,
+                       q=4, patch_dim=6, text_blocks=1, vision_blocks=1,
+                       fusion_blocks=1, user_blocks=1, L_max=12)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 128])
-def test_encode_prefixes_matches_the_per_chunk_loop_bitwise(chunk, monkeypatch):
-    """Each chunk keeps the width of its own longest prefix: padding a chunk
-    of short prefixes to the widest moves the last bits of its states. The
-    softmax's sum over keys adds a padded key's exact 0 without effect, but
-    the one-row products over the keys (the scores, and P @ V) take BLAS
-    kernels whose rounding depends on the number of keys."""
-    cfg = ModelConfig(d=32, n_heads=4, ffn_mult=2, vocab_size=100, p_max=8,
-                      q=4, patch_dim=6, text_blocks=1, vision_blocks=1,
-                      fusion_blocks=1, user_blocks=1, L_max=12)
+@pytest.mark.parametrize("chunk", [1, 3, 128, 256])
+def test_encode_prefixes_states_are_invariant_to_chunk_and_order(chunk, monkeypatch):
+    """Each prefix is encoded at its own length, in blocks of two or more
+    rows, so its state has the same bits whatever the block size and
+    whatever the order of the other prefixes."""
+    cfg = transfer_config()
     model = RecModel.init(cfg, seed=5)
     rng = np.random.default_rng(5)
     items = {i: ItemRecord(i, rng.integers(1, 100, size=4).tolist(),
                            rng.normal(size=(4, 6))) for i in range(0, 80, 2)}
     index = build_item_index(model, items)
-    # the first 129 prefixes hold at most 7 items, the rest up to 15
-    prefixes = [rng.choice(index.order, size=rng.integers(1, 8 if n < 129 else 16)).tolist()
-                for n in range(300)]
+    # 2 to 15 items, so some are cut, and one lone prefix of length 1
+    prefixes = [rng.choice(index.order, size=rng.integers(2, 16)).tolist()
+                for _ in range(300)]
+    prefixes[7] = [index.order[3]]
+    want = tr.encode_prefixes(model, prefixes, items, index, cfg.L_max)
     monkeypatch.setattr(tr, "PREFIX_CHUNK", chunk)
-    got = tr.encode_prefixes(model, prefixes, items, index, cfg.L_max)
-    want = per_chunk_states(model, prefixes, index, cfg.L_max, chunk)
-    assert got.tobytes() == want.tobytes()
+    assert tr.encode_prefixes(model, prefixes, items, index, cfg.L_max).tobytes() == \
+        want.tobytes()
+    perm = rng.permutation(len(prefixes))
+    got = tr.encode_prefixes(model, [prefixes[i] for i in perm], items, index, cfg.L_max)
+    assert got.tobytes() == want[perm].tobytes()
+
+
+def test_lone_prefix_state_is_its_state_among_5000(monkeypatch):
+    """The state `predict_scores` encodes for one prefix has the bits of the
+    state `evaluate` ranks for it among 5000 others."""
+    split = filter_and_split(generate_synthetic(SyntheticConfig(
+        n_users=5000, n_users_target=500, n_items=2000, n_latent_styles=4,
+        n_slots=4, transition_noise=0.1, L_min=8, L_max=12, vocab_size=100,
+        p_min=4, p_max=8, q=4, patch_dim=6, seed=24))[0], min_interactions=5)
+    model = RecModel.init(transfer_config(), seed=24)
+    states, encode = [], tr.encode_prefixes
+    monkeypatch.setattr(tr, "encode_prefixes",
+                        lambda *args: states.append(encode(*args)) or states[-1])
+    evaluate(model, split, phase="valid")
+    (batched,) = states
+    assert len(batched) == len(split.train) > 4900
+    lengths = [len(seq) for seq in split.train]
+    # the first user of each length, then a spread of others
+    users = sorted({lengths.index(n) for n in set(lengths)} | set(range(0, 5000, 250)))
+    for u in users:
+        predict_scores(model, split.train[u], split.items)
+        assert states.pop()[0].tobytes() == batched[u].tobytes(), u
+
+
+@pytest.mark.parametrize("prefixes, L_max, message", [
+    ([[0, 1], [], [2]], 4, "prefix 1 is empty"),
+    ([[], []], 4, "prefix 0 is empty"),
+    ([[0, 1]], 0, "L_max=0 must be positive"),
+    ([[0, 1]], -1, "L_max=-1 must be positive"),
+], ids=["empty_among_others", "only_empty", "l_max_0", "l_max_negative"])
+def test_encode_prefixes_rejects_bad_input(model, items, prefixes, L_max, message):
+    with pytest.raises(ValueError, match=message):
+        tr.encode_prefixes(model, prefixes, items, build_item_index(model, items), L_max)
 
 
 def test_encode_prefixes_matches_full_path_at_transfer_scale():

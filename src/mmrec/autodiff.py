@@ -349,33 +349,31 @@ def transpose(x, axes):
 
 
 def getitem(x, index):
-    """Basic slicing / integer-array indexing with scatter-add gradient. The
-    scatter adds into `x.grad` in place, in index order, with the bits of
-    `np.add.at`, and returns None. A basic index (ints and slices) adds into
-    its one view of the gradient; an index of integer arrays alone, into a
-    gradient not yet written, is one `np.bincount` over the flat positions;
-    any other index, or one into a held gradient, uses `np.add.at`."""
+    """Basic slicing or integer-array indexing, with a scatter-add gradient:
+    the vjp returns a new array of x's shape with the bits of `np.add.at`
+    into zeros. A basic index (ints and slices) adds the incoming gradient
+    into its one view of that array; an index of integer arrays alone is one
+    `np.bincount` over the flat positions. Any other index, such as arrays
+    mixed with ints or slices, is a ValueError."""
     x = as_tensor(x)
+    parts = index if isinstance(index, tuple) else (index,)
+    arrays = all(isinstance(i, np.ndarray) and i.dtype.kind in "iu" for i in parts)
+    if not (arrays or all(isinstance(i, (int, np.integer, slice)) for i in parts)):
+        raise ValueError("getitem takes ints and slices, or integer arrays alone, "
+                         f"not {index!r}")
 
     def vjp(g):
-        parts = index if isinstance(index, tuple) else (index,)
-        if x.grad is None and all(isinstance(i, np.ndarray) and i.dtype.kind in "iu"
-                                  for i in parts):
-            # the forward bounds-checked the index, so wrapping only maps the
-            # negative entries, as numpy indexing does
-            rows = np.ravel_multi_index(parts, x.shape[:len(parts)], mode="wrap")
-            width = math.prod(x.shape[len(parts):])
-            flat = (rows.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-            x.grad = np.bincount(flat, weights=g.reshape(-1),
-                                 minlength=x.data.size).reshape(x.shape)
-            return (None,)
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        if any(isinstance(i, (np.ndarray, list)) for i in parts):
-            np.add.at(x.grad, index, g)
-        else:
-            x.grad[index] += g
-        return (None,)
+        if not arrays:
+            dx = np.zeros_like(x.data)
+            dx[index] += g
+            return (dx,)
+        # the forward bounds-checked the index, so wrapping only maps the
+        # negative entries, as numpy indexing does
+        rows = np.ravel_multi_index(parts, x.shape[:len(parts)], mode="wrap")
+        width = math.prod(x.shape[len(parts):])
+        flat = (rows.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        return (np.bincount(flat, weights=g.reshape(-1),
+                            minlength=x.data.size).reshape(x.shape),)
 
     return _make(x.data[index], (x,), vjp)
 

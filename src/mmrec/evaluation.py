@@ -2,7 +2,6 @@
 cold-start variant over rare-item sub-sequences."""
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +83,7 @@ def _aggregate(ranks, ks, dataset, phase):
 
 def _screen(states, targets, reps, cap):
     """`(ranks, exact)`: `min(rank, cap)` for every row the screen settles,
-    and the sorted indices of the rows it leaves to the exact pass, with a
-    neighbour added to a lone such row among several so that no exact
-    product has one row.
+    and the sorted indices of the rows it leaves to the exact pass.
 
     Each row's target score t is a row-wise dot product. The row is then
     scored against `_SCREEN_COLS` items at a time. Against a rounding
@@ -132,11 +129,7 @@ def _screen(states, targets, reps, cap):
             hi[active]) & np.isfinite(lo[active])  # only the target is near
         ranks[start + active[settled]] = above[active[settled]] + 1
         exact.append(start + active[~settled])
-    exact = np.concatenate(exact)
-    if len(exact) == 1 and len(states) > 1:
-        i = int(exact[0])
-        exact = np.array([i - 1, i] if i else [0, 1])
-    return ranks, exact
+    return ranks, np.concatenate(exact)
 
 
 def capped_ranks(states, targets, reps, cap):
@@ -146,16 +139,13 @@ def capped_ranks(states, targets, reps, cap):
 
     `_screen` settles every row whose rank is surely at least `cap` or has
     no near-tie with its target; the rest are ranked exactly by
-    `ranks_of_targets` over full-row products in blocks of at most
-    `_RANK_CHUNK` rows. No block has one row unless there is one state:
-    NumPy computes a one-row product with gemv, which rounds differently
-    from the GEMM that gives larger blocks the full product's bits."""
+    `ranks_of_targets` over full-row products in the blocks of
+    `transfer.row_blocks`, of at most `_RANK_CHUNK` rows and never one, so
+    every exact score has the bits of one full product."""
     ranks, exact = _screen(states, targets, reps, cap)
-    if len(exact):
-        n_blocks = max(1, min(math.ceil(len(exact) / _RANK_CHUNK), len(exact) // 2))
-        for rows in np.array_split(exact, n_blocks):
-            ranks[rows] = np.minimum(
-                ranks_of_targets(states[rows] @ reps.T, targets[rows]), cap)
+    for rows in transfer.row_blocks(exact, _RANK_CHUNK):
+        ranks[rows] = np.minimum(
+            ranks_of_targets(states[rows] @ reps.T, targets[rows]), cap)
     return ranks
 
 

@@ -194,10 +194,8 @@ class ItemIndex:
     `reps` holds each item's representation. `projections` holds the user
     encoder's block-0 input projections of `reps`, without positions or
     biases (`encoders.first_block_projections`), so that the read path
-    projects each item once and not at every occurrence. It is None for a
-    user encoder without blocks, and for an index made from `reps` alone,
-    whose projections `encode_prefixes` computes on each call. An index
-    serves the model that built it.
+    projects each item once and not at every occurrence; it is None for a
+    user encoder without blocks. An index serves the model that built it.
 
     `rows` maps catalog ids to index rows through a table over
     [min id, max id] with -1 in each gap. The table is built only when its
@@ -205,7 +203,7 @@ class ItemIndex:
     a catalog with sparser ids is mapped by `np.searchsorted` over the
     sorted ids instead."""
 
-    def __init__(self, order, reps, projections=None):
+    def __init__(self, order, reps, projections):
         self.order = order  # catalog indices, sorted
         self.reps = reps  # (n_items, d)
         self.projections = projections  # (q or None, k, v), each (n_items, d)
@@ -244,7 +242,7 @@ def build_item_index(model, items):
     # arrays: glibc can keep freed memory resident below a later allocation.
     # One buffer holds reps, then block 0's (q, k, v) projections of them.
     table = np.empty((4, len(order), model.cfg.d))
-    index = ItemIndex(order, table[0])
+    index = ItemIndex(order, table[0], None)  # projections written below
     with ad.no_grad():
         for start in range(0, len(order), INDEX_CHUNK):
             part = order[start : start + INDEX_CHUNK]
@@ -284,9 +282,8 @@ def encode_prefixes(model, prefixes, items, index, L_max):
     1 or above the model's, or an empty prefix, is a ValueError.
 
     The prefixes are grouped by their cut length, in a stable order, and
-    each length is encoded without padding in blocks of at most
-    `PREFIX_CHUNK` rows and never one (a lone prefix is encoded twice): a
-    one-row product takes another BLAS kernel. Block 0's keys and values
+    each length is encoded without padding in the blocks of `row_blocks`,
+    of at most `PREFIX_CHUNK` rows and never one. Block 0's keys and values
     (and its queries, when it is a full block) are the index's per-item
     projections plus the position table's, gathered by row. A state is then
     a function of its own prefix, whatever the other prefixes, their order
@@ -306,24 +303,28 @@ def encode_prefixes(model, prefixes, items, index, L_max):
         ids = ids[np.arange(len(ids)) >= np.repeat(np.cumsum(full) - lengths, full)]
     rows = index.rows(ids, "prefix")
     starts = np.cumsum(lengths) - lengths
-    items_part = index.projections
-    if items_part is None:
-        items_part = model.first_block_projections(index.reps)
     pos_part = model.first_block_projections()
     order = np.argsort(lengths, kind="stable")
     out = np.zeros((len(prefixes), model.cfg.d))
     with ad.no_grad():
         for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-            if not len(group):  # no prefixes at all
-                break
-            length = int(lengths[group[0]])
-            n_blocks = max(1, min(math.ceil(len(group) / PREFIX_CHUNK), len(group) // 2))
-            for block in np.array_split(np.repeat(group, 2) if len(group) == 1 else group,
-                                        n_blocks):
-                block_rows = rows[starts[block][:, None] + np.arange(length)]
-                out[block] = _encode_rows(model, index.reps, block_rows, items_part,
-                                          pos_part)
+            for block in row_blocks(group, PREFIX_CHUNK):
+                block_rows = rows[starts[block][:, None] + np.arange(lengths[block[0]])]
+                out[block] = _encode_rows(model, index.reps, block_rows,
+                                          index.projections, pos_part)
     return out
+
+
+def row_blocks(rows, chunk):
+    """The index array `rows` split in order into blocks of 2 to
+    `max(chunk, 3)` rows, a lone row repeated; no block when `rows` is
+    empty. A read-path product over a block then never has one row: NumPy
+    computes that with gemv, which rounds differently from the GEMM that
+    gives larger blocks the bits of one product over all rows."""
+    if len(rows) == 1:
+        rows = np.repeat(rows, 2)
+    n_blocks = min(math.ceil(len(rows) / chunk), len(rows) // 2)
+    return np.array_split(rows, n_blocks) if n_blocks else []
 
 
 def _encode_rows(model, reps, rows, items_part, pos_part):
@@ -349,7 +350,8 @@ def predict_scores(model, prefix, items):
     if not items:
         raise ValueError("catalog is empty")
     index = item_index(model, items)
-    h = encode_prefixes(model, [list(prefix)], items, index, model.cfg.L_max)[0]
-    logits = index.reps @ h
+    states = encode_prefixes(model, [list(prefix)], items, index, model.cfg.L_max)
+    (pair,) = row_blocks(np.zeros(1, dtype=np.int64), 2)
+    logits = (states[pair] @ index.reps.T)[0]  # the row `capped_ranks` scores
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()

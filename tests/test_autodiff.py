@@ -662,12 +662,16 @@ def test_untracked_primitive_output_is_a_constant_leaf(name):
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_vjp_returns_one_gradient_per_parent(name):
+    # a vjp returns its gradients and writes none: the sweep's `_accum` is
+    # the only writer of a tracked tensor's gradient
     fn = PRIMITIVES[name][0]
     out = fn(*[Tensor(a, requires_grad=True) for a in _primitive_inputs(name)])
     grads = out._backward(np.ones_like(out.data))
     assert len(grads) == len(out._parents)
     for p, g in zip(out._parents, grads):
+        assert p.grad is None
         assert g is None or np.shape(g) == p.shape
+        assert g is not None or not p.requires_grad
 
 
 @pytest.mark.parametrize("build", [
@@ -687,25 +691,9 @@ def test_constant_parent_of_tracked_node_gets_no_gradient(build):
     assert all(p.grad is None for p in constants)
 
 
-def test_getitem_adds_into_a_held_gradient_in_place():
-    # row 2 is gathered three times: each of its gradients is added into the
-    # array the parent already holds, in index order, as np.add.at does
-    rng = np.random.default_rng(29)
-    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    index = np.array([2, 0, 2, 2, 3])
-    readout = rng.normal(size=(5, 3))
-    prior = rng.normal(size=(4, 3))
-    x.grad = held = prior.copy()
-    ad.tsum(ad.mul(ad.getitem(x, index), readout)).backward()
-    assert x.grad is held
-    want = prior.copy()
-    np.add.at(want, index, readout)
-    assert x.grad.tobytes() == want.tobytes()
-
-
 # index into a (6, 4, 3) array -> how getitem's vjp scatters it
 SCATTER_INDICES = {
-    # integer arrays alone: one np.bincount into a gradient not yet written
+    # integer arrays alone: one np.bincount over the flat positions
     "repeated_rows": (np.array([2, 0, 2, 2, 5, 2, 0, 2, 2, 2, 1, 2]), "bincount"),
     "rows_2d": (np.array([[1, 1, 3], [1, 4, 1]]), "bincount"),
     "pairs": ((np.array([0, 5, 0, 0, 2, 0]), np.array([3, 1, 3, 3, 0, 3])), "bincount"),
@@ -714,21 +702,20 @@ SCATTER_INDICES = {
     "negative": (np.array([-1, 5, -6, 0, -1, 3]), "bincount"),
     "negative_pairs": ((np.array([-1, 5, -6, 0]), np.array([-4, 0, 3, -1])), "bincount"),
     "unsigned": (np.array([4, 4, 1, 4], dtype=np.uint32), "bincount"),
-    # ints and slices: one view of the gradient
+    # ints and slices: one view of a zeros array
     "slice": (slice(1, 5), "basic"),
     "int_and_slice": ((slice(None), 2), "basic"),
     "int": (3, "basic"),
     "slices": ((slice(None), slice(1, None)), "basic"),
-    # an array mixed with a slice: np.add.at
-    "mixed": ((slice(None), np.array([0, 2, 2])), "add.at"),
 }
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["new", "held"])
 @pytest.mark.parametrize("name", sorted(SCATTER_INDICES))
 def test_getitem_scatter_matches_add_at_bitwise(name, held):
-    # every form of the scatter has the bits of np.add.at, into a gradient
-    # not yet written (zeros) and into one the parent already holds
+    # the vjp returns np.add.at's scatter into zeros, bitwise, and leaves the
+    # parent's gradient alone; the sweep adds the scatter to a gradient the
+    # parent already holds
     index, _ = SCATTER_INDICES[name]
     rng = np.random.default_rng(32)
     x = Tensor(rng.normal(size=(6, 4, 3)), requires_grad=True)
@@ -736,29 +723,49 @@ def test_getitem_scatter_matches_add_at_bitwise(name, held):
     assert out.data.tobytes() == x.data[index].tobytes()
     readout = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=out.shape)
     readout.reshape(-1)[0] = -0.0
-    prior = rng.normal(size=x.shape) if held else np.zeros(x.shape)
-    if held:
-        x.grad = held_grad = prior.copy()
-    ad.tsum(ad.mul(out, readout)).backward()
-    want = prior.copy()
-    np.add.at(want, index, readout)
+    scatter = np.zeros(x.shape)
+    np.add.at(scatter, index, readout)
+    prior = rng.normal(size=x.shape)
+    x.grad = prior.copy() if held else None
+    (dx,) = out._backward(readout)  # the vjp alone
+    assert dx.tobytes() == scatter.tobytes()
+    assert (x.grad is None) == (not held)
+    assert not held or x.grad.tobytes() == prior.tobytes()
+    ad.tsum(ad.mul(ad.getitem(x, index), readout)).backward()
+    want = prior + scatter if held else scatter
     assert x.grad.tobytes() == want.tobytes()
-    assert not held or x.grad is held_grad
+
+
+@pytest.mark.parametrize("index", [
+    (slice(None), np.array([0, 2, 2])),
+    (np.array([0, 2, 2]), 1),
+    (np.array([0, 2]), [1, 1]),
+    np.array([True, False, True, False, False, True]),
+], ids=["array_slice", "array_int", "array_list", "bool"])
+def test_getitem_rejects_a_mixed_index(index):
+    x = Tensor(np.ones((6, 4, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match="integer arrays alone"):
+        ad.getitem(x, index)
 
 
 def test_getitem_scatter_form_follows_the_index(monkeypatch):
-    # integer arrays into a new gradient never reach np.add.at, and basic
-    # indices never do; a mixed index does
+    # integer arrays scatter with one np.bincount and basic indices with
+    # none; no index reaches np.add.at
     calls = []
 
     class RecordingAdd:
         @staticmethod
         def at(*args):
-            calls.append(1)
+            calls.append("add.at")
             np.add.at(*args)
 
-    class Numpy:  # numpy as autodiff sees it, with np.add.at recorded
+    class Numpy:  # numpy as autodiff sees it, with np.add.at and np.bincount recorded
         add = RecordingAdd
+
+        @staticmethod
+        def bincount(*args, **kwargs):
+            calls.append("bincount")
+            return np.bincount(*args, **kwargs)
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -768,7 +775,7 @@ def test_getitem_scatter_form_follows_the_index(monkeypatch):
         calls.clear()
         x = Tensor(np.ones((6, 4, 3)), requires_grad=True)
         ad.tsum(ad.getitem(x, index)).backward()
-        assert bool(calls) == (form == "add.at"), name
+        assert calls == (["bincount"] if form == "bincount" else []), name
 
 
 @pytest.mark.parametrize("d_in, d_out", [(32, 32), (32, 64), (64, 32)])

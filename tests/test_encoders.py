@@ -529,7 +529,8 @@ def test_encode_prefixes_matches_full_path_with_truncation(blocks):
 
     model = _model_with_blocks(blocks)
     rng = np.random.default_rng(10 + blocks)
-    index = ItemIndex(list(range(9)), rng.normal(size=(9, 8)))
+    reps = rng.normal(size=(9, 8))
+    index = ItemIndex(list(range(9)), reps, model.first_block_projections(reps))
     # lengths 1..9 against L_max=6: the longer prefixes are truncated
     prefixes = [rng.integers(0, 9, size=n).tolist() for n in range(1, 10)]
     got = transfer.encode_prefixes(model, prefixes, None, index, 6)
@@ -544,8 +545,8 @@ def test_encode_prefixes_matches_full_path_with_truncation(blocks):
 @pytest.mark.parametrize("blocks", [0, 1, 2])
 def test_index_projections_give_the_states_of_projecting_each_call(blocks):
     # an index built from the model stores block 0's item projections (the
-    # queries too with 2 blocks); one made from reps alone projects them on
-    # each call
+    # queries too with 2 blocks), which give the states of projecting its
+    # reps in the call
     from mmrec import transfer
     from mmrec.data import ItemRecord
 
@@ -557,7 +558,8 @@ def test_index_projections_give_the_states_of_projecting_each_call(blocks):
     assert (index.projections is None) == (blocks == 0)
     if blocks:
         assert (index.projections[0] is None) == (blocks == 1)
-    bare = transfer.ItemIndex(index.order, index.reps)
+    bare = transfer.ItemIndex(index.order, index.reps,
+                              model.first_block_projections(index.reps))
     prefixes = [rng.integers(0, 9, size=n).tolist() for n in (1, 3, 3, 6, 8)]
     got = transfer.encode_prefixes(model, prefixes, items, index, 6)
     want = transfer.encode_prefixes(model, prefixes, items, bare, 6)

@@ -218,10 +218,10 @@ def test_rank_pairs_blocks_match_full_matrix(chunk, monkeypatch):
     """Blocked scoring reports exactly what one full score matrix reports, for
     pair counts of 1 (mod chunk) and for a single pair, screened out or
     tied with a twin of its target. The exact blocks sum to the count of
-    rows the screen leaves to them, every pair screened out ranks below
-    max(ks) in the full matrix and every pair it settles has that matrix's
-    rank, no block has one row unless the call has one pair, and none has
-    more than max(chunk, 3)."""
+    rows the screen leaves to them (a lone row counts twice), every pair
+    screened out ranks below max(ks) in the full matrix and every pair it
+    settles has that matrix's rank, no block has one row, and none has more
+    than max(chunk, 3)."""
     source, _ = generate_synthetic(SyntheticConfig(
         n_users=420, n_items=120, L_min=5, L_max=8, vocab_size=12, p_min=2,
         p_max=4, q=4, patch_dim=4, seed=3))
@@ -244,7 +244,7 @@ def test_rank_pairs_blocks_match_full_matrix(chunk, monkeypatch):
     monkeypatch.setattr(evaluation, "_screen",
                         lambda *a: screened.append(screen(*a)) or screened[-1])
     # a single pair whose target has a twin in the catalog: the tie leaves
-    # it to the exact pass, which computes its one-row product
+    # it to the exact pass, which scores it as a two-row block
     valid_ranks = full_matrix_ranks(model, leave_one_out_pairs(split, "valid"),
                                     split.items)
     best = int(np.argmin(valid_ranks))
@@ -256,25 +256,24 @@ def test_rank_pairs_blocks_match_full_matrix(chunk, monkeypatch):
     cases = [(evaluate, s, {"phase": phase}, leave_one_out_pairs(s, phase))
              for s in (split, first_users(1), tied) for phase in ("valid", "test")]
     cases.append((evaluate_cold_start, split, {}, cold))
-    one_row_blocks = 0
+    lone_rows = 0
     for fn, s, kw, pairs in cases:
         blocks.clear()
         screened.clear()
         report = fn(model, s, **kw)
         assert len(pairs) == report.count
         ranks, exact = screened[0]
-        assert sum(blocks) == len(exact)
+        assert sum(blocks) == len(exact) + (len(exact) == 1)
         full = np.array(full_matrix_ranks(model, pairs, s.items))
         cap = max(report.ks) + 1
         settled = np.setdiff1d(np.arange(len(pairs)), exact)
         assert (full[settled][ranks[settled] == cap] > max(report.ks)).all()
         assert ranks[settled].tolist() == np.minimum(full[settled], cap).tolist()
-        assert all(b >= min(2, len(pairs)) for b in blocks)
-        assert all(b <= max(chunk, 3) for b in blocks)
-        one_row_blocks += blocks == [1]
+        assert all(2 <= b <= max(chunk, 3) for b in blocks)
+        lone_rows += len(exact) == 1
         want = full_matrix_report(model, pairs, s.items, report)
         assert report_key(report) == report_key(want)  # HR and NDCG exact
-    assert one_row_blocks >= 1  # the single pair's one-row product ran
+    assert lone_rows >= 1  # the single pair's repeated row ran
 
 
 def rank_pairs_peak(n_pairs, n_items, monkeypatch):
@@ -370,15 +369,15 @@ def test_capped_ranks_match_the_full_product_on_near_ties(ks, screen_rows,
 
 
 def test_capped_rank_of_a_single_state():
-    """One state is ranked by the one-row product when it survives, and an
+    """One state that survives the screen has the rank of its row in the
+    product over all states (its near-ties round as they do there), and an
     exact tie is never counted by the screen: a zero state ties its target
     with every item, so in a catalog of max(ks) items it ranks max(ks).
     No state gives no rank."""
     states, targets, reps = near_tie_catalog(51)
     got = [capped_ranks(states[i:i + 1], targets[i:i + 1], reps, 51)[0]
            for i in range(40)]
-    want = [full_capped(states[i:i + 1], targets[i:i + 1], reps, 51)[0]
-            for i in range(40)]
+    want = full_capped(states, targets, reps, 51)[:40].tolist()
     assert got == want and min(want) < 51
     reps = np.random.default_rng(1).normal(size=(10, 4))
     assert capped_ranks(np.zeros((1, 4)), np.array([3]), reps, 11).tolist() == [10]

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmrec import autodiff as ad
+from mmrec import evaluation
 from mmrec import transfer as tr
-from mmrec.data import (ItemRecord, SyntheticConfig, filter_and_split,
-                        generate_synthetic)
+from mmrec.data import (ItemRecord, SplitDataset, SyntheticConfig,
+                        filter_and_split, generate_synthetic)
 from mmrec.encoders import ModelConfig
 from mmrec.evaluation import evaluate
 from mmrec.gradcheck import random_batch, small_config
@@ -480,7 +484,7 @@ def searchsorted_rows(order, ids, kind):
     ([-10**12, -4, 3, 5, 10**12], 4, False),  # sparse ids
 ])
 def test_item_index_rows_match_a_sorted_search(order, d, table):
-    index = ItemIndex(order, np.zeros((len(order), d)))
+    index = ItemIndex(order, np.zeros((len(order), d)), None)
     assert (index._table is not None) == table  # the path this case runs
     rng = np.random.default_rng(len(order))
     ids = rng.choice(order, size=(6, 7))
@@ -552,6 +556,50 @@ def test_lone_prefix_state_is_its_state_among_5000(monkeypatch):
     for u in users:
         predict_scores(model, split.train[u], split.items)
         assert states.pop()[0].tobytes() == batched[u].tobytes(), u
+
+
+def predict_scores_unlike_evaluate():
+    """The users among 301 over 2000 items whose `predict_scores` is not
+    bitwise the softmax of the score row `evaluate` ranks for them, with
+    every row sent to the exact pass."""
+    rng = np.random.default_rng(25)
+    items = {i: ItemRecord(i, rng.integers(1, 100, size=rng.integers(4, 9)).tolist(),
+                           rng.normal(size=(4, 6))) for i in range(2000)}
+    split = SplitDataset(
+        items=items, train=[rng.integers(0, 2000, size=n).tolist()
+                            for n in rng.integers(1, 16, size=301)],
+        valid=rng.integers(0, 2000, size=301).tolist(), test=[0] * 301)
+    model = RecModel.init(transfer_config(), seed=25)
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_screen",
+                   lambda states, targets, reps, cap: (np.full(len(states), cap),
+                                                       np.arange(len(states))))
+        rank = evaluation.ranks_of_targets
+        mp.setattr(evaluation, "ranks_of_targets",
+                   lambda scores, targets: rows.extend(scores) or rank(scores, targets))
+        assert evaluate(model, split, phase="valid").count == len(rows) == 301
+    bad = []
+    for u, row in enumerate(rows):
+        shifted = np.exp(row - row.max())
+        want = shifted / shifted.sum()
+        if predict_scores(model, split.train[u], split.items).tobytes() != want.tobytes():
+            bad.append(u)
+    return bad
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_predict_scores_is_the_softmax_of_the_row_evaluate_scores(threads):
+    if threads > (os.cpu_count() or 1):
+        pytest.skip("one CPU core: OpenBLAS runs one thread here")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    run = subprocess.run(
+        [sys.executable, "-c", "from tests.test_transfer import "
+         "predict_scores_unlike_evaluate as f; print(f())"],
+        env=env, cwd=root, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["[]"]
 
 
 @pytest.mark.parametrize("prefixes, L_max, message", [

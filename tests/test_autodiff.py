@@ -707,6 +707,8 @@ SCATTER_INDICES = {
     "int_and_slice": ((slice(None), 2), "basic"),
     "int": (3, "basic"),
     "slices": ((slice(None), slice(1, None)), "basic"),
+    # an array mixed with a slice: rejected at the forward
+    "mixed": ((slice(None), np.array([0, 2, 2])), "rejected"),
 }
 
 
@@ -715,10 +717,17 @@ SCATTER_INDICES = {
 def test_getitem_scatter_matches_add_at_bitwise(name, held):
     # the vjp returns np.add.at's scatter into zeros, bitwise, and leaves the
     # parent's gradient alone; the sweep adds the scatter to a gradient the
-    # parent already holds
-    index, _ = SCATTER_INDICES[name]
+    # parent already holds; a mixed index has no scatter and raises
+    index, form = SCATTER_INDICES[name]
     rng = np.random.default_rng(32)
     x = Tensor(rng.normal(size=(6, 4, 3)), requires_grad=True)
+    if form == "rejected":
+        x.grad = np.ones(x.shape) if held else None
+        with pytest.raises(ValueError, match="integer arrays alone"):
+            ad.getitem(x, index)
+        assert (x.grad is None) == (not held)
+        assert not held or (x.grad == 1.0).all()
+        return
     out = ad.getitem(x, index)
     assert out.data.tobytes() == x.data[index].tobytes()
     readout = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=out.shape)
@@ -772,6 +781,8 @@ def test_getitem_scatter_form_follows_the_index(monkeypatch):
 
     monkeypatch.setattr(ad, "np", Numpy())
     for name, (index, form) in SCATTER_INDICES.items():
+        if form == "rejected":
+            continue
         calls.clear()
         x = Tensor(np.ones((6, 4, 3)), requires_grad=True)
         ad.tsum(ad.getitem(x, index)).backward()

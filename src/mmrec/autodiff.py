@@ -13,28 +13,33 @@ bit-reproducible.
 """
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    enabled = True  # each thread starts with recording on
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (pure forward evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph recording in this thread inside the block."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_mode.enabled = prev
 
 
 def grad_enabled():
-    """False inside `no_grad`, where operations record no graph."""
-    return _GRAD_ENABLED
+    """False inside this thread's `no_grad`, where operations record no graph."""
+    return _grad_mode.enabled
 
 
 class Tensor:
@@ -116,7 +121,7 @@ def _toposort(root):
 
 
 def _tracked(*tensors):
-    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+    return _grad_mode.enabled and any(t.requires_grad for t in tensors)
 
 
 def _make(data, parents, vjp):

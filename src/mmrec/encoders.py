@@ -119,14 +119,14 @@ BLOCK_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
                 "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
 
 
-def transformer_block(params, prefix, x, bias, n_heads, query=None, projections=None):
+def transformer_block(params, prefix, x, bias, n_heads, row=None, projections=None):
     """Post-LN transformer layer: x = LN(x + MHA(x)); x = LN(x + FFN(x)).
 
     One autodiff node over the forward/backward pairs of `autodiff`; it
-    keeps only the arrays its backward reads. `query`, a (B, Sq, d) subset
-    of the rows of x, restricts the output to those rows: keys and values
-    still come from all of x, and `bias` must then be broadcastable to
-    (B, n_heads, Sq, S). `projections`, only under `no_grad`, are the
+    keeps only the arrays its backward reads. `row`, one position,
+    restricts the output to that row of each sequence, (B, d): keys and
+    values still come from all of x, and `bias` must then be broadcastable
+    to (B, n_heads, 1, S). `projections`, only under `no_grad`, are the
     block's input projections (q, k, v) of the query rows and of x, biases
     included, in place of the products the block would compute; a q of None
     is computed from the query rows.
@@ -134,7 +134,8 @@ def transformer_block(params, prefix, x, bias, n_heads, query=None, projections=
     weights = [params[prefix + name] for name in BLOCK_PARAMS]
     w = {name: t.data for name, t in zip(BLOCK_PARAMS, weights)}
     xs = x.data
-    qs = xs if query is None else query.data
+    at = slice(None) if row is None else slice(row, row + 1)  # the query rows
+    qs = xs[:, at]
     if projections is None:
         q = None
         k, v = ad.linear_forward(xs, w["wk"]), ad.linear_forward(xs, w["wv"], w["bv"])
@@ -153,6 +154,7 @@ def transformer_block(params, prefix, x, bias, n_heads, query=None, projections=
                                      w["ln2_g"], w["ln2_b"])
 
     def vjp(g):
+        g = g.reshape(out.shape)  # (B, 1, d) when restricted to `row`
         dr2, dln2_g, dln2_b = ad.layer_norm_backward(g, w["ln2_g"], *ln2)
         df, dw2, db2 = ad.linear_backward(dr2, f, w["w2"])
         dh, dw1, db1 = ad.linear_backward(ad.gelu_backward(df, u, t), h, w["w1"])
@@ -165,71 +167,63 @@ def transformer_block(params, prefix, x, bias, n_heads, query=None, projections=
         dxv, dwv, dbv = ad.linear_backward(dv, xs, w["wv"])
         dqs += dr1
         dxs += dxv
-        if query is None:
-            dxs += dqs
-        inputs = (dxs,) if query is None else (dxs, dqs)
-        return inputs + (dwq, dbq, dwk, dwv, dbv, dwo, dbo, dln1_g, dln1_b,
-                         dw1, db1, dw2, db2, dln2_g, dln2_b)
+        dxs[:, at] += dqs
+        return (dxs, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dln1_g, dln1_b,
+                dw1, db1, dw2, db2, dln2_g, dln2_b)
 
-    inputs = (x,) if query is None else (x, query)
-    return ad._make(out, (*inputs, *weights), vjp)
+    return ad._make(out if row is None else out[:, 0], (x, *weights), vjp)
 
 
-def run_blocks(params, n_blocks, x, key_mask, n_heads, causal=False, rows=None,
+def run_blocks(params, n_blocks, x, key_mask, n_heads, causal=False, row=None,
                projections=None):
     """Run blocks b0..b{n_blocks-1} over x (B, S, d), with the (B, S) 0/1
     `key_mask` (or None) and `causal` of `attention_bias`. `projections`
     are block 0's, as `transformer_block` takes them.
 
-    `rows`, one (B,) position per sequence, restricts the final block to
-    those rows: its keys and values still span all of x, and the result is
-    (B, d), or those rows of x when there are no blocks. With `causal`, each
-    row must be its sequence's last real key: every later key is masked,
-    so the key mask alone is that row of the triangle.
+    `row`, one position, restricts the final block to that row of each
+    sequence: its keys and values still span all of x, and the result is
+    (B, d), or that row of x when there are no blocks. With `causal`, `row`
+    must be the last position, whose row of the triangle masks no key, so
+    the key mask alone is its bias.
     """
-    full = n_blocks if rows is None else n_blocks - 1
+    full = n_blocks if row is None else n_blocks - 1
     if full > 0:
         bias = attention_bias(key_mask, causal, x.shape[1])
         for i in range(full):
             x = transformer_block(params, f"b{i}.", x, bias, n_heads,
                                   projections=None if i else projections)
-    if rows is None:
+    if row is None:
         return x
-    b = np.arange(x.shape[0])
     if n_blocks == 0:
-        return ad.getitem(x, (b, rows))
-    query = ad.getitem(x, (b[:, None], rows[:, None]))  # (B, 1, d)
-    h = transformer_block(params, f"b{n_blocks - 1}.", x, attention_bias(key_mask),
-                          n_heads, query=query, projections=None if full else projections)
-    return ad.reshape(h, (x.shape[0], x.shape[2]))
+        return ad.getitem(x, (slice(None), row))
+    return transformer_block(params, f"b{n_blocks - 1}.", x, attention_bias(key_mask),
+                             n_heads, row=row, projections=None if full else projections)
 
 
 def run_stack(params, cfg, n_blocks, parts, key_mask, head=None, causal=False,
-              rows=None, projections=None):
+              row=None, projections=None):
     """Run one stack over the (B, S_i, d) `parts`, concatenated along S.
 
     The learned (d,) row `params[head]`, if named, goes first and is always
     a key; the (B, S) 0/1 `key_mask` masks the rest. A `pos` table in
     `params` adds its first rows to the whole input once, head included,
-    or only to `rows` when the blocks read no other row of the input.
-    `causal`, `rows` and `projections` are those of `run_blocks`.
+    or only to `row` when the blocks read no other row of the input.
+    `causal`, `row` and `projections` are those of `run_blocks`.
     """
     b = len(parts[0].data)
     if head is not None:
-        row = ad.reshape(params[head], (1, 1, cfg.d))
-        parts = [ad.add(row, np.zeros((b, 1, cfg.d))), *parts]
+        parts = [ad.add(params[head], np.zeros((b, 1, cfg.d))), *parts]
         key_mask = np.concatenate([np.ones((b, 1)), key_mask], axis=1)
     x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-    if rows is not None and projections is not None and n_blocks == 1:
+    pos = slice(0, x.data.shape[1])
+    if row is not None and projections is not None and n_blocks == 1:
         # the one block's keys and values are given, so it reads its input
-        # only at `rows`: only those are gathered and positioned
-        x = ad.getitem(x, (np.arange(b)[:, None], rows[:, None]))
-        pos, rows = rows[:, None], np.zeros_like(rows)
-    else:
-        pos = slice(0, x.data.shape[1])
+        # only at `row`: only that row is taken and positioned
+        pos = slice(row, row + 1)
+        x, row = ad.getitem(x, (slice(None), pos)), 0
     if "pos" in params:
         x = ad.add(x, ad.getitem(params["pos"], pos))
-    return run_blocks(params, n_blocks, x, key_mask, cfg.n_heads, causal, rows,
+    return run_blocks(params, n_blocks, x, key_mask, cfg.n_heads, causal, row,
                       projections)
 
 
@@ -274,9 +268,8 @@ def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
         raise ValueError("fusion inputs must have hidden dimension d")
     key_mask = np.concatenate([np.asarray(text_mask, dtype=np.float64),
                                np.ones(vision_hiddens.shape[:2])], axis=1)
-    rows = np.zeros(len(key_mask), dtype=np.int64)
     return run_stack(params, cfg, cfg.fusion_blocks, [text_hiddens, vision_hiddens],
-                     key_mask, head="mm_cls", rows=rows)
+                     key_mask, head="mm_cls", row=0)
 
 
 def first_block_projections(params, cfg, x=None, out=None):
@@ -309,10 +302,9 @@ def encode_sequence(params, cfg, item_reps, seq_mask, last=False, projections=No
     (B, L, d); values at padded positions are meaningless and must stay
     masked downstream.
 
-    With `last=True` only each row's last real position (mask sum - 1;
-    real positions must come first) is computed through the final block,
-    whose keys and values still span all positions, and the result is
-    (B, d).
+    With `last=True` only the last position is computed through the final
+    block, whose keys and values still span all positions, and the result
+    is (B, d); every position must then be real, so `seq_mask` must be None.
 
     `projections`, only under `no_grad`, are block 0's input projections
     of the (B, L) positions, positions included, in the form
@@ -327,12 +319,7 @@ def encode_sequence(params, cfg, item_reps, seq_mask, last=False, projections=No
     length = item_reps.shape[1]
     if length > cfg.L_max:
         raise ValueError(f"sequence length {length} exceeds L_max={cfg.L_max}")
-    if not last:
-        rows = None
-    elif seq_mask is None:
-        rows = np.full(item_reps.shape[0], length - 1)
-    else:
-        seq_mask = np.asarray(seq_mask, dtype=np.float64)
-        rows = seq_mask.sum(axis=1).astype(np.int64) - 1
+    if last and seq_mask is not None:
+        raise ValueError("last=True encodes unpadded sequences: seq_mask must be None")
     return run_stack(params, cfg, cfg.user_blocks, [item_reps], seq_mask, causal=True,
-                     rows=rows, projections=projections)
+                     row=length - 1 if last else None, projections=projections)

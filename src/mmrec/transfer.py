@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import autodiff as ad
-from . import objectives
+from . import data, objectives
 from .encoders import ModelConfig
 from .model import RecModel
 
@@ -244,11 +244,15 @@ def build_item_index(model, items):
     table = np.empty((4, len(order), model.cfg.d))
     index = ItemIndex(order, table[0], None)  # projections written below
     with ad.no_grad():
-        for start in range(0, len(order), INDEX_CHUNK):
-            part = order[start : start + INDEX_CHUNK]
-            ids, mask, patches = objectives.pack_item_features(items, part)
-            emb = model.item_embeddings(ids, mask, patches)
-            table[0, start : start + len(part)] = emb["e_cls"].data
+        # an item's bits depend neither on its chunk, which never has one
+        # row, nor on the padding width, which is always p_max
+        for block in row_blocks(np.arange(len(order)), INDEX_CHUNK):
+            ids, mask, patches = objectives.pack_item_features(
+                items, [order[r] for r in block])
+            width = ((0, 0), (0, max(model.cfg.p_max - ids.shape[1], 0)))
+            emb = model.item_embeddings(np.pad(ids, width, constant_values=data.PAD_TOKEN),
+                                        np.pad(mask, width), patches)
+            table[0, block] = emb["e_cls"].data
     projections = model.first_block_projections(table[0], out=table[1:])
     table.flags.writeable = False  # shared by every user of the cached index
     index.reps = table[0]  # views taken after that are read-only too

@@ -221,8 +221,7 @@ def item_embeddings(model, token_ids, pad_mask, patches):
         p = groups["fusion"]
         x, mask = _prepend(p["mm_cls"], [t_hid, v_hid],
                            np.concatenate([pad_mask, np.ones(v_hid.shape[:2])], axis=1))
-        out["e_cls"] = run_blocks(p, cfg.fusion_blocks, x, mask, cfg.n_heads,
-                                  rows=np.zeros(len(pad_mask), dtype=np.int64))
+        out["e_cls"] = run_blocks(p, cfg.fusion_blocks, x, mask, cfg.n_heads, row=0)
     else:
         out["e_cls"] = out["t_cls" if cfg.modality == "text" else "v_cls"]
     return out

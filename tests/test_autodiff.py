@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -658,6 +660,30 @@ def test_untracked_primitive_output_is_a_constant_leaf(name):
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
         assert out.data.tobytes() == tracked.data.tobytes()
+
+
+def test_no_grad_holds_only_in_the_thread_that_entered_it():
+    entered, release, seen = threading.Event(), threading.Event(), []
+
+    def hold():
+        with ad.no_grad():
+            seen.append(ad.grad_enabled())
+            entered.set()
+            release.wait(timeout=30)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert entered.wait(timeout=30)
+        assert seen == [False]
+        assert ad.grad_enabled()
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = ad.add(x, x)
+        assert y.requires_grad and y._parents == (x, x)
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))

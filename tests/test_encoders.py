@@ -249,40 +249,45 @@ def test_transformer_block_matches_composite(causal):
 
 
 def test_block_is_one_node(model):
+    # over every row, and restricted to one row
     from mmrec.autodiff import _toposort
 
     x = ad.Tensor(np.zeros((2, 3, 8)), requires_grad=True)
     params = model.groups["user_encoder"]
-    out = enc.transformer_block(params, "b0.", x, enc.attention_bias(np.ones((2, 3))), 2)
-    inner = [n for n in _toposort(out) if n._backward is not None]
-    assert inner == [out]
-    assert out._parents == (x, *(params["b0." + n] for n in enc.BLOCK_PARAMS))
+    for row, shape in ((None, (2, 3, 8)), (1, (2, 8))):
+        out = enc.transformer_block(params, "b0.", x, enc.attention_bias(np.ones((2, 3))),
+                                    2, row=row)
+        assert out.shape == shape
+        inner = [n for n in _toposort(out) if n._backward is not None]
+        assert inner == [out]
+        assert out._parents == (x, *(params["b0." + n] for n in enc.BLOCK_PARAMS))
 
 
-@pytest.mark.parametrize("query", [False, True], ids=["all_rows", "query_rows"])
-def test_gradient_check_block_node(query):
-    # padded keys and a causal bias; with `query`, the node over each
-    # sequence's last real row, whose bias is the key mask alone
+@pytest.mark.parametrize("row", [None, 1], ids=["all_rows", "query_rows"])
+def test_gradient_check_block_node(row):
+    # padded keys and a causal bias; with `row`, the node over that row of
+    # every sequence, whose bias is the key mask alone
     rng = np.random.default_rng(40)
     params = enc.init_block(rng, 8, 2, "b0.")
     for t in params.values():  # move gains and biases off their 1/0 init
         t.data = t.data + rng.normal(size=t.shape) * 0.1
     x = ad.Tensor(rng.normal(size=(3, 5, 8)), requires_grad=True)
     key_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]])
-    last = key_mask.sum(axis=1) - 1
-    b = np.arange(3)
-    bias = enc.attention_bias(key_mask, causal=not query)
-    weights = rng.normal(size=(3, 1 if query else 5, 8))
+    bias = enc.attention_bias(key_mask, causal=row is None)
+    weights = rng.normal(size=(3, 5, 8) if row is None else (3, 8))
 
     def block():
-        q = ad.getitem(x, (b[:, None], last[:, None])) if query else None
-        return enc.transformer_block(params, "b0.", x, bias, 2, query=q)
+        return enc.transformer_block(params, "b0.", x, bias, 2, row=row)
 
     def loss():
         return ad.tsum(ad.mul(block(), weights))
 
-    assert len(block()._parents) == (17 if query else 16)
+    assert len(block()._parents) == 16
     loss().backward()
+    if row is not None:
+        # x's gradient at the query row and at another real key, through
+        # the keys and values alone, are both checked
+        assert np.abs(x.grad[:, row]).min() > 0 and np.abs(x.grad[:, 0]).min() > 0
     for name, t in [("x", x), *params.items()]:
         numeric = ad.central_difference(loss, t.data.reshape(-1))
         assert ad.relative_error(t.grad.reshape(-1), numeric) <= 1e-4, name
@@ -509,17 +514,19 @@ def _model_with_blocks(n):
 def test_last_position_matches_full_path(blocks):
     model = _model_with_blocks(blocks)
     rng = np.random.default_rng(blocks)
-    lengths = [6, 1, 3, 5, 2]  # one row fills L_max, the others are padded
-    reps = rng.normal(size=(len(lengths), 6, 8))
-    mask = np.zeros((len(lengths), 6))
-    for r, n in enumerate(lengths):
-        mask[r, :n] = 1.0
-    with ad.no_grad():
-        full = model.encode_sequence(ad.Tensor(reps), mask).data
-        last = model.encode_sequence(ad.Tensor(reps), mask, last=True).data
-    assert last.shape == (len(lengths), 8)
-    want = full[np.arange(len(lengths)), np.array(lengths) - 1]
-    np.testing.assert_allclose(last, want, rtol=0, atol=1e-12)
+    for length in (6, 1, 3, 5, 2):  # each in its own unpadded call; 6 fills L_max
+        reps = ad.Tensor(rng.normal(size=(3, length, 8)))
+        with ad.no_grad():
+            full = model.encode_sequence(reps, None).data
+            last = model.encode_sequence(reps, None, last=True).data
+        assert last.shape == (3, 8)
+        np.testing.assert_allclose(last, full[:, -1], rtol=0, atol=1e-12)
+
+
+def test_last_position_takes_no_mask():
+    model = _model_with_blocks(1)
+    with pytest.raises(ValueError, match="seq_mask must be None"):
+        model.encode_sequence(ad.Tensor(np.zeros((2, 3, 8))), np.ones((2, 3)), last=True)
 
 
 @pytest.mark.parametrize("blocks", [0, 1, 2])

@@ -603,6 +603,7 @@ class OracleModel:
 
         class cfg:
             d = n
+            p_max = 1
             L_max = 10
             modality = "both"
 
@@ -625,12 +626,8 @@ class OracleModel:
 
 def _states(h, mask, last):
     """Per-position states (B, L, n), or with `last` each row's state at its
-    last real position (B, n), as `RecModel.encode_sequence` returns; a
-    mask of None has every position real."""
-    if last:
-        length = h.shape[1] if mask is None else mask.sum(axis=1).astype(np.int64)
-        h = h[np.arange(len(h)), length - 1]
-    return ad.Tensor(h)
+    last position (B, n), as `RecModel.encode_sequence` returns."""
+    return ad.Tensor(h[:, -1] if last else h)
 
 
 def oracle_split(n=6, users=5):

@@ -410,6 +410,47 @@ def test_index_matches_unchunked_encoding(model, items, monkeypatch):
     assert a.order == sorted(items)
 
 
+def index_chunk_differences():
+    """(catalog, chunk, rows) for each `INDEX_CHUNK` in 3, 256 and 1000 whose
+    index reps differ from those at 2 in `rows` rows, over the small
+    config's 7-item catalog and a 257-item transfer-config catalog with 4
+    to 8 tokens per item."""
+    rng = np.random.default_rng(0)  # the `items` fixture
+    small = {i: ItemRecord(i, rng.integers(1, 12, size=3).tolist(),
+                           rng.normal(size=(4, 4))) for i in range(7)}
+    rng = np.random.default_rng(26)
+    large = {i: ItemRecord(i, rng.integers(1, 100, size=rng.integers(4, 9)).tolist(),
+                           rng.normal(size=(4, 6))) for i in range(257)}
+    catalogs = {"small": (RecModel.init(small_config(), seed=4), small),
+                "transfer": (RecModel.init(transfer_config(), seed=26), large)}
+    differences = []
+    for name, (model, items) in catalogs.items():
+        reps = {}
+        for chunk in (2, 3, 256, 1000):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tr, "INDEX_CHUNK", chunk)
+                reps[chunk] = build_item_index(model, items).reps
+        for chunk in (3, 256, 1000):
+            rows = int((reps[chunk] != reps[2]).any(axis=1).sum())
+            if rows:
+                differences.append((name, chunk, rows))
+    return differences
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_index_is_invariant_to_its_chunking(threads):
+    if threads > (os.cpu_count() or 1):
+        pytest.skip("one CPU core: OpenBLAS runs one thread here")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    run = subprocess.run(
+        [sys.executable, "-c", "from tests.test_transfer import "
+         "index_chunk_differences as f; print(f())"],
+        env=env, cwd=root, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["[]"]
+
+
 def test_index_holds_read_only_projections_of_its_reps(model, items):
     index = build_item_index(model, items)
     q, k, v = index.projections

@@ -103,13 +103,16 @@ def _screen(states, targets, reps, cap):
     above it, a non-finite state or item leaves its row to the exact pass,
     and the bound assumes no product underflows or overflows. Rows are
     screened `_SCREEN_ROWS` at a time, so no screen buffer is larger than
-    one exact-pass block."""
+    one exact-pass block, and the slices run on `transfer.for_each_block`'s
+    threads."""
     u = np.finfo(np.float64).eps / 2
     K = reps.shape[1]
     scale = 8 * (K * u / (1 - K * u)) * np.linalg.norm(reps, axis=1).max()
     ranks = np.full(len(states), cap, dtype=np.int64)
-    exact = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, len(states), _SCREEN_ROWS):
+    starts = range(0, len(states), _SCREEN_ROWS)
+    exact = [None] * len(starts)  # each slice's rows left to the exact pass
+
+    def screen(start):
         s = states[start : start + _SCREEN_ROWS]
         score = np.einsum("ij,ij->i", s, reps[targets[start : start + _SCREEN_ROWS]])
         margin = scale * np.linalg.norm(s, axis=1)
@@ -128,8 +131,10 @@ def _screen(states, targets, reps, cap):
         settled = (reach[active] == above[active] + 1) & np.isfinite(
             hi[active]) & np.isfinite(lo[active])  # only the target is near
         ranks[start + active[settled]] = above[active[settled]] + 1
-        exact.append(start + active[~settled])
-    return ranks, np.concatenate(exact)
+        exact[start // _SCREEN_ROWS] = start + active[~settled]
+
+    transfer.for_each_block(screen, starts)
+    return ranks, np.concatenate([np.zeros(0, dtype=np.int64), *exact])
 
 
 def capped_ranks(states, targets, reps, cap):
@@ -141,11 +146,15 @@ def capped_ranks(states, targets, reps, cap):
     no near-tie with its target; the rest are ranked exactly by
     `ranks_of_targets` over full-row products in the blocks of
     `transfer.row_blocks`, of at most `_RANK_CHUNK` rows and never one, so
-    every exact score has the bits of one full product."""
+    every exact score has the bits of one full product. The blocks run on
+    `transfer.for_each_block`'s threads."""
     ranks, exact = _screen(states, targets, reps, cap)
-    for rows in transfer.row_blocks(exact, _RANK_CHUNK):
+
+    def rank(rows):
         ranks[rows] = np.minimum(
             ranks_of_targets(states[rows] @ reps.T, targets[rows]), cap)
+
+    transfer.for_each_block(rank, transfer.row_blocks(exact, _RANK_CHUNK))
     return ranks
 
 

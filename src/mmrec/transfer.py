@@ -7,10 +7,13 @@ over manifest + payload. Writing is fully deterministic, so identical
 models produce byte-identical files.
 """
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -243,16 +246,18 @@ def build_item_index(model, items):
     # One buffer holds reps, then block 0's (q, k, v) projections of them.
     table = np.empty((4, len(order), model.cfg.d))
     index = ItemIndex(order, table[0], None)  # projections written below
-    with ad.no_grad():
-        # an item's bits depend neither on its chunk, which never has one
-        # row, nor on the padding width, which is always p_max
-        for block in row_blocks(np.arange(len(order)), INDEX_CHUNK):
-            ids, mask, patches = objectives.pack_item_features(
-                items, [order[r] for r in block])
-            width = ((0, 0), (0, max(model.cfg.p_max - ids.shape[1], 0)))
-            emb = model.item_embeddings(np.pad(ids, width, constant_values=data.PAD_TOKEN),
-                                        np.pad(mask, width), patches)
-            table[0, block] = emb["e_cls"].data
+
+    def encode(block):
+        ids, mask, patches = objectives.pack_item_features(
+            items, [order[r] for r in block])
+        width = ((0, 0), (0, max(model.cfg.p_max - ids.shape[1], 0)))
+        emb = model.item_embeddings(np.pad(ids, width, constant_values=data.PAD_TOKEN),
+                                    np.pad(mask, width), patches)
+        table[0, block] = emb["e_cls"].data
+
+    # an item's bits depend neither on its chunk, which never has one row,
+    # nor on the padding width, which is always p_max
+    for_each_block(encode, row_blocks(np.arange(len(order)), INDEX_CHUNK))
     projections = model.first_block_projections(table[0], out=table[1:])
     table.flags.writeable = False  # shared by every user of the cached index
     index.reps = table[0]  # views taken after that are read-only too
@@ -310,12 +315,15 @@ def encode_prefixes(model, prefixes, items, index, L_max):
     pos_part = model.first_block_projections()
     order = np.argsort(lengths, kind="stable")
     out = np.zeros((len(prefixes), model.cfg.d))
-    with ad.no_grad():
-        for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-            for block in row_blocks(group, PREFIX_CHUNK):
-                block_rows = rows[starts[block][:, None] + np.arange(lengths[block[0]])]
-                out[block] = _encode_rows(model, index.reps, block_rows,
-                                          index.projections, pos_part)
+
+    def encode(block):
+        block_rows = rows[starts[block][:, None] + np.arange(lengths[block[0]])]
+        out[block] = _encode_rows(model, index.reps, block_rows,
+                                  index.projections, pos_part)
+
+    for_each_block(encode, [
+        block for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+        for block in row_blocks(group, PREFIX_CHUNK)])
     return out
 
 
@@ -329,6 +337,73 @@ def row_blocks(rows, chunk):
         rows = np.repeat(rows, 2)
     n_blocks = min(math.ceil(len(rows) / chunk), len(rows) // 2)
     return np.array_split(rows, n_blocks) if n_blocks else []
+
+
+_pool = None  # (threads, executor) of for_each_block's helpers, made on first use
+_pool_lock = threading.Lock()
+_DONE = object()  # for_each_block's end of blocks
+
+
+def _workers():
+    """Threads that run read-path blocks: one per core this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+def _submit(fn, n):
+    """`n` futures of `fn()` on the shared executor, which first grows to
+    `n` long-lived threads if it has fewer."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < n:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)  # its threads exit once idle
+            _pool = (n, concurrent.futures.ThreadPoolExecutor(
+                n, thread_name_prefix="mmrec-blocks"))
+        return [_pool[1].submit(fn) for _ in range(n)]
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()  # a forked child has no pool threads
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def for_each_block(fn, blocks):
+    """Call `fn(block)` under `no_grad` for each of the sequence `blocks`, on
+    one thread per usable core (`_workers`) and never more threads than
+    blocks: the caller and long-lived pool threads, each pulling the next
+    block from one shared iterator. `fn` writes its results where no other
+    block writes, so as a block's bits depend only on the block they are
+    the same at any thread count. The first exception a block raises is
+    raised here, after which no block starts; no block runs after the call
+    returns. With one usable core no thread is started."""
+    pending = iter(blocks)
+    lock = threading.Lock()
+    failed = []
+
+    def work():
+        with ad.no_grad():
+            try:
+                while True:
+                    with lock:
+                        block = next(pending, _DONE) if not failed else _DONE
+                    if block is _DONE:
+                        return
+                    fn(block)
+            except BaseException as e:  # raised in the caller below
+                with lock:
+                    failed.append(e)
+
+    n = min(_workers(), len(blocks)) - 1
+    futures = _submit(work, n) if n > 0 else []
+    work()
+    for f in futures:
+        if not f.cancel():  # one not started has nothing left to pull
+            f.result()
+    if failed:
+        raise failed[0]
 
 
 def _encode_rows(model, reps, rows, items_part, pos_part):

@@ -783,6 +783,23 @@ def test_getitem_rejects_a_mixed_index(index):
         ad.getitem(x, index)
 
 
+@pytest.mark.parametrize("index", [
+    (slice(None), np.array([0, 2, 2])),
+    np.array([True, False, True, False, False, True]),
+    np.array([0.0, 2.0]),
+    [0, 2],
+    2.0,
+], ids=["array_slice", "bool_array", "float_array", "list", "float"])
+def test_getitem_rejects_the_same_indices_under_no_grad(index):
+    # the lone int, slice and integer-array forms are checked first; every
+    # other index still goes through the full check, recording or not
+    x = Tensor(np.ones((6, 4, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match="integer arrays alone"):
+        ad.getitem(x, index)
+    with ad.no_grad(), pytest.raises(ValueError, match="integer arrays alone"):
+        ad.getitem(x, index)
+
+
 def test_getitem_scatter_form_follows_the_index(monkeypatch):
     # integer arrays scatter with one np.bincount and basic indices with
     # none; no index reaches np.add.at

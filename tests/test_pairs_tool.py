@@ -33,3 +33,40 @@ def test_one_tiny_pair_gives_a_summary_per_end_to_end_metric(tmp_path):
         assert m["worse_than_bound"] == (f"gradcheck {name}:" in report["result"]), name
     assert not (ROOT / ".bench_build" / "parent").exists()
     assert not (ROOT / ".bench_build" / "change").exists()
+
+
+def test_a_claim_is_judged_against_the_parents_spread(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("needs a git checkout with a commit to compare against")
+    out = tmp_path / "BENCH.json"
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "HEAD", str(out), "--change", "this checkout",
+         "--pairs", "2", "--workload", "gradcheck=3", "--seconds", "0.1", "--tiny",
+         "--claim", "gradcheck:op_ms.p50"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(out.read_text())
+    claimed = report["claimed"]
+    e = report["workloads"]["gradcheck"]["metrics"]["op_ms.p50"]
+    assert (claimed["workload"], claimed["metric"]) == ("gradcheck", "op_ms.p50")
+    assert claimed["margin"] == round(e["parent_median"] - e["change_median"], 4)
+    assert claimed["parent_iqr"] == round(e["parent_q3"] - e["parent_q1"], 4)
+    assert claimed["change_beat_parent"] == (claimed["margin"] > 0)
+    assert (claimed["change_wins"], claimed["pairs"]) == (e["change_wins"], 2)
+    assert claimed["met"] == (claimed["margin"] > claimed["parent_iqr"]
+                              and claimed["change_wins"] == 2)
+    verdict = "holds" if claimed["met"] else "does not hold"
+    assert f"claimed gradcheck op_ms.p50: the change's median" in report["result"]
+    assert report["result"].endswith(f"the claim {verdict}")
+    assert run.stdout.strip() == report["result"]
+
+
+@pytest.mark.parametrize("bad", ["rank:op_ms.p50", "gradcheck:op_ms", "gradcheck"])
+def test_a_claim_names_a_measured_workload_and_an_end_to_end_metric(bad, tmp_path):
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "HEAD", str(tmp_path / "B.json"), "--change", "x",
+         "--pairs", "1", "--workload", "gradcheck=3", "--claim", bad],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and "--claim takes WORKLOAD:METRIC" in run.stderr
+    assert not (tmp_path / "B.json").exists()

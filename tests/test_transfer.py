@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -599,10 +601,40 @@ def test_lone_prefix_state_is_its_state_among_5000(monkeypatch):
         assert states.pop()[0].tobytes() == batched[u].tobytes(), u
 
 
+def every_row_to_the_exact_pass(states, targets, reps, cap):
+    """A `_screen` that settles no row."""
+    return np.full(len(states), cap), np.arange(len(states))
+
+
+def record_exact_scores(mp):
+    """Send every row to the exact pass and return the dict it fills with
+    each row's score row. The exact blocks may run on several threads and
+    finish in any order, so a score row is keyed by its row in the block
+    that scored it."""
+    rows = {}
+    current = threading.local()  # the block this thread runs
+    each_block, rank = tr.for_each_block, evaluation.ranks_of_targets
+
+    def for_each_block(fn, blocks):
+        def run(block):
+            current.block = block
+            fn(block)
+        each_block(run, blocks)
+
+    def ranks_of_targets(scores, targets):
+        rows.update(zip(current.block.tolist(), scores))
+        return rank(scores, targets)
+
+    mp.setattr(evaluation, "_screen", every_row_to_the_exact_pass)
+    mp.setattr(tr, "for_each_block", for_each_block)
+    mp.setattr(evaluation, "ranks_of_targets", ranks_of_targets)
+    return rows
+
+
 def predict_scores_unlike_evaluate():
     """The users among 301 over 2000 items whose `predict_scores` is not
     bitwise the softmax of the score row `evaluate` ranks for them, with
-    every row sent to the exact pass."""
+    every row sent to the exact pass (`record_exact_scores`)."""
     rng = np.random.default_rng(25)
     items = {i: ItemRecord(i, rng.integers(1, 100, size=rng.integers(4, 9)).tolist(),
                            rng.normal(size=(4, 6))) for i in range(2000)}
@@ -611,17 +643,11 @@ def predict_scores_unlike_evaluate():
                             for n in rng.integers(1, 16, size=301)],
         valid=rng.integers(0, 2000, size=301).tolist(), test=[0] * 301)
     model = RecModel.init(transfer_config(), seed=25)
-    rows = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_screen",
-                   lambda states, targets, reps, cap: (np.full(len(states), cap),
-                                                       np.arange(len(states))))
-        rank = evaluation.ranks_of_targets
-        mp.setattr(evaluation, "ranks_of_targets",
-                   lambda scores, targets: rows.extend(scores) or rank(scores, targets))
+        rows = record_exact_scores(mp)
         assert evaluate(model, split, phase="valid").count == len(rows) == 301
     bad = []
-    for u, row in enumerate(rows):
+    for u, row in sorted(rows.items()):
         shifted = np.exp(row - row.max())
         want = shifted / shifted.sum()
         if predict_scores(model, split.train[u], split.items).tobytes() != want.tobytes():
@@ -681,3 +707,183 @@ def test_encode_prefixes_matches_full_path_at_transfer_scale():
     want = full[np.arange(len(kept)), mask.sum(axis=1).astype(np.int64) - 1]
     assert {len(p) for p in kept} == set(range(1, 13))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# row-parallel blocks
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """`for_each_block` starts from no pool; the one it makes is shut down."""
+    monkeypatch.setattr(tr, "_pool", None)
+    yield
+    if tr._pool is not None:
+        tr._pool[1].shutdown(wait=True)
+
+
+def read_path_at(model, split, workers):
+    """The valid, test and cold reports, the index they ranked with, the
+    valid prefixes' states and their capped ranks, with the screen on and
+    with every row sent to the exact pass, and the exact pass's score rows,
+    computed on `workers` threads, as bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_workers", lambda: workers)
+        model.index_cache = None
+        out = {"reports": "\n".join([
+            evaluate(model, split, phase="valid").to_json(),
+            evaluate(model, split, phase="test").to_json(),
+            evaluation.evaluate_cold_start(model, split, threshold=3).to_json()])}
+        index = tr.item_index(model, split.items)
+        out["reps"] = index.reps.tobytes()
+        out["projections"] = b"".join(p.tobytes() for p in index.projections
+                                      if p is not None)
+        states = tr.encode_prefixes(model, split.train, split.items, index,
+                                    model.cfg.L_max)
+        out["states"] = states.tobytes()
+        targets = index.rows(split.valid, "target")
+        out["ranks"] = evaluation.capped_ranks(states, targets, index.reps, 51).tobytes()
+        scores = record_exact_scores(mp)
+        out["exact_ranks"] = evaluation.capped_ranks(
+            states, targets, index.reps, len(index.order) + 1).tobytes()
+        out["exact_scores"] = np.array([scores[u] for u in range(len(states))]).tobytes()
+    return out
+
+
+def worker_count_differences():
+    """(catalog size, workers, output) for each read-path output computed on
+    2 or 3 threads that differs from its bits on one, over catalogs of
+    2000, 1999 and 700 items with 700 users each; the screen takes 256 rows
+    at a time so that it has more than one slice."""
+    differences = []
+    for n_items in (2000, 1999, 700):
+        rng = np.random.default_rng(n_items)
+        items = {i: ItemRecord(i, rng.integers(1, 100, size=rng.integers(4, 9)).tolist(),
+                               rng.normal(size=(4, 6))) for i in range(n_items)}
+        split = SplitDataset(
+            items=items, train=[rng.integers(0, n_items, size=n).tolist()
+                                for n in rng.integers(1, 16, size=700)],
+            valid=rng.integers(0, n_items, size=700).tolist(),
+            test=rng.integers(0, n_items, size=700).tolist())
+        model = RecModel.init(transfer_config(), seed=n_items)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_SCREEN_ROWS", 256)
+            want = read_path_at(model, split, 1)
+            for workers in (2, 3):
+                got = read_path_at(model, split, workers)
+                differences += [(n_items, workers, k) for k in want if got[k] != want[k]]
+    return differences
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_read_path_bits_do_not_depend_on_the_worker_count(threads):
+    if threads > (os.cpu_count() or 1):
+        pytest.skip("one CPU core: OpenBLAS runs one thread here")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    run = subprocess.run(
+        [sys.executable, "-c", "from tests.test_transfer import "
+         "worker_count_differences as f; print(f())"],
+        env=env, cwd=root, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["[]"]
+
+
+def small_split(n, seed):
+    rng = np.random.default_rng(seed)
+    items = {i: ItemRecord(i, rng.integers(1, 100, size=4).tolist(),
+                           rng.normal(size=(4, 6))) for i in range(n)}
+    return SplitDataset(items=items,
+                        train=[rng.integers(0, n, size=5).tolist() for _ in range(n)],
+                        valid=list(range(n)), test=list(range(n)))
+
+
+def test_evaluate_under_grad_records_no_node(monkeypatch):
+    model = RecModel.init(transfer_config(), seed=3)
+    nodes, make = [], ad._make
+
+    def recording_make(data, parents, vjp):
+        out = make(data, parents, vjp)
+        if out._backward is not None:
+            nodes.append(out)
+        return out
+
+    monkeypatch.setattr(tr, "_workers", lambda: 2)
+    monkeypatch.setattr(ad, "_make", recording_make)
+    assert ad.grad_enabled()
+    assert evaluate(model, small_split(600, 3), phase="valid").count == 600
+    assert ad.grad_enabled() and not nodes
+    assert all(p.requires_grad for _, p in model.named_parameters())
+
+
+def test_every_thread_runs_its_blocks_under_no_grad(monkeypatch, fresh_pool):
+    monkeypatch.setattr(tr, "_workers", lambda: 3)
+    seen = []
+
+    def fn(block):
+        seen.append((threading.get_ident(), ad.grad_enabled()))
+        time.sleep(0.002)
+
+    tr.for_each_block(fn, list(range(200)))
+    assert len(seen) == 200 and len({t for t, _ in seen}) > 1
+    assert not any(enabled for _, enabled in seen) and ad.grad_enabled()
+
+
+@pytest.mark.parametrize("where", ["caller", "pool"])
+def test_a_block_error_is_raised_in_the_caller_and_stops_the_blocks(where, monkeypatch,
+                                                                    fresh_pool):
+    """Once a pool thread has run a block, the first block that `where`
+    runs raises. The error reaches the caller, every other block that
+    started has finished, and none starts after."""
+    monkeypatch.setattr(tr, "_workers", lambda: 3)
+    caller, pool_ran = threading.current_thread(), threading.Event()
+    started, finished = [], []
+
+    def fn(block):
+        on_caller = threading.current_thread() is caller
+        if not on_caller:
+            pool_ran.set()
+        started.append(block)
+        if pool_ran.is_set() and on_caller == (where == "caller"):
+            raise KeyError(f"block {block}")
+        time.sleep(0.002)
+        finished.append(block)
+
+    with pytest.raises(KeyError, match="block"):
+        tr.for_each_block(fn, list(range(2000)))
+    counts = len(started), len(finished)
+    time.sleep(0.05)
+    assert (len(started), len(finished)) == counts
+    assert len(finished) == len(started) - 1 < 1999
+
+
+def test_one_usable_core_starts_no_thread(monkeypatch, fresh_pool):
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0})
+    model, split = RecModel.init(transfer_config(), seed=4), small_split(600, 4)
+    before = threading.active_count()
+    evaluate(model, split, phase="valid")
+    assert threading.active_count() == before and tr._pool is None
+
+
+def test_every_block_runs_once_on_more_threads_than_cores(monkeypatch, fresh_pool):
+    workers = 4 * (os.cpu_count() or 1)
+    monkeypatch.setattr(tr, "_workers", lambda: workers)
+    counts = np.zeros(5000, dtype=np.int64)
+    idents = set()
+
+    def fn(block):
+        idents.add(threading.get_ident())
+        counts[block] += 1  # each block owns its entries
+        time.sleep(1e-4)  # long enough for every pool thread to start
+
+    blocks = np.array_split(np.arange(5000), 2500)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=tr.for_each_block, args=(fn, blocks))
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert (counts == 1).all() and len(idents) > 1

@@ -2,6 +2,7 @@
 
     python tools/pairs.py PARENT OUT.json --change TEXT --pairs N \\
         --workload pretrain=9101 [--workload rank=9201 ...] [--seconds S] [--tiny]
+        [--claim WORKLOAD:METRIC]
 
 PARENT is a git revision. Its `src/` is unpacked with `git archive` into
 `.bench_build/parent/`, and the working tree's `src/` is copied into
@@ -17,6 +18,13 @@ sides' runs, their medians and quartiles, the ratio of the medians
 neither. A metric whose change median is worse than the parent's by more
 than its BENCHMARK.json bound is named in `result`. TEXT describes the
 change.
+
+With --claim, OUT.json's `claimed` names the end-to-end metric the change
+claims to improve on one of the workloads, and `result` states whether the
+change's median beat the parent's, by how much against the parent's
+interquartile range, and in how many pairs. The claim holds when the
+median is better by more than that range and the change won at least nine
+tenths of the pairs.
 """
 
 import argparse
@@ -46,6 +54,8 @@ def parse_args(argv):
                     metavar="NAME=FIRST_SEED")
     ap.add_argument("--seconds", type=float)
     ap.add_argument("--tiny", action="store_true", help="bench/run.py's tiny inputs")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                    help="the end-to-end metric the change claims to improve")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -54,6 +64,14 @@ def parse_args(argv):
                          (w.split("=") for w in args.workload)]
     except ValueError:
         ap.error("--workload takes NAME=FIRST_SEED")
+    if args.claim is not None:
+        metrics = {m["name"] for m in json.loads(
+            (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        workload, _, metric = args.claim.partition(":")
+        if workload not in {name for name, _ in args.workload} or metric not in metrics:
+            ap.error(f"--claim takes WORKLOAD:METRIC with a --workload name and one "
+                     f"of {', '.join(sorted(metrics))}, not {args.claim!r}")
+        args.claim = (workload, metric)
     return args
 
 
@@ -149,6 +167,24 @@ def measure(roots, name, first_seed, args, specs, seconds):
     return entry, env
 
 
+def claim(workload, metric, entry):
+    """OUT.json's `claimed` for `metric` on `workload`, whose OUT.json entry
+    is `entry`: the change's margin over the parent's median against the
+    parent's interquartile range, its wins, and whether the claim holds."""
+    e = entry["metrics"][metric]
+    sign = 1 if e["better"] == "lower" else -1
+    margin = sign * (e["parent_median"] - e["change_median"])
+    iqr = e["parent_q3"] - e["parent_q1"]
+    return {
+        "workload": workload, "metric": metric,
+        "change_beat_parent": margin > 0,
+        "margin": round(margin, 4), "parent_iqr": round(iqr, 4),
+        "margin_over_iqr": round(margin / iqr, 2) if iqr else None,
+        "change_wins": e["change_wins"], "pairs": entry["pairs"],
+        "met": margin > iqr and 10 * e["change_wins"] >= 9 * entry["pairs"],
+    }
+
+
 def main(argv):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -167,10 +203,20 @@ def main(argv):
              for w, entry in workloads.items() for m, e in entry["metrics"].items()
              if e["worse_than_bound"]]
     seeds = "; ".join(f"{w} {e['seeds'][0]}-{e['seeds'][-1]}" for w, e in workloads.items())
+    claimed = args.claim and claim(*args.claim, workloads[args.claim[0]])
+    verdict = ("no end-to-end metric is worse than its bound" if not worse else
+               "worse than the bound: " + "; ".join(worse))
+    if claimed:
+        verdict += (f"; claimed {claimed['workload']} {claimed['metric']}: the change's "
+                    f"median {'beat' if claimed['change_beat_parent'] else 'did not beat'} "
+                    f"the parent's by {claimed['margin']} against a parent IQR of "
+                    f"{claimed['parent_iqr']}, and won {claimed['change_wins']} of "
+                    f"{claimed['pairs']} pairs: the claim "
+                    f"{'holds' if claimed['met'] else 'does not hold'}")
     result = {
         "change": args.change,
         "parent": parent,
-        "claimed": None,
+        "claimed": claimed,
         "method": (f"tools/pairs.py: bench/run.py --trace 0, --seconds {seconds:g} on "
                    f"both sides{', --tiny' if args.tiny else ''}; parent (git archive "
                    f"of {parent}) and change (the working tree's src/), each beside a "
@@ -178,8 +224,7 @@ def main(argv):
                    f"first, the parent first in pair 1; seeds {seeds}"),
         "environment": {k: v for k, v in env.items() if k not in PER_RUN},
         "workloads": workloads,
-        "result": ("worse than the bound: " + "; ".join(worse) if worse else
-                   "no end-to-end metric is worse than its bound"),
+        "result": verdict,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(result["result"])

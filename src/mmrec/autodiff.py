@@ -361,17 +361,11 @@ def getitem(x, index):
     `np.bincount` over the flat positions. Any other index, such as arrays
     mixed with ints or slices, is a ValueError."""
     x = as_tensor(x)
-    kind = type(index)
-    if kind is np.ndarray and index.dtype.kind in "iu":  # the common lone forms
-        parts, arrays = (index,), True
-    elif kind is int or kind is slice:
-        parts, arrays = (index,), False
-    else:
-        parts = index if isinstance(index, tuple) else (index,)
-        arrays = all(isinstance(i, np.ndarray) and i.dtype.kind in "iu" for i in parts)
-        if not (arrays or all(isinstance(i, (int, np.integer, slice)) for i in parts)):
-            raise ValueError("getitem takes ints and slices, or integer arrays alone, "
-                             f"not {index!r}")
+    parts = index if isinstance(index, tuple) else (index,)
+    arrays = all(isinstance(i, np.ndarray) and i.dtype.kind in "iu" for i in parts)
+    if not (arrays or all(isinstance(i, (int, np.integer, slice)) for i in parts)):
+        raise ValueError("getitem takes ints and slices, or integer arrays alone, "
+                         f"not {index!r}")
 
     def vjp(g):
         if not arrays:

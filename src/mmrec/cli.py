@@ -2,11 +2,11 @@
 evaluation, gradient checking, and dataset stats."""
 
 import argparse
-import ctypes
 import json
 import os
 import sys
 
+from . import blas
 from . import data as data_mod
 from . import evaluation
 from . import objectives
@@ -371,26 +371,7 @@ def _pin_blas_to_one_thread():
     """Set the loaded OpenBLAS to one thread: at two or more, long inner
     dimensions of a product are split across threads and its last bits
     depend on the thread count. Returns False if no OpenBLAS is loaded."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f
-                           if "openblas" in line and ".so" in line})
-    except OSError:
-        return False
-    for lib in libs:
-        try:
-            dll = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for sym in ("scipy_openblas_set_num_threads64_",
-                    "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(dll, sym, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                fn(1)
-                return True
-    return False
+    return blas.set_threads(1)
 
 
 def main(argv=None):

@@ -7,7 +7,6 @@ over manifest + payload. Writing is fully deterministic, so identical
 models produce byte-identical files.
 """
 
-import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -19,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import autodiff as ad
-from . import data, objectives
+from . import blas, data, objectives
 from .encoders import ModelConfig
 from .model import RecModel
 
@@ -246,18 +245,16 @@ def build_item_index(model, items):
     # One buffer holds reps, then block 0's (q, k, v) projections of them.
     table = np.empty((4, len(order), model.cfg.d))
     index = ItemIndex(order, table[0], None)  # projections written below
-
-    def encode(block):
-        ids, mask, patches = objectives.pack_item_features(
-            items, [order[r] for r in block])
-        width = ((0, 0), (0, max(model.cfg.p_max - ids.shape[1], 0)))
-        emb = model.item_embeddings(np.pad(ids, width, constant_values=data.PAD_TOKEN),
-                                    np.pad(mask, width), patches)
-        table[0, block] = emb["e_cls"].data
-
-    # an item's bits depend neither on its chunk, which never has one row,
-    # nor on the padding width, which is always p_max
-    for_each_block(encode, row_blocks(np.arange(len(order)), INDEX_CHUNK))
+    with ad.no_grad():
+        # an item's bits depend neither on its chunk, which never has one
+        # row, nor on the padding width, which is always p_max
+        for block in row_blocks(np.arange(len(order)), INDEX_CHUNK):
+            ids, mask, patches = objectives.pack_item_features(
+                items, [order[r] for r in block])
+            width = ((0, 0), (0, max(model.cfg.p_max - ids.shape[1], 0)))
+            emb = model.item_embeddings(np.pad(ids, width, constant_values=data.PAD_TOKEN),
+                                        np.pad(mask, width), patches)
+            table[0, block] = emb["e_cls"].data
     projections = model.first_block_projections(table[0], out=table[1:])
     table.flags.writeable = False  # shared by every user of the cached index
     index.reps = table[0]  # views taken after that are read-only too
@@ -339,46 +336,23 @@ def row_blocks(rows, chunk):
     return np.array_split(rows, n_blocks) if n_blocks else []
 
 
-_pool = None  # (threads, executor) of for_each_block's helpers, made on first use
-_pool_lock = threading.Lock()
-_DONE = object()  # for_each_block's end of blocks
-
-
 def _workers():
-    """Threads that run read-path blocks: one per core this process may use."""
-    return len(os.sched_getaffinity(0))
-
-
-def _submit(fn, n):
-    """`n` futures of `fn()` on the shared executor, which first grows to
-    `n` long-lived threads if it has fewer."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < n:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)  # its threads exit once idle
-            _pool = (n, concurrent.futures.ThreadPoolExecutor(
-                n, thread_name_prefix="mmrec-blocks"))
-        return [_pool[1].submit(fn) for _ in range(n)]
-
-
-def _forget_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()  # a forked child has no pool threads
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+    """Threads that run read-path blocks: the usable cores divided by the
+    loaded OpenBLAS's thread count, so that workers × BLAS threads stay
+    within the cores, and at least one."""
+    return max(1, len(os.sched_getaffinity(0)) // (blas.threads() or 1))
 
 
 def for_each_block(fn, blocks):
-    """Call `fn(block)` under `no_grad` for each of the sequence `blocks`, on
-    one thread per usable core (`_workers`) and never more threads than
-    blocks: the caller and long-lived pool threads, each pulling the next
-    block from one shared iterator. `fn` writes its results where no other
-    block writes, so as a block's bits depend only on the block they are
-    the same at any thread count. The first exception a block raises is
-    raised here, after which no block starts; no block runs after the call
-    returns. With one usable core no thread is started."""
+    """Call `fn(block)` under `no_grad` for each of the sequence `blocks`
+    (none of them None), on `_workers()` threads but never more threads
+    than blocks: the caller and helper threads started for this call, each
+    pulling the next block from one shared iterator. `fn` writes its
+    results where no other block writes, so as a block's bits depend only
+    on the block they are the same at any thread count. The first exception
+    a block raises is raised here, after which no block starts; every
+    helper has ended when the call returns. With one worker no thread is
+    started."""
     pending = iter(blocks)
     lock = threading.Lock()
     failed = []
@@ -388,20 +362,21 @@ def for_each_block(fn, blocks):
             try:
                 while True:
                     with lock:
-                        block = next(pending, _DONE) if not failed else _DONE
-                    if block is _DONE:
+                        block = next(pending, None) if not failed else None
+                    if block is None:
                         return
                     fn(block)
             except BaseException as e:  # raised in the caller below
                 with lock:
                     failed.append(e)
 
-    n = min(_workers(), len(blocks)) - 1
-    futures = _submit(work, n) if n > 0 else []
+    helpers = [threading.Thread(target=work, name="mmrec-blocks")
+               for _ in range(min(_workers(), len(blocks)) - 1)]
+    for t in helpers:
+        t.start()
     work()
-    for f in futures:
-        if not f.cancel():  # one not started has nothing left to pull
-            f.result()
+    for t in helpers:
+        t.join()
     if failed:
         raise failed[0]
 

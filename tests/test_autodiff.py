@@ -791,8 +791,7 @@ def test_getitem_rejects_a_mixed_index(index):
     2.0,
 ], ids=["array_slice", "bool_array", "float_array", "list", "float"])
 def test_getitem_rejects_the_same_indices_under_no_grad(index):
-    # the lone int, slice and integer-array forms are checked first; every
-    # other index still goes through the full check, recording or not
+    # the index is checked whether or not the call records a node
     x = Tensor(np.ones((6, 4, 3)), requires_grad=True)
     with pytest.raises(ValueError, match="integer arrays alone"):
         ad.getitem(x, index)

@@ -634,7 +634,8 @@ def record_exact_scores(mp):
 def predict_scores_unlike_evaluate():
     """The users among 301 over 2000 items whose `predict_scores` is not
     bitwise the softmax of the score row `evaluate` ranks for them, with
-    every row sent to the exact pass (`record_exact_scores`)."""
+    every row sent to the exact pass (`record_exact_scores`) on two
+    workers."""
     rng = np.random.default_rng(25)
     items = {i: ItemRecord(i, rng.integers(1, 100, size=rng.integers(4, 9)).tolist(),
                            rng.normal(size=(4, 6))) for i in range(2000)}
@@ -644,6 +645,7 @@ def predict_scores_unlike_evaluate():
         valid=rng.integers(0, 2000, size=301).tolist(), test=[0] * 301)
     model = RecModel.init(transfer_config(), seed=25)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_workers", lambda: 2)  # helpers run at any BLAS thread count
         rows = record_exact_scores(mp)
         assert evaluate(model, split, phase="valid").count == len(rows) == 301
     bad = []
@@ -712,15 +714,6 @@ def test_encode_prefixes_matches_full_path_at_transfer_scale():
 # ---------------------------------------------------------------------------
 # row-parallel blocks
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """`for_each_block` starts from no pool; the one it makes is shut down."""
-    monkeypatch.setattr(tr, "_pool", None)
-    yield
-    if tr._pool is not None:
-        tr._pool[1].shutdown(wait=True)
-
 
 def read_path_at(model, split, workers):
     """The valid, test and cold reports, the index they ranked with, the
@@ -816,7 +809,7 @@ def test_evaluate_under_grad_records_no_node(monkeypatch):
     assert all(p.requires_grad for _, p in model.named_parameters())
 
 
-def test_every_thread_runs_its_blocks_under_no_grad(monkeypatch, fresh_pool):
+def test_every_thread_runs_its_blocks_under_no_grad(monkeypatch):
     monkeypatch.setattr(tr, "_workers", lambda: 3)
     seen = []
 
@@ -829,22 +822,21 @@ def test_every_thread_runs_its_blocks_under_no_grad(monkeypatch, fresh_pool):
     assert not any(enabled for _, enabled in seen) and ad.grad_enabled()
 
 
-@pytest.mark.parametrize("where", ["caller", "pool"])
-def test_a_block_error_is_raised_in_the_caller_and_stops_the_blocks(where, monkeypatch,
-                                                                    fresh_pool):
-    """Once a pool thread has run a block, the first block that `where`
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_a_block_error_is_raised_in_the_caller_and_stops_the_blocks(where, monkeypatch):
+    """Once a helper thread has run a block, the first block that `where`
     runs raises. The error reaches the caller, every other block that
     started has finished, and none starts after."""
     monkeypatch.setattr(tr, "_workers", lambda: 3)
-    caller, pool_ran = threading.current_thread(), threading.Event()
+    caller, helper_ran = threading.current_thread(), threading.Event()
     started, finished = [], []
 
     def fn(block):
         on_caller = threading.current_thread() is caller
         if not on_caller:
-            pool_ran.set()
+            helper_ran.set()
         started.append(block)
-        if pool_ran.is_set() and on_caller == (where == "caller"):
+        if helper_ran.is_set() and on_caller == (where == "caller"):
             raise KeyError(f"block {block}")
         time.sleep(0.002)
         finished.append(block)
@@ -857,15 +849,43 @@ def test_a_block_error_is_raised_in_the_caller_and_stops_the_blocks(where, monke
     assert len(finished) == len(started) - 1 < 1999
 
 
-def test_one_usable_core_starts_no_thread(monkeypatch, fresh_pool):
+def test_one_usable_core_starts_no_thread(monkeypatch):
     monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0})
     model, split = RecModel.init(transfer_config(), seed=4), small_split(600, 4)
     before = threading.active_count()
     evaluate(model, split, phase="valid")
-    assert threading.active_count() == before and tr._pool is None
+    assert threading.active_count() == before
 
 
-def test_every_block_runs_once_on_more_threads_than_cores(monkeypatch, fresh_pool):
+@pytest.mark.parametrize("blas_threads,workers", [
+    (None, 4), (1, 4), (2, 2), (3, 1), (4, 1), (8, 1)])
+def test_workers_and_blas_threads_share_the_cores(blas_threads, workers, monkeypatch):
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(tr.blas, "threads", lambda: blas_threads)
+    assert tr._workers() == workers
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workers_follow_the_loaded_openblas(threads):
+    """In a process whose OpenBLAS starts at `threads` threads, the worker
+    count is the cores divided by that until the CLI's pin sets it to one."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import os; from mmrec import blas, cli, transfer as tr; "
+         "print(blas.threads(), tr._workers(), len(os.sched_getaffinity(0))); "
+         "print(cli._pin_blas_to_one_thread(), blas.threads(), tr._workers())"],
+        env=env, cwd=root, capture_output=True, text=True, check=True)
+    first, pinned = (line.split() for line in run.stdout.splitlines())
+    if first[0] == "None":
+        pytest.skip("numpy here does not load OpenBLAS")
+    cores = int(first[2])
+    assert first[:2] == [str(threads), str(max(1, cores // threads))]
+    assert pinned == ["True", "1", str(cores)]
+
+
+def test_every_block_runs_once_on_more_threads_than_cores(monkeypatch):
     workers = 4 * (os.cpu_count() or 1)
     monkeypatch.setattr(tr, "_workers", lambda: workers)
     counts = np.zeros(5000, dtype=np.int64)
@@ -874,7 +894,7 @@ def test_every_block_runs_once_on_more_threads_than_cores(monkeypatch, fresh_poo
     def fn(block):
         idents.add(threading.get_ident())
         counts[block] += 1  # each block owns its entries
-        time.sleep(1e-4)  # long enough for every pool thread to start
+        time.sleep(1e-4)  # long enough for every helper thread to start
 
     blocks = np.array_split(np.arange(5000), 2500)
     interval = sys.getswitchinterval()

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -321,6 +322,60 @@ def test_synthetic_bit_reproducible():
         for i in a.items:
             assert a.items[i].tokens == b.items[i].tokens
             np.testing.assert_array_equal(a.items[i].patches, b.items[i].patches)
+
+
+def dataset_digest(ds):
+    """sha256 of a dataset's users, styles, types, and each item's tokens and
+    patch bytes, in catalog order."""
+    h = hashlib.sha256(repr((ds.users, sorted(ds.styles.items()),
+                             sorted(ds.types.items()))).encode())
+    for idx in sorted(ds.items):
+        rec = ds.items[idx]
+        h.update(repr((idx, rec.tokens, rec.patches.dtype.str,
+                       rec.patches.shape)).encode())
+        h.update(rec.patches.tobytes())
+    return h.hexdigest()
+
+
+# Digests of the generator's output, so any change to its draw sequence
+# (the order or kind of the draws it asks of the generator) shows here.
+PINNED_SYNTHETIC = {
+    "noise_0": (
+        dict(n_users=40, n_items=24, transition_noise=0.0, seed=11),
+        "1e7f602cdfb2ba23e51b7c31fb6d9392fe858999467ec7dd265bf6b7d05d552d",
+        "13c42fa0b1b8e4bcb207807b85c0a344c72b6655d94770b0caa01175728040d6"),
+    "noise_0.1_fewer_target_users": (
+        dict(n_users=60, n_users_target=17, n_items=40, transition_noise=0.1, seed=12),
+        "a090cd3f4f20e1acee596ba3fb3ac71a496cc5f5c7ff517f4f09f068de747817",
+        "f825dce47e2700bd69fc8d9a3cbef73b00f68fd13f4119bd9551ddf7f7bdb0eb"),
+    "noise_1": (
+        dict(n_users=30, n_items=20, transition_noise=1.0, seed=13),
+        "b4a32ca3e68978677b0c3d02f97091504e329f087827893398c950fb0eae2dcf",
+        "c426bbcc9a52993633d927439048efdcbec8ea3f3399b55df99bc4572a4a5e85"),
+    "n_slots_clamped": (
+        dict(n_users=50, n_items=40, n_slots=9, vocab_size=13, p_min=1, p_max=3,
+             transition_noise=0.5, seed=14),
+        "c5ea8fce3b7f132f9d600b07d7c810f885232bdf0e14fa92526ec5e297d19a4a",
+        "24ea0ec3a06c169a3a8316e9f1aa372780292ec673a2542efebc31ca06ba8481"),
+    "one_slot_short_users": (
+        dict(n_users=25, n_items=10, n_slots=1, L_min=1, L_max=3, p_min=1, p_max=1,
+             q=2, patch_dim=3, seed=15),
+        "bbd11c087287362f673a2a6c72508c0ece31625ee6d460647f7dee3396f94248",
+        "6564b87dc5bcb7f44769170165493305634dd8c6ec409dc1bebdf2ffc4b02f89"),
+    "rank_workload": (
+        dict(n_users=5000, n_users_target=500, n_items=2000, n_latent_styles=4,
+             n_slots=4, transition_noise=0.1, L_min=8, L_max=12, vocab_size=100,
+             p_min=4, p_max=8, q=4, patch_dim=6, seed=1401),
+        "09404076039dee7ebc63bcfd2ab99c40d31a872ad4862767da74309655141b98",
+        "c3a245db157fb29964d1fa95aa713216d1283cd21fb7dc085a195b41e9b1b167"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYNTHETIC))
+def test_synthetic_bytes_are_pinned(name):
+    kwargs, source_sha, target_sha = PINNED_SYNTHETIC[name]
+    source, target = generate_synthetic(SyntheticConfig(**kwargs))
+    assert (dataset_digest(source), dataset_digest(target)) == (source_sha, target_sha)
 
 
 def test_synthetic_rejects_bad_config():

@@ -176,7 +176,7 @@ def objective_config(cfg):
 def synthetic_config(cfg):
     return SyntheticConfig(
         n_users=cfg["n_users"], n_items=cfg["n_items"],
-        n_users_target=None if cfg["n_users_target"] < 0 else cfg["n_users_target"],
+        n_users_target=None if cfg["n_users_target"] == -1 else cfg["n_users_target"],
         L_min=cfg["seq_min"], L_max=cfg["seq_max"], vocab_size=cfg["vocab_size"],
         p_min=cfg["p_min"], p_max=cfg["p_max"], q=cfg["q"],
         patch_dim=cfg["patch_dim"], n_latent_styles=cfg["n_latent_styles"],

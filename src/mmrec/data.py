@@ -248,8 +248,12 @@ class SyntheticConfig:
                 (self.vocab_size > styles,
                  f"vocab_size={self.vocab_size} must be > n_latent_styles={styles}"),
                 (self.L_min <= self.L_max, f"L_min={self.L_min} must be <= L_max={self.L_max}"),
-                (0 <= self.p_min <= self.p_max,
-                 f"p_min={self.p_min} must lie in [0, p_max={self.p_max}]")):
+                (self.L_min >= 1, f"L_min={self.L_min} must be >= 1"),
+                (1 <= self.p_min <= self.p_max,
+                 f"p_min={self.p_min} must lie in [1, p_max={self.p_max}]"),
+                (self.n_users >= 0, f"n_users={self.n_users} must be >= 0"),
+                (self.n_users_target is None or self.n_users_target >= 0,
+                 f"n_users_target={self.n_users_target} must be >= 0")):
             if not ok:
                 raise DataError(message)
         if self.n_users_target is None:
@@ -299,25 +303,23 @@ def _generate_one(cfg, rng, offset, n_users, patch_means, slot_perm):
         tokens = rng.integers(lo, hi, size=n_tok).tolist()
         patches = patch_means[style, slot] + 0.25 * rng.normal(size=(cfg.q, cfg.patch_dim))
         items[idx] = ItemRecord(idx, tokens, patches)
-    all_idx = sorted(items)
 
     # the successor type (style+1, slot_perm[slot]) is a shared function of
     # the current item's content type, so the content-level transition
     # structure is identical across datasets; the item within the successor
     # type is drawn uniformly at every step
-    def successor_type(idx):
-        style, slot = type_of[idx]
-        return ((style + 1) % cfg.n_latent_styles, int(slot_perm[slot]))
-
+    successors = {idx: by_type[(style + 1) % cfg.n_latent_styles, int(slot_perm[slot])]
+                  for idx, (style, slot) in type_of.items()}
     users = []
     for _ in range(n_users):
         length = int(rng.integers(cfg.L_min, cfg.L_max + 1))
-        seq = [int(rng.choice(all_idx))]
+        seq = [offset + int(rng.integers(cfg.n_items))]
         for _ in range(length - 1):
             if rng.random() < cfg.transition_noise:
-                seq.append(int(rng.choice(all_idx)))
+                seq.append(offset + int(rng.integers(cfg.n_items)))
             else:
-                seq.append(int(rng.choice(by_type[successor_type(seq[-1])])))
+                pool = successors[seq[-1]]
+                seq.append(pool[rng.integers(len(pool))])
         users.append(seq)
     return Dataset(items=items, users=users, styles=s_of, types=type_of)
 

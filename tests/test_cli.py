@@ -297,8 +297,15 @@ def test_removed_keys_exit_1(pair, capsys):
     (["n_items=0"], "n_items=0 must be >= n_latent_styles=4"),
     (["vocab_size=1"], "vocab_size=1 must be > n_latent_styles=4"),
     (["seq_min=9", "seq_max=3"], "L_min=9 must be <= L_max=3"),
-    (["p_min=9", "p_max=8"], "p_min=9 must lie in [0, p_max=8]"),
-], ids=["no_items", "one_token", "seq_min_above_seq_max", "p_min_above_p_max"])
+    (["p_min=9", "p_max=8"], "p_min=9 must lie in [1, p_max=8]"),
+    (["p_min=0", "p_max=0"], "p_min=0 must lie in [1, p_max=0]"),
+    (["seq_min=0", "seq_max=0"], "L_min=0 must be >= 1"),
+    (["seq_min=-2"], "L_min=-2 must be >= 1"),
+    (["n_users=-1"], "n_users=-1 must be >= 0"),
+    (["n_users_target=-5"], "n_users_target=-5 must be >= 0"),
+], ids=["no_items", "one_token", "seq_min_above_seq_max", "p_min_above_p_max",
+        "p_min_0", "seq_min_0", "seq_min_negative", "n_users_negative",
+        "n_users_target_negative"])
 def test_gen_data_names_the_key_out_of_bounds(pairs, message, tmp_path, capsys):
     overrides = [arg for kv in pairs for arg in ("-o", kv)]
     assert main(overrides + ["gen-data", "--out", str(tmp_path / "data")]) == 1

@@ -385,6 +385,28 @@ def test_synthetic_rejects_bad_config():
         SyntheticConfig(transition_noise=1.5)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(p_min=0), r"p_min=0 must lie in \[1, p_max=8\]"),
+    (dict(L_min=0, L_max=0), "L_min=0 must be >= 1"),
+    (dict(L_min=-3), "L_min=-3 must be >= 1"),
+    (dict(n_users=-1), "n_users=-1 must be >= 0"),
+    (dict(n_users_target=-1), "n_users_target=-1 must be >= 0"),
+], ids=["p_min_0", "L_min_0", "L_min_negative", "n_users_negative",
+        "n_users_target_negative"])
+def test_synthetic_rejects_what_it_cannot_generate(kwargs, message):
+    # an item needs a token, a user an item, and a user count is a count
+    with pytest.raises(DataError, match=message):
+        SyntheticConfig(**kwargs)
+
+
+def test_synthetic_smallest_honoured_config():
+    source, target = generate_synthetic(SyntheticConfig(
+        n_users=0, n_users_target=3, n_items=4, L_min=1, L_max=1, p_min=1, p_max=1))
+    assert source.users == []
+    assert len(target.users) == 3 and all(len(seq) == 1 for seq in target.users)
+    assert all(len(rec.tokens) == 1 for rec in target.items.values())
+
+
 # ---------------------------------------------------------------------------
 # cold-start extraction
 # ---------------------------------------------------------------------------

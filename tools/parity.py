@@ -18,9 +18,12 @@ thread and writes the sha256 of:
   workload (5000 users, 2000 items), and on a copy of it whose catalog ids
   are spread far apart, so that the item index maps them by a sorted
   search and not by its id table;
+- the synthetic source and target of every generator config above
+  (users, styles, types, and each item's tokens and patch bytes), so the
+  generator's draw sequence is pinned;
 - the CLI pipeline gen-data -> pretrain -> finetune --mode full ->
-  evaluate --phase all: both bundles, both metrics files and both
-  `log.jsonl` files with `seconds` left out.
+  evaluate --phase all: the four data files, both bundles, both metrics
+  files and both `log.jsonl` files with `seconds` left out.
 
 It also writes every gradient array to OUT.npz beside OUT.json.
 
@@ -41,7 +44,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 RATES = ((0.15, 0.05), (0.5, 0.3), (1.0, 1.0))
 CORRUPTION_SEED, CORRUPTION_USERS, CORRUPTION_ITEMS = 7301, 1300, 200
-LOSS_SEEDS = (7311, 7312, 7313)
+LOSS_SEEDS, LOSS_USERS, LOSS_ITEMS = (7311, 7312, 7313), 500, 100
 ADAMW_SEED, ADAMW_STEPS = 7341, 5
 # (name, grad_clip, the parameter whose gradient is None)
 ADAMW_RUNS = (("noclip", 0.0, None), ("clip", 1e-3, None),
@@ -57,12 +60,39 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def source_split(data, seed, n_users, n_items):
-    source, _ = data.generate_synthetic(data.SyntheticConfig(
+def synthetic(data, seed, n_users, n_items):
+    return data.generate_synthetic(data.SyntheticConfig(
         n_users=n_users, n_users_target=max(2, n_users // 10), n_items=n_items,
         n_latent_styles=4, n_slots=4, transition_noise=0.1, L_min=8, L_max=12,
         vocab_size=100, p_min=4, p_max=8, q=4, patch_dim=6, seed=seed))
+
+
+def source_split(data, seed, n_users, n_items):
+    source, _ = synthetic(data, seed, n_users, n_items)
     return data.filter_and_split(source, min_interactions=5)
+
+
+def dataset_digest(ds):
+    h = hashlib.sha256(repr((ds.users, sorted(ds.styles.items()),
+                             sorted(ds.types.items()))).encode())
+    for idx in sorted(ds.items):
+        rec = ds.items[idx]
+        h.update(repr((idx, rec.tokens, rec.patches.dtype.str,
+                       rec.patches.shape)).encode())
+        h.update(rec.patches.tobytes())
+    return h.hexdigest()
+
+
+def data_digests():
+    from mmrec import data
+    out = {}
+    for seed, n_users, n_items in (
+            (CORRUPTION_SEED, CORRUPTION_USERS, CORRUPTION_ITEMS),
+            *((seed, LOSS_USERS, LOSS_ITEMS) for seed in LOSS_SEEDS),
+            (RANK_SEED, RANK_USERS, RANK_ITEMS)):
+        for name, ds in zip(("source", "target"), synthetic(data, seed, n_users, n_items)):
+            out[f"data/{seed}/{name}"] = dataset_digest(ds)
+    return out
 
 
 def corruption_digests():
@@ -96,7 +126,7 @@ def loss_digests(arrays):
     out = {}
     for seed in LOSS_SEEDS:
         model = RecModel.init(transfer_config(), seed)
-        batch = data.make_batches(source_split(data, seed, 500, 100), 64, 12, seed)[0]
+        batch = data.make_batches(source_split(data, seed, LOSS_USERS, LOSS_ITEMS), 64, 12, seed)[0]
         loss, parts = objectives.total_loss(model, batch, objectives.ObjectiveConfig())
         loss.backward()
         out[f"loss/{seed}/total"] = digest(np.float64(loss.item()))
@@ -191,7 +221,10 @@ def cli_digests():
             with contextlib.redirect_stdout(sys.stderr):
                 if cli.main(config + command) != 0:
                     raise SystemExit(f"mmrec {command[0]} failed")
-        for path in (os.path.join(pre, "pretrained.bundle"),
+        for path in (*(os.path.join(data, f"{which}_{part}.tsv")
+                       for which in ("source", "target")
+                       for part in ("items", "interactions")),
+                     os.path.join(pre, "pretrained.bundle"),
                      os.path.join(ft, "finetuned.bundle"),
                      os.path.join(ev, "metrics.jsonl"),
                      os.path.join(ev, "cold_metrics.jsonl")):
@@ -212,7 +245,7 @@ def write_digests(src, out_path):
     import mmrec
     arrays = {}
     out = {**corruption_digests(), **loss_digests(arrays), **adamw_digests(),
-           **prefix_digests(), **cli_digests()}
+           **prefix_digests(), **data_digests(), **cli_digests()}
     np.savez(arrays_path(out_path), **arrays)
     with open(out_path, "w") as f:
         json.dump({"mmrec": os.path.dirname(mmrec.__file__), "digests": out},

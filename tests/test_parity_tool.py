@@ -43,7 +43,8 @@ def test_compare_reports_how_far_a_differing_gradient_moved(digests, tmp_path):
     with np.load(digests.with_suffix(".npz")) as f:
         arrays = dict(f)
     grads = sorted(k for k in report["digests"] if k.startswith("grad/"))
-    assert sorted(arrays) == grads
+    assert sorted(arrays) == sorted(k for k in report["digests"]
+                                    if k.startswith(("grad/", "prefixes/")))
     # move the smallest gradient of one loss by 1e-3 of that loss's largest
     # entry, and give it a new digest
     loss = grads[0].rsplit("/", 1)[0]
@@ -75,3 +76,27 @@ def test_digests_cover_every_contrastive_variant(digests):
             assert f"loss/{seed}/{variant}" in report
         for variant in ("vcl", "icl"):
             assert any(k.startswith(f"grad/{variant}/{seed}/") for k in report)
+
+
+def test_digests_cover_a_two_block_user_encoder(digests, tmp_path):
+    # with two user blocks, block 0 is a full block over every position of
+    # the read path's prefixes; their states are kept, and a move of one is
+    # reported against its largest entry
+    report = json.loads(digests.read_text())
+    for kind in ("valid", "test", "cold"):
+        assert f"prefixes/ub2/{kind}" in report["digests"]
+        assert f"rank/ub2/{kind}" in report["digests"]
+    with np.load(digests.with_suffix(".npz")) as f:
+        arrays = dict(f)
+    key = "prefixes/ub2/valid"
+    arrays[key].reshape(-1)[0] += 1e-13 * np.abs(arrays[key]).max()
+    report["digests"][key] = "0" * 64
+    altered = tmp_path / "b.json"
+    altered.write_text(json.dumps(report))
+    np.savez(tmp_path / "b.npz", **arrays)
+    result = parity("--compare", digests, altered)
+    assert result.returncode == 1
+    summary = next(line for line in result.stdout.splitlines()
+                   if line.startswith("largest state move:"))
+    assert float(summary.split()[3]) == pytest.approx(1e-13, rel=1e-2)
+    assert summary.endswith(f"({key})")

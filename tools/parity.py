@@ -17,7 +17,8 @@ thread and writes the sha256 of:
   test and cold prefixes on a split shaped like the benchmark's rank
   workload (5000 users, 2000 items), and on a copy of it whose catalog ids
   are spread far apart, so that the item index maps them by a sorted
-  search and not by its id table;
+  search and not by its id table; and the same on the first split with a
+  user encoder of two blocks (`ub2`), whose block 0 is a full block;
 - the synthetic source and target of every generator config above
   (users, styles, types, and each item's tokens and patch bytes), so the
   generator's draw sequence is pinned;
@@ -25,15 +26,18 @@ thread and writes the sha256 of:
   evaluate --phase all: the four data files, both bundles, both metrics
   files and both `log.jsonl` files with `seconds` left out.
 
-It also writes every gradient array to OUT.npz beside OUT.json.
+It also writes every gradient and every array of prefix states to OUT.npz
+beside OUT.json.
 
 The second form prints every entry whose digest differs or is missing on
-one side, and exits 1 if there is any. For a differing `grad/` entry it
-also prints max|a - b| over the largest entry of that loss's gradients in
-A, when both files have their `.npz` beside them.
+one side, and exits 1 if there is any. For a differing `grad/` or
+`prefixes/` entry it also prints max|a - b| over the largest entry in A of
+that loss's gradients or of those states, when both files have their
+`.npz` beside them.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -182,13 +186,19 @@ def spread_ids(data, split):
         valid=[spread(i) for i in split.valid], test=[spread(i) for i in split.test])
 
 
-def prefix_digests():
+def prefix_digests(arrays):
+    """Digests of the prefix states and the reports; each array of states is
+    also put into `arrays` under its digest's key."""
     from mmrec import data, evaluation, transfer
     from mmrec.model import RecModel
-    model = RecModel.init(transfer_config(), RANK_SEED)
+    one_block = RecModel.init(transfer_config(), RANK_SEED)
+    two_blocks = RecModel.init(dataclasses.replace(transfer_config(), user_blocks=2),
+                               RANK_SEED)
     dense = source_split(data, RANK_SEED, RANK_USERS, RANK_ITEMS)
     out = {}
-    for name, split in (("dense", dense), ("spread", spread_ids(data, dense))):
+    for name, model, split in (("dense", one_block, dense),
+                               ("spread", one_block, spread_ids(data, dense)),
+                               ("ub2", two_blocks, dense)):
         index = transfer.build_item_index(model, split.items)
         cold = data.cold_item_subsequences(split, COLD_THRESHOLD)
         prefixes = {
@@ -199,6 +209,7 @@ def prefix_digests():
             states = transfer.encode_prefixes(model, part, split.items, index,
                                               model.cfg.L_max)
             out[f"prefixes/{name}/{kind}"] = digest(states)
+            arrays[f"prefixes/{name}/{kind}"] = states
         reports = [evaluation.evaluate(model, split, phase=kind) for kind in ("valid", "test")]
         reports.append(evaluation.evaluate_cold_start(model, split, COLD_THRESHOLD))
         for report in reports:
@@ -245,7 +256,7 @@ def write_digests(src, out_path):
     import mmrec
     arrays = {}
     out = {**corruption_digests(), **loss_digests(arrays), **adamw_digests(),
-           **prefix_digests(), **data_digests(), **cli_digests()}
+           **prefix_digests(arrays), **data_digests(), **cli_digests()}
     np.savez(arrays_path(out_path), **arrays)
     with open(out_path, "w") as f:
         json.dump({"mmrec": os.path.dirname(mmrec.__file__), "digests": out},
@@ -272,32 +283,44 @@ def load_arrays(path):
         return dict(f)
 
 
-def gradient_moves(a_path, b_path):
-    """max|a - b| over the largest |entry| of the loss's gradients in A, for
-    every gradient both `.npz` files hold."""
+# the key prefixes of the arrays in OUT.npz, and the name of each kind
+MOVED = {"grad/": "gradient", "prefixes/": "state"}
+
+
+def scale_key(key):
+    """What an array's move is measured against: all the gradients of its
+    loss, or the array of states itself."""
+    return key.rsplit("/", 1)[0] if key.startswith("grad/") else key
+
+
+def array_moves(a_path, b_path):
+    """max|a - b| over the largest |entry| of the arrays of `scale_key` in
+    A, for every array both `.npz` files hold."""
     import numpy as np
     a, b = load_arrays(a_path), load_arrays(b_path)
     scale = {}
-    for key, g in a.items():
-        loss = key.rsplit("/", 1)[0]
-        scale[loss] = max(scale.get(loss, 0.0), float(np.abs(g).max()))
-    return {key: float(np.abs(g - b[key]).max()) / scale[key.rsplit("/", 1)[0]]
-            for key, g in a.items() if key in b and g.shape == b[key].shape}
+    for key, x in a.items():
+        scale[scale_key(key)] = max(scale.get(scale_key(key), 0.0),
+                                    float(np.abs(x).max()))
+    return {key: float(np.abs(x - b[key]).max()) / scale[scale_key(key)]
+            for key, x in a.items() if key in b and x.shape == b[key].shape}
 
 
 def compare(a_path, b_path):
     a, b = (load_digests(p) for p in (a_path, b_path))
     differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    moves = gradient_moves(a_path, b_path) if any(
-        k.startswith("grad/") for k in differ) else {}
+    moves = array_moves(a_path, b_path) if any(
+        k.startswith(tuple(MOVED)) for k in differ) else {}
     for key in differ:
         print(f"differs: {key}  {a.get(key, 'missing')}  {b.get(key, 'missing')}")
         if key in moves:
-            print(f"  max|a - b| / largest gradient entry of the loss: {moves[key]:.3g}")
-    moved = [(moves[k], k) for k in differ if k in moves]
-    if moved:
-        print("largest gradient move: {:.3g} of the loss's largest entry ({})".format(
-            *max(moved)))
+            print(f"  max|a - b| / largest entry of {scale_key(key)}: {moves[key]:.3g}")
+    for prefix, kind in MOVED.items():
+        moved = [(moves[k], k) for k in differ if k in moves and k.startswith(prefix)]
+        if moved:
+            move, key = max(moved)
+            print(f"largest {kind} move: {move:.3g} of the largest entry of "
+                  f"{scale_key(key)} ({key})")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} digests differ")
     return 1 if differ else 0
 

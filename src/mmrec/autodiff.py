@@ -342,11 +342,6 @@ def concat(tensors, axis=0):
                                     axis=axis))
 
 
-def reshape(x, shape):
-    x = as_tensor(x)
-    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
-
-
 def transpose(x, axes):
     x = as_tensor(x)
     return _make(x.data.transpose(axes), (x,),

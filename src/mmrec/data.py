@@ -251,6 +251,8 @@ class SyntheticConfig:
                 (self.L_min >= 1, f"L_min={self.L_min} must be >= 1"),
                 (1 <= self.p_min <= self.p_max,
                  f"p_min={self.p_min} must lie in [1, p_max={self.p_max}]"),
+                (self.q >= 1, f"q={self.q} must be >= 1"),
+                (self.patch_dim >= 1, f"patch_dim={self.patch_dim} must be >= 1"),
                 (self.n_users >= 0, f"n_users={self.n_users} must be >= 0"),
                 (self.n_users_target is None or self.n_users_target >= 0,
                  f"n_users_target={self.n_users_target} must be >= 0")):

@@ -127,9 +127,9 @@ def transformer_block(params, prefix, x, bias, n_heads, row=None, projections=No
     restricts the output to that row of each sequence, (B, d): keys and
     values still come from all of x, and `bias` must then be broadcastable
     to (B, n_heads, 1, S). `projections`, only under `no_grad`, are the
-    block's input projections (q, k, v) of the query rows and of x, biases
-    included, in place of the products the block would compute; a q of None
-    is computed from the query rows.
+    block's key and value projections (k, v) of x, biases included, in
+    place of the products the block would compute; queries always come
+    from the query rows.
     """
     weights = [params[prefix + name] for name in BLOCK_PARAMS]
     w = {name: t.data for name, t in zip(BLOCK_PARAMS, weights)}
@@ -137,14 +137,12 @@ def transformer_block(params, prefix, x, bias, n_heads, row=None, projections=No
     at = slice(None) if row is None else slice(row, row + 1)  # the query rows
     qs = xs[:, at]
     if projections is None:
-        q = None
         k, v = ad.linear_forward(xs, w["wk"]), ad.linear_forward(xs, w["wv"], w["bv"])
     elif ad.grad_enabled():
         raise ValueError("a block takes given projections only under no_grad")
     else:
-        q, k, v = projections
-    if q is None:
-        q = ad.linear_forward(qs, w["wq"], w["bq"])
+        k, v = projections
+    q = ad.linear_forward(qs, w["wq"], w["bq"])
     a, p = ad.attention_forward(q, k, v, bias, n_heads)
     h, ln1 = ad.layer_norm_forward(qs, ad.linear_forward(a, w["wo"], w["bo"]),
                                    w["ln1_g"], w["ln1_b"])
@@ -174,41 +172,23 @@ def transformer_block(params, prefix, x, bias, n_heads, row=None, projections=No
     return ad._make(out if row is None else out[:, 0], (x, *weights), vjp)
 
 
-def run_blocks(params, n_blocks, x, key_mask, n_heads, causal=False, row=None,
-               projections=None):
-    """Run blocks b0..b{n_blocks-1} over x (B, S, d), with the (B, S) 0/1
-    `key_mask` (or None) and `causal` of `attention_bias`. `projections`
+def run_stack(params, cfg, n_blocks, parts, key_mask, head=None, causal=False,
+              row=None, projections=None):
+    """Run blocks b0..b{n_blocks-1} over the (B, S_i, d) `parts`,
+    concatenated along S.
+
+    The learned (d,) row `params[head]`, if named, goes first and is always
+    a key; the (B, S) 0/1 `key_mask` (or None) masks the rest, and `causal`
+    adds the triangle of `attention_bias`. A `pos` table in `params` adds
+    its first rows to the whole input once, head included, or only to
+    `row` when the blocks read no other row of the input. `projections`
     are block 0's, as `transformer_block` takes them.
 
     `row`, one position, restricts the final block to that row of each
-    sequence: its keys and values still span all of x, and the result is
-    (B, d), or that row of x when there are no blocks. With `causal`, `row`
-    must be the last position, whose row of the triangle masks no key, so
-    the key mask alone is its bias.
-    """
-    full = n_blocks if row is None else n_blocks - 1
-    if full > 0:
-        bias = attention_bias(key_mask, causal, x.shape[1])
-        for i in range(full):
-            x = transformer_block(params, f"b{i}.", x, bias, n_heads,
-                                  projections=None if i else projections)
-    if row is None:
-        return x
-    if n_blocks == 0:
-        return ad.getitem(x, (slice(None), row))
-    return transformer_block(params, f"b{n_blocks - 1}.", x, attention_bias(key_mask),
-                             n_heads, row=row, projections=None if full else projections)
-
-
-def run_stack(params, cfg, n_blocks, parts, key_mask, head=None, causal=False,
-              row=None, projections=None):
-    """Run one stack over the (B, S_i, d) `parts`, concatenated along S.
-
-    The learned (d,) row `params[head]`, if named, goes first and is always
-    a key; the (B, S) 0/1 `key_mask` masks the rest. A `pos` table in
-    `params` adds its first rows to the whole input once, head included,
-    or only to `row` when the blocks read no other row of the input.
-    `causal`, `row` and `projections` are those of `run_blocks`.
+    sequence: its keys and values still span the whole input, and the
+    result is (B, d), or that row of the input when there are no blocks.
+    With `causal`, `row` must be the last position, whose row of the
+    triangle masks no key, so the key mask alone is its bias.
     """
     b = len(parts[0].data)
     if head is not None:
@@ -223,8 +203,17 @@ def run_stack(params, cfg, n_blocks, parts, key_mask, head=None, causal=False,
         x, row = ad.getitem(x, (slice(None), pos)), 0
     if "pos" in params:
         x = ad.add(x, ad.getitem(params["pos"], pos))
-    return run_blocks(params, n_blocks, x, key_mask, cfg.n_heads, causal, row,
-                      projections)
+    if row is not None and n_blocks == 0:
+        return ad.getitem(x, (slice(None), row))
+    full = n_blocks if row is None else n_blocks - 1  # blocks over every row
+    bias = attention_bias(key_mask, causal, x.data.shape[1]) if full else None
+    for i in range(n_blocks):
+        if i == full:
+            bias = attention_bias(key_mask)
+        x = transformer_block(params, f"b{i}.", x, bias, cfg.n_heads,
+                              row=row if i == full else None,
+                              projections=None if i else projections)
+    return x
 
 
 def encode_text(params, cfg, token_ids, pad_mask):
@@ -273,25 +262,23 @@ def fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
 
 
 def first_block_projections(params, cfg, x=None, out=None):
-    """The user encoder's block-0 input projections of the (n, d) rows x
-    without biases, or with x None of the position table with biases, as
-    `transformer_block` takes them: (q, k, v), each (n, d), with q None when
-    block 0 is the final block and so projects only the query rows of a
-    last-position pass (`user_blocks` 1); None when there is no block. With
-    `out`, a (3, n, d) array, each is written into its row of `out`. As
-    (r + p) W + b = r W + (p W + b), the projections of item r at position
-    l are, up to rounding, the sum of the item's row and the position's."""
+    """The user encoder's block-0 key and value projections of the (n, d)
+    rows x without biases, or with x None of the position table with
+    biases, as `transformer_block` takes them: (k, v), each (n, d); None
+    when there is no block. With `out`, a (2, n, d) array, each is written
+    into its row of `out`. As (r + p) W + b = r W + (p W + b), the
+    projections of item r at position l are, up to rounding, the sum of the
+    item's row and the position's."""
     if cfg.user_blocks == 0:
         return None
     biases = x is None
     if biases:
         x = params["pos"].data
     return tuple(
-        None if c == "q" and cfg.user_blocks == 1 else ad.linear_forward(
-            x, params[f"b0.w{c}"].data,
-            params[f"b0.b{c}"].data if biases and c != "k" else None,  # no key bias
-            None if out is None else out[i])
-        for i, c in enumerate("qkv"))
+        ad.linear_forward(x, params[f"b0.w{c}"].data,
+                          params["b0.bv"].data if biases and c == "v" else None,  # no key bias
+                          None if out is None else out[i])
+        for i, c in enumerate("kv"))
 
 
 def encode_sequence(params, cfg, item_reps, seq_mask, last=False, projections=None):
@@ -306,8 +293,8 @@ def encode_sequence(params, cfg, item_reps, seq_mask, last=False, projections=No
     block, whose keys and values still span all positions, and the result
     is (B, d); every position must then be real, so `seq_mask` must be None.
 
-    `projections`, only under `no_grad`, are block 0's input projections
-    of the (B, L) positions, positions included, in the form
+    `projections`, only under `no_grad`, are block 0's key and value
+    projections of the (B, L) positions, positions included, in the form
     `first_block_projections` gives them; the read path assembles them from
     per-item and per-position rows instead of projecting every occurrence.
     """

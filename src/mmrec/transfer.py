@@ -194,8 +194,8 @@ class ItemIndex:
     """Cached per-item representations for full-catalog scoring.
 
     `reps` holds each item's representation. `projections` holds the user
-    encoder's block-0 input projections of `reps`, without positions or
-    biases (`encoders.first_block_projections`), so that the read path
+    encoder's block-0 key and value projections of `reps`, without positions
+    or biases (`encoders.first_block_projections`), so that the read path
     projects each item once and not at every occurrence; it is None for a
     user encoder without blocks. An index serves the model that built it.
 
@@ -208,7 +208,7 @@ class ItemIndex:
     def __init__(self, order, reps, projections):
         self.order = order  # catalog indices, sorted
         self.reps = reps  # (n_items, d)
-        self.projections = projections  # (q or None, k, v), each (n_items, d)
+        self.projections = projections  # (k, v), each (n_items, d), or None
         self.row_of = {c: r for r, c in enumerate(order)}  # for bench/ and tests
         self._sorted = np.asarray(order, dtype=np.int64)
         self._table = None
@@ -242,8 +242,8 @@ def build_item_index(model, items):
     order = sorted(items)
     # All that the index keeps is allocated before the encoders' scratch
     # arrays: glibc can keep freed memory resident below a later allocation.
-    # One buffer holds reps, then block 0's (q, k, v) projections of them.
-    table = np.empty((4, len(order), model.cfg.d))
+    # One buffer holds reps, then block 0's (k, v) projections of them.
+    table = np.empty((3, len(order), model.cfg.d))
     index = ItemIndex(order, table[0], None)  # projections written below
     with ad.no_grad():
         # an item's bits depend neither on its chunk, which never has one
@@ -259,8 +259,7 @@ def build_item_index(model, items):
     table.flags.writeable = False  # shared by every user of the cached index
     index.reps = table[0]  # views taken after that are read-only too
     if projections is not None:
-        index.projections = tuple(None if p is None else t
-                                  for t, p in zip(table[1:], projections))
+        index.projections = tuple(table[1:])
     return index
 
 
@@ -290,10 +289,10 @@ def encode_prefixes(model, prefixes, items, index, L_max):
     The prefixes are grouped by their cut length, in a stable order, and
     each length is encoded without padding in the blocks of `row_blocks`,
     of at most `PREFIX_CHUNK` rows and never one. Block 0's keys and values
-    (and its queries, when it is a full block) are the index's per-item
-    projections plus the position table's, gathered by row. A state is then
-    a function of its own prefix, whatever the other prefixes, their order
-    or the block size."""
+    are the index's per-item projections plus the position table's,
+    gathered by row; their arrays are freed when a block returns, before
+    the next one gathers its own. A state is then a function of its own
+    prefix, whatever the other prefixes, their order or the block size."""
     if L_max > model.cfg.L_max:
         raise ValueError(f"L_max={L_max} exceeds the model's "
                          f"L_max={model.cfg.L_max}")
@@ -315,8 +314,14 @@ def encode_prefixes(model, prefixes, items, index, L_max):
 
     def encode(block):
         block_rows = rows[starts[block][:, None] + np.arange(lengths[block[0]])]
-        out[block] = _encode_rows(model, index.reps, block_rows,
-                                  index.projections, pos_part)
+        projections = None
+        if index.projections is not None:
+            projections = [table.take(block_rows, axis=0) for table in index.projections]
+            for p, add in zip(projections, pos_part):
+                p += add[: block_rows.shape[1]]
+        out[block] = model.encode_sequence(
+            ad.Tensor(index.reps.take(block_rows, axis=0)), None, last=True,
+            projections=projections).data
 
     for_each_block(encode, [
         block for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
@@ -379,21 +384,6 @@ def for_each_block(fn, blocks):
         t.join()
     if failed:
         raise failed[0]
-
-
-def _encode_rows(model, reps, rows, items_part, pos_part):
-    """Last-position states of the sequences of index rows `rows` (n, L),
-    with block 0's projections gathered from `items_part` and `pos_part`.
-    Its arrays are freed on return, before the next block gathers its own."""
-    projections = None
-    if items_part is not None:
-        projections = [None] * 3
-        for i, (table, add) in enumerate(zip(items_part, pos_part)):
-            if table is not None:
-                projections[i] = table.take(rows, axis=0)
-                projections[i] += add[: rows.shape[1]]
-    return model.encode_sequence(ad.Tensor(reps.take(rows, axis=0)), None, last=True,
-                                 projections=projections).data
 
 
 def predict_scores(model, prefix, items):

@@ -1,11 +1,11 @@
 """Reference versions of the fused autodiff nodes, built from small nodes.
 
 The nodes here (`exp`, `log`, `power`, `tanh`, `softmax`, `row_sum`,
-`tmean`, `sub`, `matmul`) have no caller in the library; the composites written with them
-are the oracles that the one-node `l2_normalize`, `softmax_xent`,
-`objectives.gram_xent` and `linear`, the transformer block's layer-norm and
-GELU pairs, and the objectives built on them are checked against.
-`item_embeddings` is the per-part stack assembly that `encoders.run_stack`
+`tmean`, `sub`, `matmul`, `reshape`) have no caller in the library; the
+composites written with them are the oracles that the one-node
+`l2_normalize`, `softmax_xent`, `objectives.gram_xent` and `linear`, the
+transformer block's layer-norm and GELU pairs, and the objectives built on
+them are checked against. `item_embeddings` is the per-part stack assembly that `encoders.run_stack`
 replaced, and `contrastive_loss` the per-anchor product that
 `objectives.gram_xent` replaced.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from mmrec import autodiff as ad
 from mmrec.autodiff import _GELU_C
-from mmrec.encoders import run_blocks
+from mmrec.encoders import attention_bias, transformer_block
 
 
 def _node(x, data, grad_of):
@@ -56,6 +56,11 @@ def softmax(x, axis=-1, in_order=False):
                 if in_order else e.sum(axis=axis, keepdims=True))
     return _node(x, data,
                  lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
+
+
+def reshape(x, shape):
+    x = ad.as_tensor(x)
+    return _node(x, x.data.reshape(shape), lambda g: g.reshape(x.shape))
 
 
 def matmul(a, b):
@@ -189,9 +194,19 @@ def _prepend(row, parts, key_mask):
     """The learned (d,) `row` in front of the (B, S_i, d) `parts`, with a key
     mask in which the row is always a key."""
     b, d = key_mask.shape[0], row.shape[-1]
-    head = ad.add(ad.reshape(row, (1, 1, d)), np.zeros((b, 1, d)))
+    head = ad.add(reshape(row, (1, 1, d)), np.zeros((b, 1, d)))
     return (ad.concat([head, *parts], axis=1),
             np.concatenate([np.ones((b, 1)), key_mask], axis=1))
+
+
+def _blocks(params, n_blocks, x, key_mask, n_heads, row=None):
+    """Blocks b0..b{n_blocks-1} over x, none of them causal; with `row`, the
+    last one computes only that row of each sequence."""
+    bias = attention_bias(key_mask)
+    for i in range(n_blocks):
+        x = transformer_block(params, f"b{i}.", x, bias, n_heads,
+                              row=row if i == n_blocks - 1 else None)
+    return x
 
 
 def item_embeddings(model, token_ids, pad_mask, patches):
@@ -205,7 +220,7 @@ def item_embeddings(model, token_ids, pad_mask, patches):
         emb = ad.add(emb, ad.getitem(params["pos"], slice(1, emb.shape[1] + 1)))
         cls = ad.add(params["cls"], ad.getitem(params["pos"], 0))
         x, mask = _prepend(cls, [emb], key_mask)
-        x = run_blocks(params, n_blocks, x, mask, cfg.n_heads)
+        x = _blocks(params, n_blocks, x, mask, cfg.n_heads)
         return ad.getitem(x, (slice(None), 0)), ad.getitem(x, (slice(None), slice(1, None)))
 
     out = {}
@@ -221,7 +236,7 @@ def item_embeddings(model, token_ids, pad_mask, patches):
         p = groups["fusion"]
         x, mask = _prepend(p["mm_cls"], [t_hid, v_hid],
                            np.concatenate([pad_mask, np.ones(v_hid.shape[:2])], axis=1))
-        out["e_cls"] = run_blocks(p, cfg.fusion_blocks, x, mask, cfg.n_heads, row=0)
+        out["e_cls"] = _blocks(p, cfg.fusion_blocks, x, mask, cfg.n_heads, row=0)
     else:
         out["e_cls"] = out["t_cls" if cfg.modality == "text" else "v_cls"]
     return out

@@ -303,9 +303,11 @@ def test_removed_keys_exit_1(pair, capsys):
     (["seq_min=-2"], "L_min=-2 must be >= 1"),
     (["n_users=-1"], "n_users=-1 must be >= 0"),
     (["n_users_target=-5"], "n_users_target=-5 must be >= 0"),
+    (["q=0"], "q=0 must be >= 1"),
+    (["patch_dim=0"], "patch_dim=0 must be >= 1"),
 ], ids=["no_items", "one_token", "seq_min_above_seq_max", "p_min_above_p_max",
         "p_min_0", "seq_min_0", "seq_min_negative", "n_users_negative",
-        "n_users_target_negative"])
+        "n_users_target_negative", "q_0", "patch_dim_0"])
 def test_gen_data_names_the_key_out_of_bounds(pairs, message, tmp_path, capsys):
     overrides = [arg for kv in pairs for arg in ("-o", kv)]
     assert main(overrides + ["gen-data", "--out", str(tmp_path / "data")]) == 1

@@ -391,10 +391,13 @@ def test_synthetic_rejects_bad_config():
     (dict(L_min=-3), "L_min=-3 must be >= 1"),
     (dict(n_users=-1), "n_users=-1 must be >= 0"),
     (dict(n_users_target=-1), "n_users_target=-1 must be >= 0"),
+    (dict(q=0), "q=0 must be >= 1"),
+    (dict(patch_dim=0), "patch_dim=0 must be >= 1"),
 ], ids=["p_min_0", "L_min_0", "L_min_negative", "n_users_negative",
-        "n_users_target_negative"])
+        "n_users_target_negative", "q_0", "patch_dim_0"])
 def test_synthetic_rejects_what_it_cannot_generate(kwargs, message):
-    # an item needs a token, a user an item, and a user count is a count
+    # an item needs a token and a patch of at least one value, a user an
+    # item, and a user count is a count
     with pytest.raises(DataError, match=message):
         SyntheticConfig(**kwargs)
 

@@ -206,13 +206,13 @@ def _composite_block(params, prefix, x, bias, n_heads):
         return out if bb is None else ad.add(out, params[prefix + bb])
 
     def heads(t):
-        return ad.transpose(ad.reshape(t, (b, s, n_heads, dh)), (0, 2, 1, 3))
+        return ad.transpose(C.reshape(t, (b, s, n_heads, dh)), (0, 2, 1, 3))
 
     q, k, v = (heads(proj(x, "wq", "bq")), heads(proj(x, "wk")),
                heads(proj(x, "wv", "bv")))
     scores = ad.mul(C.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = softmax(ad.add(scores, bias), axis=-1, in_order=True)
-    ctx = ad.reshape(ad.transpose(C.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
+    ctx = C.reshape(ad.transpose(C.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
     x = layer_norm(ad.add(x, proj(ctx, "wo", "bo")),
                    params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     ff = proj(gelu(proj(x, "w1", "b1")), "w2", "b2")
@@ -327,11 +327,13 @@ def _full_row_fuse(params, cfg, text_hiddens, vision_hiddens, text_mask):
     """Fusion with every block run over all 1 + p + q rows, reading mm_cls
     off row 0: the reference for the row-restricted final block."""
     b = text_hiddens.shape[0]
-    mm = ad.add(ad.reshape(params["mm_cls"], (1, 1, cfg.d)), np.zeros((b, 1, cfg.d)))
+    mm = ad.add(C.reshape(params["mm_cls"], (1, 1, cfg.d)), np.zeros((b, 1, cfg.d)))
     x = ad.concat([mm, text_hiddens, vision_hiddens], axis=1)
     key_mask = np.concatenate([np.ones((b, 1)), text_mask,
                                np.ones(vision_hiddens.shape[:2])], axis=1)
-    x = enc.run_blocks(params, cfg.fusion_blocks, x, key_mask, cfg.n_heads)
+    bias = enc.attention_bias(key_mask)
+    for i in range(cfg.fusion_blocks):
+        x = enc.transformer_block(params, f"b{i}.", x, bias, cfg.n_heads)
     return ad.getitem(x, (slice(None), 0))
 
 
@@ -551,9 +553,8 @@ def test_encode_prefixes_matches_full_path_with_truncation(blocks):
 
 @pytest.mark.parametrize("blocks", [0, 1, 2])
 def test_index_projections_give_the_states_of_projecting_each_call(blocks):
-    # an index built from the model stores block 0's item projections (the
-    # queries too with 2 blocks), which give the states of projecting its
-    # reps in the call
+    # an index built from the model stores block 0's item key and value
+    # projections, which give the states of projecting its reps in the call
     from mmrec import transfer
     from mmrec.data import ItemRecord
 
@@ -564,7 +565,7 @@ def test_index_projections_give_the_states_of_projecting_each_call(blocks):
     index = transfer.build_item_index(model, items)
     assert (index.projections is None) == (blocks == 0)
     if blocks:
-        assert (index.projections[0] is None) == (blocks == 1)
+        assert len(index.projections) == 2  # (k, v): queries come from the query rows
     bare = transfer.ItemIndex(index.order, index.reps,
                               model.first_block_projections(index.reps))
     prefixes = [rng.integers(0, 9, size=n).tolist() for n in (1, 3, 3, 6, 8)]
@@ -576,7 +577,7 @@ def test_index_projections_give_the_states_of_projecting_each_call(blocks):
 def test_block_takes_given_projections_only_without_gradients(model):
     params = model.groups["user_encoder"]
     x = ad.Tensor(np.zeros((2, 3, 8)))
-    projections = (None, np.zeros((2, 3, 8)), np.zeros((2, 3, 8)))
+    projections = (np.zeros((2, 3, 8)), np.zeros((2, 3, 8)))
     bias = enc.attention_bias(None, causal=True, s=3)
     with pytest.raises(ValueError, match="only under no_grad"):
         enc.transformer_block(params, "b0.", x, bias, 2, projections=projections)

@@ -438,7 +438,7 @@ def occurrence_dap_loss(ctx, e, hiddens):
     e_occ = ad.getitem(e, occ_row)
     pos_score = ad.tsum(ad.mul(h, pos), axis=-1)
     neg_scores = C.matmul(h, ad.transpose(e_occ, (1, 0)))
-    z = ad.concat([ad.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
+    z = ad.concat([C.reshape(pos_score, (-1, 1)), neg_scores], axis=1)
     m = np.concatenate([np.ones((len(ctx.tr_u), 1)), allowed[ctx.tr_u]], axis=1)
     lse = C.masked_logsumexp(z, m, axis=1)
     return C.tmean(C.sub(lse, pos_score))
@@ -461,7 +461,7 @@ def occurrence_contrastive_loss(ctx, emb, variant):
     def one_side(anchor_tab, other_tab, same_occ, other_occ):
         a = ad.getitem(anchor_tab, rows)
         pos = ad.tsum(ad.mul(a, ad.getitem(other_tab, rows)), axis=-1)
-        pos = ad.reshape(pos, (-1, 1))
+        pos = C.reshape(pos, (-1, 1))
         inter = C.matmul(a, ad.transpose(other_occ, (1, 0)))
         cols = [pos, inter]
         masks = [np.ones((n_anchor, 1)), allowed]
@@ -475,11 +475,11 @@ def occurrence_contrastive_loss(ctx, emb, variant):
             nrows = ctx.pos_to_row[a_u, a_l + 1]
             nxt_other = ad.tsum(ad.mul(a, ad.getitem(other_tab, nrows)), axis=-1)
             nxt_same = ad.tsum(ad.mul(a, ad.getitem(anchor_tab, nrows)), axis=-1)
-            numz = ad.concat([pos, ad.reshape(nxt_other, (-1, 1)),
-                              ad.reshape(nxt_same, (-1, 1))], axis=1)
+            numz = ad.concat([pos, C.reshape(nxt_other, (-1, 1)),
+                              C.reshape(nxt_same, (-1, 1))], axis=1)
             num = C.masked_logsumexp(numz, np.ones((n_anchor, 3)), axis=1)
         else:
-            num = ad.reshape(pos, (-1,))
+            num = C.reshape(pos, (-1,))
         return C.sub(den, num)
 
     tv = one_side(tn, vn, t_occ, v_occ)

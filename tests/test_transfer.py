@@ -455,8 +455,7 @@ def test_index_is_invariant_to_its_chunking(threads):
 
 def test_index_holds_read_only_projections_of_its_reps(model, items):
     index = build_item_index(model, items)
-    q, k, v = index.projections
-    assert q is None  # one user block: its queries come from the query rows
+    k, v = index.projections  # queries come from the query rows
     params = model.groups["user_encoder"]
     for table, name in ((k, "b0.wk"), (v, "b0.wv")):
         assert table.tobytes() == ad.linear_forward(index.reps, params[name].data).tobytes()
@@ -729,8 +728,7 @@ def read_path_at(model, split, workers):
             evaluation.evaluate_cold_start(model, split, threshold=3).to_json()])}
         index = tr.item_index(model, split.items)
         out["reps"] = index.reps.tobytes()
-        out["projections"] = b"".join(p.tobytes() for p in index.projections
-                                      if p is not None)
+        out["projections"] = b"".join(p.tobytes() for p in index.projections)
         states = tr.encode_prefixes(model, split.train, split.items, index,
                                     model.cfg.L_max)
         out["states"] = states.tobytes()
